@@ -9,7 +9,7 @@ backend against the seed-equivalent cold pipeline and writes
 * ``iteration``  — end-to-end per-iteration wall time of
   ``Boson1Optimizer`` on the bending device with fabrication corners on
   (the paper's dominant cost), seed-equivalent vs. each backend
-  (``direct`` = the PR 1 warm path, ``batched``, ``krylov`` with the
+  (``direct`` = the warm path, ``krylov`` with the
   nominal-corner LU recycled across corners, ``krylov-block`` with the
   whole corner family solved through shared matrix-RHS block sweeps),
   with per-run workspace cache hit rates and convergence statistics.
@@ -53,15 +53,6 @@ backend against the seed-equivalent cold pipeline and writes
   per wavelength group per iteration (the temperature axis must not add
   solves), fewer total block sweeps than scalar per-column iterations,
   and trajectory agreement to solver precision.
-* ``recycling``  — the PR 9 evidence: Monte-Carlo post-fab evaluation
-  on a refined grid (``dl=0.025``), ``krylov-block`` vs. the same
-  backend with a GCRO-style recycled deflation basis
-  (``recycle_dim=8``) and with the mixed-precision float32
-  preconditioner twin on top.  Gated deterministically on warm-block
-  sweeps strictly below the same-run no-recycle baseline (with no warm
-  block regressing), deflation/refinement actually engaging, and
-  sample FoMs agreeing to solver precision; wall time is gated at
-  parity within this box's scheduler-noise band.
 * ``serve``      — the PR 10 evidence: the same design run submitted
   through an in-process ``repro serve`` daemon (framed submit + coarse
   status polls + per-iteration progress appends + job-state
@@ -71,9 +62,8 @@ backend against the seed-equivalent cold pipeline and writes
   overhead, with the served job's trajectory required to match the
   direct run bit for bit.
 
-The backends are also cross-checked: ``batched`` must reproduce the
-direct FoM trajectory bit for bit, ``krylov`` and ``krylov-block`` to
-solver precision.  Finally the numbers are compared against
+The backends are also cross-checked: ``krylov`` and ``krylov-block``
+must reproduce the direct FoM trajectory to solver precision.  Finally the numbers are compared against
 ``BENCH_PR9.json`` (if present): a slower warm-direct, scalar-krylov
 or krylov-block path, a block path that loses to scalar krylov or that
 stops amortizing sweeps, a process/remote fan-out with runaway
@@ -118,7 +108,6 @@ from repro.fdfd import (  # noqa: E402
     SimGrid,
     SimulationWorkspace,
 )
-from repro.fdfd.linalg import SolverConfig  # noqa: E402
 from repro.fdfd.workspace import (  # noqa: E402
     reset_shared_workspace,
     set_default_factor_options,
@@ -126,7 +115,7 @@ from repro.fdfd.workspace import (  # noqa: E402
 from repro.utils.constants import omega_from_wavelength  # noqa: E402
 from repro.utils.io import atomic_write_json  # noqa: E402
 
-BACKENDS = ("direct", "batched", "krylov", "krylov-block")
+BACKENDS = ("direct", "krylov", "krylov-block")
 
 
 def _time_repeat(fn, repeats: int) -> float:
@@ -253,10 +242,8 @@ def bench_iteration(iterations: int, rounds: int = 2) -> tuple[dict, np.ndarray]
     t_direct, r_direct, _ = runs["direct"]
 
     # Same physics across the board: seed vs. cached to factorization
-    # roundoff, batched == direct bit for bit (single-direction device),
-    # krylov and krylov-block to solver precision.
+    # roundoff, krylov and krylov-block to solver precision.
     assert np.allclose(r_seed.fom_trace(), r_direct.fom_trace(), atol=1e-6)
-    assert np.array_equal(runs["batched"][1].fom_trace(), r_direct.fom_trace())
     assert np.allclose(
         runs["krylov"][1].fom_trace(), r_direct.fom_trace(), rtol=1e-5, atol=1e-7
     )
@@ -288,8 +275,6 @@ def bench_iteration(iterations: int, rounds: int = 2) -> tuple[dict, np.ndarray]
             entry["block_solves"] = solver_stats["block_solves"]
             entry["block_sweeps"] = solver_stats["block_sweeps"]
             entry["block_columns"] = solver_stats["block_columns"]
-        if backend == "batched":
-            entry["batched_calls"] = solver_stats["batched_calls"]
         backends[backend] = entry
 
     report = {
@@ -904,142 +889,6 @@ def bench_montecarlo(pattern: np.ndarray, n_samples: int) -> dict:
     }
 
 
-def bench_recycling(rounds: int = 3) -> tuple[dict, list[str]]:
-    """The PR 9 evidence: cross-iteration Krylov subspace recycling.
-
-    Monte-Carlo post-fab evaluation is the workload recycling is built
-    for: the anchor stays pinned at the nominal design while every
-    sample's perturbed corner block solves against it, so the harvested
-    correction directions — the anchor's systematic errors on the
-    sample family — carry from block to block.  (In the optimizer loop
-    the anchor is refactorized every iteration, so its seed is already
-    excellent and there is nothing left to deflate; see
-    ``repro.fdfd.linalg.recycle``.)  The grid is refined to
-    ``dl=0.025`` (25,600 unknowns) because recycling is a
-    big-problem technique: each deflation costs dense ``O(n k)`` work
-    per sweep, which only pays once the LU applications it removes are
-    expensive enough.
-
-    Deterministic gates (hard asserts — solver behaviour, not timing):
-
-    * warm-block sweeps (every block after the first) strictly below
-      the same-run no-recycle baseline, for ``recycle_dim=8`` and for
-      ``recycle_dim=8 + precond_dtype=float32``, with no warm block
-      above its baseline count;
-    * deflation actually engaged (``deflated_columns > 0``) and the
-      mixed-precision path actually refined (``refinement_sweeps > 0``);
-    * sample FoMs agree with the baseline to solver precision
-      (``rtol=1e-4, atol=1e-6`` — the Monte-Carlo section's gate).
-
-    Wall time is measured with alternating best-of-``rounds`` like
-    :func:`bench_iteration` and reported; the recycled run must stay
-    within 20% of the baseline (measured parity — the band covers this
-    box's scheduler noise, which exceeds +-10% on a ~2 s workload).
-    """
-    dl, n_samples, chunk = 0.025, 20, 4
-    reset_shared_workspace()
-    device = make_device("bending", dl=dl)
-    optimizer = Boson1Optimizer(device, OptimizerConfig(iterations=2, seed=0))
-    pattern = optimizer.run(iterations=2).pattern
-    optimizer.close()
-    fab = FabricationProcess(
-        device.design_shape,
-        device.dl,
-        context=device.litho_context(12),
-        pad=12,
-    )
-
-    configs = {
-        "krylov-block": SolverConfig(backend="krylov-block"),
-        "recycle": SolverConfig(backend="krylov-block", recycle_dim=8),
-        "recycle+f32": SolverConfig(
-            backend="krylov-block", recycle_dim=8, precond_dtype="float32"
-        ),
-    }
-
-    def run(config: SolverConfig):
-        dev = make_device("bending", dl=dl)
-        ws = SimulationWorkspace(solver_config=config)
-        dev.configure_simulation_cache(True, ws)
-        t0 = time.perf_counter()
-        report = evaluate_post_fab(
-            dev, fab, pattern, n_samples=n_samples, seed=1234,
-            block_chunk=chunk,
-        )
-        elapsed = time.perf_counter() - t0
-        stats = ws.solver_stats
-        return elapsed, np.asarray(report.foms), stats.as_dict(), list(
-            stats.block_sweep_trace
-        )
-
-    # One run per variant pins the deterministic evidence (sweep traces,
-    # counters, FoMs); the timing rounds below only keep wall minima.
-    first = {name: run(config) for name, config in configs.items()}
-    walls = {name: [first[name][0]] for name in configs}
-    for _ in range(rounds - 1):
-        for name, config in configs.items():
-            walls[name].append(run(config)[0])
-    best = {name: min(times) for name, times in walls.items()}
-
-    base_t, base_foms, base_stats, base_trace = first["krylov-block"]
-    entry = {
-        "dl": dl,
-        "n_samples": n_samples,
-        "block_chunk": chunk,
-        "rounds": rounds,
-        "backends": {},
-    }
-    for name in configs:
-        t, foms, stats, trace = first[name]
-        entry["backends"][name] = {
-            "wall_s": best[name],
-            "wall_vs_baseline": best[name] / best["krylov-block"],
-            "block_sweep_trace": trace,
-            "warm_block_sweeps": int(sum(trace[1:])),
-            "block_sweeps": stats["block_sweeps"],
-            "krylov_iterations": stats["iterations"],
-            "deflated_columns": stats.get("deflated_columns", 0),
-            "refinement_sweeps": stats.get("refinement_sweeps", 0),
-            "factorizations": stats["factorizations"],
-            "max_rel_fom_delta": float(
-                np.max(
-                    np.abs(foms - base_foms)
-                    / np.maximum(np.abs(base_foms), 1e-300)
-                )
-            ),
-        }
-
-    failures: list[str] = []
-    warm_base = sum(base_trace[1:])
-    for name in ("recycle", "recycle+f32"):
-        t, foms, stats, trace = first[name]
-        # Trajectories to solver precision (same gate as bench_montecarlo).
-        assert np.allclose(foms, base_foms, rtol=1e-4, atol=1e-6), name
-        assert stats["deflated_columns"] > 0, name
-        # Warm blocks: the recycled basis must strictly cut blocked
-        # sweeps once it has harvested from the first block, and no
-        # warm block may regress above its baseline count.
-        assert len(trace) == len(base_trace), name
-        warm = sum(trace[1:])
-        assert warm < warm_base, (
-            f"{name}: warm-block sweeps {warm} not strictly below "
-            f"baseline {warm_base} ({trace} vs {base_trace})"
-        )
-        assert all(
-            ours <= theirs for ours, theirs in zip(trace[1:], base_trace[1:])
-        ), f"{name}: a warm block regressed ({trace} vs {base_trace})"
-    assert first["recycle+f32"][2]["refinement_sweeps"] > 0
-
-    ratio = best["recycle"] / best["krylov-block"]
-    if ratio > 1.20:
-        failures.append(
-            f"recycling wall time regressed: {best['recycle']:.3f} s vs. "
-            f"krylov-block {best['krylov-block']:.3f} s "
-            f"(x{ratio:.2f}, 20% band)"
-        )
-    return entry, failures
-
-
 def bench_scenario(iterations: int, rounds: int = 2) -> tuple[dict, list[str]]:
     """The PR 8 evidence: a broadband x thermal scenario family rides
     omega-grouped blocked solves.
@@ -1303,18 +1152,6 @@ def main(argv: list[str] | None = None) -> int:
             f"{round(value, 4) if isinstance(value, float) else value}"
         )
 
-    print("== subspace recycling + mixed precision (MC, dl=0.025) ==")
-    recycling, recycling_failures = bench_recycling()
-    for name, entry in recycling["backends"].items():
-        print(
-            f"  {name:12s}: {entry['wall_s']:.3f} s "
-            f"(x{entry['wall_vs_baseline']:.2f} vs krylov-block), "
-            f"blocks {entry['block_sweep_trace']}, "
-            f"{entry['krylov_iterations']} scalar iters, "
-            f"{entry['deflated_columns']} deflated cols, "
-            f"{entry['refinement_sweeps']} refinement sweeps"
-        )
-
     failures = compare_with_baseline(iteration, block, Path(args.baseline))
     failures.extend(process_failures)
     failures.extend(remote_failures)
@@ -1322,7 +1159,6 @@ def main(argv: list[str] | None = None) -> int:
     failures.extend(serve_failures)
     failures.extend(tracing_failures)
     failures.extend(scenario_failures)
-    failures.extend(recycling_failures)
 
     payload = {
         "benchmark": (
@@ -1345,7 +1181,6 @@ def main(argv: list[str] | None = None) -> int:
         "serve": serve,
         "tracing": tracing,
         "scenario": scenario,
-        "recycling": recycling,
         "regressions": failures,
     }
     out_path = Path(args.output)

@@ -34,6 +34,7 @@ from repro.devices import DEVICE_REGISTRY, make_device
 from repro.eval import evaluate_ideal, evaluate_post_fab
 from repro.eval.montecarlo import DEFAULT_BLOCK_CHUNK
 from repro.fab.process import FabricationProcess
+from repro.fdfd.linalg import SolverConfig
 from repro.utils.io import load_result, save_result
 from repro.utils.logsetup import LOG_LEVELS, configure_logging
 from repro.utils.render import ascii_pattern
@@ -46,11 +47,12 @@ choosing an executor / solver
 -----------------------------
 executors (corner / sample fan-out):
   serial       default; lowest overhead, fully deterministic.
-  thread[:n]   shared-memory threads (the hot paths release the GIL);
-               bit-identical to serial for LU-backed solvers
-               (direct/batched), solver precision for preconditioned
-               ones (fallback anchors arrive in scheduling order).
-               Best on 1 machine, few cores.
+  thread[:n]   shared-memory threads; triangular solves, BLAS and FFTs
+               release the GIL, SuperLU factorization does not, so
+               factorization-bound (direct) fan-outs gain little.
+               bit-identical to serial for the direct solver, solver
+               precision for preconditioned ones (fallback anchors
+               arrive in scheduling order).
   process[:n]  forked workers; `design` ships pickle-clean forward-solve
                payloads and reassembles gradients in the parent, so
                results match serial to solver precision.  Best when
@@ -61,38 +63,28 @@ without an explicit :n, process and remote auto-tune to
 min(corner count, available workers); on a 1-core box an auto process
 spec runs inline, making `--executor process` safe everywhere.
 solvers (every FDFD solve):
-  direct       one SuperLU per corner; the bitwise reference.
-  batched      direct + matrix-RHS sweeps; multi-direction devices
-               batch forward and adjoint systems (bitwise on
-               single-direction devices).
+  direct       one SuperLU per corner, multi-column blocks (e.g. the
+               isolator's forward and backward sources) in one
+               matrix-RHS call; the bitwise reference.
   krylov       nominal-corner LU recycled across an iteration's corners
                via preconditioned BiCGStab/GMRES; fastest per corner,
                accurate to the solver tolerance.
   krylov-block krylov + one *blocked* solve for the whole corner family
                (serial executor only; other executors fall back to
                scalar krylov per corner).  Fastest overall on 1 core.
-krylov extras (modifiers compose, e.g. krylov-block:recycle):
-  :recycle     cross-iteration subspace recycling: converged solves
-               donate their correction directions to a small deflation
-               basis (GCRO-style), and later solves on nearby systems
-               project those slow modes out of the operator — warm
-               Monte-Carlo sweeps and long optimizations converge in
-               strictly fewer blocked sweeps.  Worth it on large grids
-               (the dense deflation work competes with sparse LU solves
-               on small ones).
+krylov extras:
+  :gmres       GMRES instead of BiCGStab for scalar krylov solves.
   --precond-dtype float32
                factor the preconditioner anchor in single precision
                (half the factorization memory/time); outer recurrences
                stay float64 and iterative refinement re-certifies every
                corner to the full solver tolerance.
-determinism contract: direct/batched are bitwise stable across
-executors; krylov variants (including :recycle and float32
-preconditioning) agree with them to the solver tolerance — trajectories
-match to ~1e-8, not bit-for-bit.
-rule of thumb: start with `--solver krylov-block`; add `:recycle` for
-Monte-Carlo evaluation or many-iteration runs on fine grids; add
-`--executor process:n` on multi-core machines or `--executor thread:n`
-for a shared-memory fan-out; use `--solver direct` when chasing bits.
+determinism contract: direct is bitwise stable across executors;
+krylov variants (including float32 preconditioning) agree with it to
+the solver tolerance — trajectories match to ~1e-8, not bit-for-bit.
+rule of thumb: start with `--solver krylov-block`; add `--executor
+process:n` on multi-core machines; use `--solver direct` when chasing
+bits.
 
 robust scenario families (broadband x thermal x fab)
 ----------------------------------------------------
@@ -113,7 +105,7 @@ worst ALPHA-tail, e.g. cvar:0.5; tail membership from detached losses,
 applied as constant Rockafellar weights).
 determinism: with no axes set nothing changes — single-wavelength
 mean-aggregate runs stay bitwise identical to pre-scenario builds for
-LU-backed backends (direct/batched) on serial/thread executors, and a
+the direct backend on serial/thread executors, and a
 checkpoint written before the scenario axes existed refuses to resume
 with a descriptive digest error (the config digest covers the axes).
 with axes set, omega grouping never changes results: LU-backed
@@ -139,8 +131,8 @@ error, never a hang.  task state (device + solver epoch) is shipped
 once per epoch per worker; items are round-robined with work stealing,
 and workers keep warm solver caches across iterations.
 determinism: ordered reduction makes results independent of worker
-count and scheduling — bitwise equal to serial for LU-backed solvers
-(direct/batched), solver precision for krylov backends (each worker
+count and scheduling — bitwise equal to serial for the direct solver,
+solver precision for krylov backends (each worker
 anchors its own preconditioner).
 failures: a worker that dies mid-run (connection loss, or silence
 longer than --remote-timeout; busy workers emit heartbeats) has its
@@ -165,7 +157,7 @@ warning); `--resume PATH` loads one file directly, and continued
 checkpoints then default into that file's directory.  a checkpoint
 records theta, the Adam moments and step count, the RNG stream, sampler
 state, the relaxation-schedule position and the full iteration history,
-so a resumed run with an LU-backed solver (direct/batched) reproduces
+so a resumed run with the direct solver reproduces
 the uninterrupted trajectory bit-for-bit; krylov backends agree to
 solver precision.  mismatches are refused loudly: truncated or
 corrupted files, checkpoints from another format version, and any
@@ -268,11 +260,24 @@ def _solver_spec(args):
     """
     if getattr(args, "precond_dtype", "float64") == "float64":
         return args.solver
-    from repro.fdfd.linalg import SolverConfig
-
     return SolverConfig.coerce(args.solver).with_overrides(
         precond_dtype=args.precond_dtype
     )
+
+
+def _solver_arg(spec: str) -> str:
+    """argparse ``type`` for ``--solver``: refuse a bad spec up front.
+
+    The spec itself is kept (the zero-config ``direct`` path relies on
+    the plain string); only its validation happens here, so a removed
+    spelling such as ``batched`` exits with the message naming its
+    replacement instead of a traceback.
+    """
+    try:
+        SolverConfig.coerce(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return spec
 
 
 def _add_observability_args(p: argparse.ArgumentParser) -> None:
@@ -452,10 +457,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_design.add_argument(
         "--solver",
         default="direct",
+        type=_solver_arg,
         metavar="BACKEND",
         help=(
-            "linear-solver backend: direct (one LU per corner), batched "
-            "(direct + multi-RHS triangular sweeps), krylov "
+            "linear-solver backend: direct (one LU per corner; "
+            "multi-column blocks in one matrix-RHS call), krylov "
             "(BiCGStab preconditioned by the nominal corner's LU, "
             "recycled across the iteration's fabrication corners; a "
             "non-converging solve falls back to a direct factorization "
@@ -467,11 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
             "factorizations; taped thread-pool execution and "
             "single-corner solves fall back to scalar krylov "
             "behaviour). krylov:gmres selects GMRES for the scalar "
-            "solves (the block algorithm is always BiCGStab), and a "
-            ":recycle modifier (e.g. krylov-block:recycle) turns on "
-            "cross-iteration subspace recycling: converged solves feed "
-            "a small deflation basis that strips the recycled slow "
-            "modes from later nearby solves."
+            "solves (the block algorithm is always BiCGStab)."
         ),
     )
     _add_precond_dtype_arg(p_design)
@@ -512,15 +514,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--solver",
         default="direct",
+        type=_solver_arg,
         metavar="BACKEND",
         help=(
             "linear-solver backend for the evaluation solves: direct | "
-            "batched | krylov[:gmres] | krylov-block (see `design "
-            "--help`; krylov falls back to direct factorization on "
-            "non-convergence, and krylov-block additionally batches all "
-            "Monte-Carlo samples of a serial evaluation into one "
-            "blocked solve; a :recycle modifier lets warm samples "
-            "deflate against directions harvested from earlier ones)"
+            "krylov[:gmres] | krylov-block (see `design --help`; krylov "
+            "falls back to direct factorization on non-convergence, and "
+            "krylov-block additionally batches all Monte-Carlo samples "
+            "of a serial evaluation into one blocked solve)"
         ),
     )
     _add_precond_dtype_arg(p_eval)
@@ -670,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="scenario-loss reduction (mean | worst | cvar:ALPHA)",
     )
     p_submit.add_argument(
-        "--solver", default="direct", metavar="BACKEND",
+        "--solver", default="direct", type=_solver_arg, metavar="BACKEND",
         help="linear-solver backend, as for `repro design`",
     )
     p_submit.add_argument(

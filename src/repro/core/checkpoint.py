@@ -69,7 +69,8 @@ log = logging.getLogger("repro.checkpoint")
 
 #: Bumped whenever the on-disk payload schema changes; a checkpoint
 #: written by another version is refused with a descriptive error.
-CHECKPOINT_VERSION = 1
+#: v2: the solver config lost ``recycle_dim`` and the ``batched`` backend.
+CHECKPOINT_VERSION = 2
 
 #: File header: 4-byte magic, format version, payload length, BLAKE2b-128
 #: payload digest.  Self-validating — a truncated or bit-flipped file is
@@ -123,10 +124,10 @@ def config_digest(config: Any, device_name: str) -> str:
 
     Covers every trajectory-shaping :class:`OptimizerConfig` field (and
     the nested solver config — ``dataclasses.asdict`` recurses into it,
-    so new solver knobs like ``recycle_dim`` / ``precond_dtype`` bind
-    automatically) plus the device name; runtime-only fields (executor
-    backend, worker counts, timeouts, checkpoint knobs, the iteration
-    horizon) are excluded — see :data:`RUNTIME_ONLY_FIELDS`.
+    so solver knobs like ``precond_dtype`` bind automatically) plus the
+    device name; runtime-only fields (executor backend, worker counts,
+    timeouts, checkpoint knobs, the iteration horizon) are excluded —
+    see :data:`RUNTIME_ONLY_FIELDS`.
     """
     data = dataclasses.asdict(config)
     for name in RUNTIME_ONLY_FIELDS:
@@ -215,6 +216,13 @@ class DesignCheckpoint:
             raise CheckpointCorruptError(
                 f"{source} is not a repro design checkpoint (bad magic "
                 f"{magic!r})"
+            )
+        if version == 1:
+            raise CheckpointError(
+                f"checkpoint {source} uses format v1, written before Krylov "
+                "subspace recycling (recycle_dim, 'krylov-block:recycle') "
+                "and the 'batched' backend were removed; it cannot resume "
+                "— start a fresh run with 'krylov-block' or 'direct'"
             )
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(

@@ -95,7 +95,7 @@ class OptimizerConfig:
         (worker hosts started with ``repro worker --listen``).  Corner
         losses are independent and reduced in a fixed order; serial and
         thread executors produce bit-identical results for LU-backed
-        solver backends (``direct``/``batched``; preconditioned
+        solver backends (``direct``; preconditioned
         backends agree to solver tolerance, since fallback anchors
         arrive in scheduling order and the serial executor takes the
         blocked path for ``krylov-block``).  The process and remote
@@ -155,27 +155,22 @@ class OptimizerConfig:
     solver:
         Linear-solver backend: a
         :class:`~repro.fdfd.linalg.SolverConfig` or a backend name —
-        ``"direct"`` (one LU per permittivity, the reference),
-        ``"batched"`` (direct + matrix-RHS sweeps and multi-direction
-        batching), ``"krylov"`` (nominal-LU-preconditioned
+        ``"direct"`` (one LU per permittivity, multi-column blocks in
+        one matrix-RHS call; the reference), ``"krylov"``
+        (nominal-LU-preconditioned
         BiCGStab/GMRES across corners, with automatic direct fallback;
         ``"krylov:gmres"`` selects GMRES) or ``"krylov-block"``
         (krylov whose serial corner fan-out is one *blocked* BiCGStab —
         preconditioner and operator applied to the whole corner block
         in single matrix-RHS sweeps, per-column convergence masking,
         per-corner direct fallback; threaded execution falls back to
-        the scalar per-corner path).  A ``:recycle`` modifier (e.g.
-        ``"krylov-block:recycle"``) or ``SolverConfig.recycle_dim > 0``
-        adds cross-iteration subspace recycling — converged solves
-        donate correction directions to a per-operator-set deflation
-        basis that survives solver epochs and strips recycled slow
-        modes from later nearby solves — and
+        the scalar per-corner path).
         ``SolverConfig(precond_dtype="float32")`` factors the
         preconditioner anchor's complex64 twin, with float64 iterative
-        refinement preserving the solver tolerance.  Both knobs shape
-        the trajectory only to solver precision but are still bound
-        into the checkpoint config digest (a resume must replay the
-        same solver family).  ``None`` (the default)
+        refinement preserving the solver tolerance; it shapes the
+        trajectory only to solver precision but is still bound into
+        the checkpoint config digest (a resume must replay the same
+        solver family).  ``None`` (the default)
         inherits whatever backend the device's workspace is already
         configured with — so a device set up via
         ``configure_simulation_cache(True, SimulationWorkspace(

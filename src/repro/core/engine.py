@@ -81,10 +81,7 @@ class _CornerWorkerState:
     chunks and iterations, and ``epoch`` tracks the parent's solver
     epoch so preconditioner anchors are dropped exactly once per
     iteration — the worker-side mirror of the parent's
-    ``begin_solver_epoch`` call.  Recycled deflation bases
-    (``SolverConfig.recycle_dim``) survive the epoch roll on purpose:
-    each worker accumulates its own cross-iteration basis over the
-    corners it keeps being assigned.
+    ``begin_solver_epoch`` call.
     """
 
     def __init__(self, device: PhotonicDevice):

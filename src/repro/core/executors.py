@@ -8,10 +8,14 @@ minimal executor abstraction over ``concurrent.futures`` so those sites
 can fan out without committing to a backend:
 
 * ``serial``  — in-process loop; zero overhead, always available.
-* ``thread``  — ``ThreadPoolExecutor``; effective because the hot path
-  (SuperLU factorization, BLAS solves, FFT lithography) releases the
-  GIL.  Safe for taped (autodiff) work: corner subgraphs are disjoint
-  and the tape is built from parent pointers, not global state.
+* ``thread``  — ``ThreadPoolExecutor``.  SuperLU triangular solves,
+  BLAS and the FFT lithography release the GIL, but SciPy's SuperLU
+  *factorization* holds it: two threads factorizing eight isolator
+  matrices ran at 1.0–1.2x of serial on 2 vCPUs (SciPy 1.17.1), against
+  ~1.8x for two threads of triangular solves.  Factorization-bound
+  fan-outs (the ``direct`` backend's corners) therefore gain little.
+  Safe for taped (autodiff) work: corner subgraphs are disjoint and the
+  tape is built from parent pointers, not global state.
 * ``process`` — ``ProcessPoolExecutor``; for picklable task payloads.
   Tape-free workloads (Monte-Carlo evaluation) ship whole tasks; taped
   corner losses go through the *forward-replay* seam — workers run only
@@ -274,7 +278,7 @@ class _PoolExecutor(CornerExecutor):
     #: Whether an auto-resolved single worker should skip the pool and
     #: run inline in the parent.  True for process pools (one forked
     #: worker is strictly worse than the parent doing the work); False
-    #: for threads (even one pool thread overlaps GIL-released solves
+    #: for threads (even one pool thread overlaps GIL-releasing solves
     #: with parent-side bookkeeping and is the pre-autotune behaviour).
     _inline_single_auto_worker = False
 
@@ -334,7 +338,13 @@ class _PoolExecutor(CornerExecutor):
 
 
 class ThreadExecutor(_PoolExecutor):
-    """Thread-pool fan-out (GIL released inside SuperLU / BLAS / FFT)."""
+    """Thread-pool fan-out.
+
+    Overlaps only GIL-releasing work: SuperLU triangular solves, BLAS
+    and FFTs.  SuperLU factorization holds the GIL, so factorization-
+    bound corner fan-outs run at about serial speed (see the module
+    docstring).
+    """
 
     name = "thread"
 

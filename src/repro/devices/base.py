@@ -28,7 +28,6 @@ from repro.autodiff import Tensor
 from repro.autodiff.ops import as_tensor, custom_vjp_with_residuals
 from repro.fdfd.adjoint import PortInfrastructure, PortPowerProblem, PortSpec
 from repro.fdfd.grid import SimGrid
-from repro.fdfd.linalg import SOLVER_REGISTRY
 from repro.fdfd.solver import FdfdFields, HelmholtzSolver, derive_h_fields
 from repro.fdfd.workspace import SimulationWorkspace, shared_workspace
 from repro.params.initializers import PathSegment
@@ -62,8 +61,8 @@ class DirectionSolveSummary:
     ``v = sum_j g_j * coeff_j * w_j`` with ``coeff_j = gamma_j
     conj(c_j) / P_in`` known at forward time.  The worker therefore
     solves the *adjoint basis* ``y_j = A^{-T} w_j`` — cheap triangular
-    sweeps against the forward factorization, batched where the backend
-    allows — and the parent's VJP is pure linear algebra:
+    sweeps against the forward factorization, one matrix-RHS call where
+    the backend allows — and the parent's VJP is pure linear algebra:
     ``lam = sum_j g_j coeff_j y_j``.
     """
 
@@ -545,15 +544,16 @@ class PhotonicDevice:
     ) -> dict[str, dict[str, Tensor]]:
         """Normalized port powers for *every* direction (differentiable).
 
-        With a batching solver backend (``--solver batched``) and a
-        multi-direction device, all forward sources sharing this
+        On a multi-direction device all forward sources sharing this
         permittivity are stacked into one matrix-RHS solve and, on the
-        backward pass, all adjoint systems into one transposed sweep —
-        the isolator's fwd+bwd pair costs two triangular sweeps instead
-        of four solver round-trips.  Otherwise this is the per-direction
-        loop, term for term identical to calling :meth:`port_powers`.
+        backward pass, all adjoint systems into one transposed solve —
+        under ``direct`` the isolator's fwd+bwd pair costs two SuperLU
+        calls instead of four, with bitwise the per-direction results.
+        Single-direction devices (and ports touching the design window)
+        take the per-direction loop, term for term identical to calling
+        :meth:`port_powers`.
         """
-        op = self._power_op_all(alpha_bg) if self._batches_directions() else None
+        op = self._power_op_all(alpha_bg) if len(self.directions) > 1 else None
         if op is None:
             return {
                 d: self.port_powers(rho_scaled, d, alpha_bg)
@@ -582,13 +582,6 @@ class PhotonicDevice:
             }
             offset += len(names)
         return result
-
-    def _batches_directions(self) -> bool:
-        """Whether the workspace backend amortizes stacked RHS columns."""
-        if len(self.directions) < 2 or self.workspace is None:
-            return False
-        backend = SOLVER_REGISTRY[self.workspace.solver_config.backend]
-        return bool(getattr(backend, "batches_rhs", False))
 
     def _power_op_all(self, alpha_bg: float):
         """Multi-direction power op; ``None`` when batching can't apply."""
@@ -1069,12 +1062,12 @@ class PhotonicDevice:
     ) -> dict[str, dict[str, float]]:
         """Plain numpy port powers for *every* direction (no tape).
 
-        The evaluation-path counterpart of :meth:`port_powers_all`: with
-        a batching backend and a multi-direction device the forward
-        sources stack into one matrix-RHS solve; otherwise it loops
-        :meth:`port_powers_array` with identical results.
+        The evaluation-path counterpart of :meth:`port_powers_all`: on a
+        multi-direction device the forward sources stack into one
+        matrix-RHS solve; otherwise it loops :meth:`port_powers_array`
+        with identical results.
         """
-        op = self._power_op_all(alpha_bg) if self._batches_directions() else None
+        op = self._power_op_all(alpha_bg) if len(self.directions) > 1 else None
         if op is None:
             return {
                 d: self.port_powers_array(rho_scaled, d, alpha_bg)

@@ -101,9 +101,9 @@ def wavelength_sweep(
             # Block-capable backend (krylov-block): this wavelength's
             # per-direction systems ride one blocked solve — shared
             # ``L @ X`` and a single matrix-RHS preconditioner sweep —
-            # instead of one scalar solve per direction.  LU-backed
-            # backends (direct/batched) never take this branch, so
-            # their sweeps stay bitwise-identical to the scalar path.
+            # instead of one scalar solve per direction.  The direct
+            # backend never takes this branch, so its results stay
+            # bitwise.
             batched = clone.port_powers_array_corners([pattern], [alpha_bg])
             if batched is not None:
                 powers = batched[0]

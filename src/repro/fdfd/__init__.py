@@ -24,7 +24,6 @@ from repro.fdfd.sources import ModeLineSource
 from repro.fdfd.monitors import ModeOverlapMonitor, poynting_flux_x, poynting_flux_y
 from repro.fdfd.adjoint import PortInfrastructure, PortPowerProblem, PortSpec
 from repro.fdfd.linalg import (
-    BatchedDirectSolver,
     DirectSolver,
     LinearSolver,
     PreconditionedKrylovSolver,
@@ -65,7 +64,6 @@ __all__ = [
     "LinearSolver",
     "SolverConfig",
     "DirectSolver",
-    "BatchedDirectSolver",
     "PreconditionedKrylovSolver",
     "available_backends",
     "register_solver",

@@ -1,17 +1,16 @@
 """Pluggable linear-solver subsystem for the FDFD stack.
 
 See :mod:`repro.fdfd.linalg.base` for the interface and registry,
-:mod:`repro.fdfd.linalg.direct` for the SuperLU backends,
+:mod:`repro.fdfd.linalg.direct` for the SuperLU backend,
 :mod:`repro.fdfd.linalg.krylov` for the preconditioned iterative
 backend, and :mod:`repro.fdfd.linalg.blocked` for the corner-block
-variant.  Backend selection is a string key (``direct`` / ``batched`` /
-``krylov`` / ``krylov-block``) carried by :class:`SolverConfig` from the
-optimizer config and the CLI down to
+variant.  Backend selection is a string key (``direct`` / ``krylov`` /
+``krylov-block``) carried by :class:`SolverConfig` from the optimizer
+config and the CLI down to
 :class:`repro.fdfd.workspace.SimulationWorkspace`.
 """
 
 from repro.fdfd.linalg.base import (
-    DEFAULT_RECYCLE_DIM,
     SOLVER_REGISTRY,
     LinearSolver,
     SolveStats,
@@ -25,13 +24,8 @@ from repro.fdfd.linalg.blocked import (
     BlockedKrylovSolver,
     CornerBlockSolver,
 )
-from repro.fdfd.linalg.direct import (
-    BatchedDirectSolver,
-    DirectSolver,
-    SinglePrecisionLU,
-)
+from repro.fdfd.linalg.direct import DirectSolver, SinglePrecisionLU
 from repro.fdfd.linalg.krylov import KrylovDiagnostics, PreconditionedKrylovSolver
-from repro.fdfd.linalg.recycle import RecyclePool, RecycledSubspace
 
 __all__ = [
     "LinearSolver",
@@ -41,15 +35,11 @@ __all__ = [
     "register_solver",
     "available_backends",
     "make_linear_solver",
-    "DEFAULT_RECYCLE_DIM",
     "DirectSolver",
-    "BatchedDirectSolver",
     "SinglePrecisionLU",
     "PreconditionedKrylovSolver",
     "KrylovDiagnostics",
     "BlockedKrylovSolver",
     "CornerBlockSolver",
     "BlockDiagnostics",
-    "RecyclePool",
-    "RecycledSubspace",
 ]

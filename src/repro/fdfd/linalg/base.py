@@ -18,9 +18,8 @@ directly:
     flag down to the workspace.
 
 ``SOLVER_REGISTRY``
-    String-keyed backend registry (``direct`` / ``batched`` /
-    ``krylov``); :func:`register_solver` adds new backends — the seam
-    the ROADMAP names for a future GPU (CuPy/cuDSS) backend.
+    String-keyed backend registry (``direct`` / ``krylov`` /
+    ``krylov-block``); :func:`register_solver` adds new backends.
 """
 
 from __future__ import annotations
@@ -43,13 +42,18 @@ __all__ = [
     "register_solver",
     "available_backends",
     "make_linear_solver",
-    "DEFAULT_RECYCLE_DIM",
 ]
 
-#: Deflation-basis size selected by the ``:recycle`` config token.  Sized
-#: to cover a typical corner family (nominal + fab corners) so one
-#: iteration's harvested solutions span the next iteration's block.
-DEFAULT_RECYCLE_DIM = 8
+#: Retired solver spellings and what replaced them, for descriptive
+#: refusals (a silent mapping would hide that the spelling is gone).
+_RETIRED_BACKENDS = {
+    "batched": "use 'direct', which now hands every multi-column block "
+    "to SuperLU in one matrix-RHS call",
+}
+_RETIRED_MODIFIERS = {
+    "recycle": "Krylov subspace recycling never beat the plain backend "
+    "on wall time; drop ':recycle' (e.g. 'krylov-block')",
+}
 
 
 @dataclass(frozen=True)
@@ -59,11 +63,11 @@ class SolverConfig:
     Parameters
     ----------
     backend:
-        Registry key: ``"direct"`` (one SuperLU per permittivity, the
-        PR 1 behaviour), ``"batched"`` (direct, plus matrix-RHS
-        triangular sweeps and multi-direction forward/adjoint batching),
-        or ``"krylov"`` (BiCGStab/GMRES preconditioned by a recycled
-        nominal-corner LU, with automatic fallback to direct).
+        Registry key: ``"direct"`` (one SuperLU per permittivity, every
+        multi-column block in one matrix-RHS call), ``"krylov"``
+        (BiCGStab/GMRES preconditioned by a recycled nominal-corner LU,
+        with automatic fallback to direct) or ``"krylov-block"``
+        (krylov whose corner family rides one blocked BiCGStab).
     krylov_method:
         ``"bicgstab"`` (default) or ``"gmres"``.
     tol:
@@ -92,17 +96,6 @@ class SolverConfig:
         picks the nearest anchor in permittivity distance.
     gmres_restart:
         GMRES restart length (ignored by BiCGStab).
-    recycle_dim:
-        Size of the cross-iteration deflation basis (``0`` disables
-        recycling, the default).  When positive, the workspace keeps up
-        to this many orthonormalized solution vectors per operator set
-        and orientation (see :mod:`repro.fdfd.linalg.recycle`); Krylov
-        solves project them out of the initial residual, so warm
-        iterations — whose systems differ from the previous iteration's
-        by a small diagonal delta — start a delta away from converged
-        instead of cold.  Recycled runs follow the same solver-precision
-        determinism contract as the other Krylov knobs: trajectories
-        agree with the non-recycled baseline to ``tol``, not bitwise.
     precond_dtype:
         Precision of the preconditioner sweeps: ``"float64"`` (default)
         applies the anchor LU as factorized; ``"float32"`` gives each
@@ -110,10 +103,10 @@ class SolverConfig:
         memory traffic per triangular sweep — outer Krylov recurrences
         and residuals stay float64, and the blocked path runs iterative
         refinement against the float64 residual first, so the achieved
-        tolerance is unchanged (solver-precision contract, like
-        ``recycle_dim``).  LU-backed exact paths (``direct`` /
-        ``batched``, anchor-exact corners, fallbacks) always solve in
-        float64 and stay bitwise.
+        tolerance is unchanged (trajectories agree with float64 to
+        ``tol``, not bitwise).  LU-backed exact paths (``direct``,
+        anchor-exact corners, fallbacks) always solve in float64 and
+        stay bitwise.
     """
 
     backend: str = "direct"
@@ -123,10 +116,14 @@ class SolverConfig:
     fallback: bool = True
     max_anchors: int = 4
     gmres_restart: int = 30
-    recycle_dim: int = 0
     precond_dtype: str = "float64"
 
     def __post_init__(self):
+        if self.backend in _RETIRED_BACKENDS:
+            raise ValueError(
+                f"solver backend {self.backend!r} was removed: "
+                f"{_RETIRED_BACKENDS[self.backend]}"
+            )
         if self.backend not in SOLVER_REGISTRY:
             raise ValueError(
                 f"unknown solver backend {self.backend!r}; "
@@ -148,11 +145,6 @@ class SolverConfig:
                 f"gmres_restart must be >= 1, got {self.gmres_restart} "
                 "(the GMRES outer-cycle count divides maxiter by it)"
             )
-        if self.recycle_dim < 0:
-            raise ValueError(
-                f"recycle_dim must be >= 0 (0 disables recycling), "
-                f"got {self.recycle_dim}"
-            )
         if self.precond_dtype not in ("float64", "float32"):
             raise ValueError(
                 "precond_dtype must be 'float64' or 'float32', "
@@ -163,11 +155,8 @@ class SolverConfig:
     def coerce(cls, spec: "SolverConfig | str | None") -> "SolverConfig":
         """Accept a config, a backend name, or ``None`` (-> direct).
 
-        A bare string may carry colon-separated modifiers — the grammar
-        the CLI ``--solver`` flag uses: a Krylov method name
-        (``"krylov:gmres"``) and/or ``recycle`` to enable the
-        cross-iteration deflation basis at its default size
-        (``"krylov-block:recycle"``).
+        A bare string may carry a colon-separated Krylov method name —
+        the grammar the CLI ``--solver`` flag uses (``"krylov:gmres"``).
         """
         if spec is None:
             return cls()
@@ -177,12 +166,13 @@ class SolverConfig:
             backend, *modifiers = spec.split(":")
             kwargs: dict = {}
             for modifier in modifiers:
-                if modifier == "recycle":
-                    kwargs["recycle_dim"] = DEFAULT_RECYCLE_DIM
-                else:
-                    # Anything else is a Krylov method name; unknown
-                    # tokens fail through krylov_method validation.
-                    kwargs["krylov_method"] = modifier
+                if modifier in _RETIRED_MODIFIERS:
+                    raise ValueError(
+                        f"solver modifier {modifier!r} in {spec!r} was "
+                        f"removed: {_RETIRED_MODIFIERS[modifier]}"
+                    )
+                # Unknown tokens fail through krylov_method validation.
+                kwargs["krylov_method"] = modifier
             return cls(backend=backend, **kwargs)
         raise TypeError(f"cannot coerce {type(spec).__name__} to SolverConfig")
 
@@ -202,11 +192,10 @@ class SolveStats:
     calls, so one block sweep amortizes what the scalar path pays once
     per column — while the per-column convergence work still lands in
     ``krylov_solves`` / ``iterations`` for like-for-like means.
-    ``deflated_columns`` counts right-hand sides whose initial residual
-    was projected against a recycled deflation basis, and
-    ``refinement_sweeps`` counts blocked float64-residual iterative-
-    refinement sweeps (the mixed-precision pre-phase) — both zero unless
-    ``recycle_dim`` / ``precond_dtype=float32`` are enabled.
+    ``batched_calls`` counts multi-column blocks a :class:`DirectSolver`
+    handed to SuperLU in one matrix-RHS call, and ``refinement_sweeps``
+    counts blocked float64-residual iterative-refinement sweeps (the
+    mixed-precision pre-phase, zero unless ``precond_dtype=float32``).
     """
 
     _FIELDS = (
@@ -221,7 +210,6 @@ class SolveStats:
         "block_solves",
         "block_sweeps",
         "block_columns",
-        "deflated_columns",
         "refinement_sweeps",
     )
 
@@ -293,10 +281,6 @@ class LinearSolver:
     are derived.  ``trans`` follows the SuperLU convention: ``"N"`` for
     ``A x = b``, ``"T"`` for ``A^T x = b``.
     """
-
-    #: Whether :meth:`solve_many` amortizes work across columns (upper
-    #: layers use this to decide whether aggregating RHS is worthwhile).
-    batches_rhs: bool = False
 
     def __init__(self, matrix: sp.csc_matrix, stats: SolveStats | None = None):
         self.matrix = matrix

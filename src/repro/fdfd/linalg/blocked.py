@@ -9,7 +9,7 @@ time* — each sweep a separate SciPy call with two per-column triangular
 solves and two per-column matvecs.
 
 This module restructures the corner fan-out around a single block
-operator, in the spirit of block/recycled Krylov methods for
+operator, in the spirit of block Krylov methods for
 parameterized systems:
 
 ``CornerBlockSolver``
@@ -46,9 +46,8 @@ from repro.fdfd.linalg.base import (
     SolverConfig,
     register_solver,
 )
-from repro.fdfd.linalg.direct import BatchedDirectSolver
+from repro.fdfd.linalg.direct import DirectSolver
 from repro.fdfd.linalg.krylov import PreconditionedKrylovSolver
-from repro.fdfd.linalg.recycle import DeflationProjector, RecyclePool
 from repro.obs.trace import span
 
 __all__ = ["BlockedKrylovSolver", "CornerBlockSolver", "BlockDiagnostics"]
@@ -103,14 +102,6 @@ class CornerBlockSolver:
         ``on_fallback(system_index, direct_solver)`` — called when a
         column's system had to be factorized directly so the owner can
         recycle the LU as a new preconditioner anchor.
-    recycle:
-        Cross-iteration deflation pool
-        (:class:`~repro.fdfd.linalg.recycle.RecyclePool`): initial
-        residuals are deflated against the basis harvested from the
-        previous iteration's converged block, and this block's solutions
-        are harvested back.  The shared-Laplacian structure makes the
-        per-system ``C_s = A_s U`` one ``L @ U`` product plus a diagonal
-        term — the same amortization as the blocked sweep itself.
     """
 
     def __init__(
@@ -122,8 +113,7 @@ class CornerBlockSolver:
         factor_options,
         config: SolverConfig,
         stats: SolveStats | None = None,
-        on_fallback: Callable[[int, BatchedDirectSolver], None] | None = None,
-        recycle: RecyclePool | None = None,
+        on_fallback: Callable[[int, DirectSolver], None] | None = None,
     ):
         if not eps_list:
             raise ValueError("corner block needs at least one system")
@@ -150,12 +140,11 @@ class CornerBlockSolver:
                     break
             else:
                 self._canonical.append(i)
-        self._direct: dict[int, BatchedDirectSolver] = {}
+        self._direct: dict[int, DirectSolver] = {}
         self._factor_options = factor_options
         self.config = config
         self.stats = stats or SolveStats()
         self._on_fallback = on_fallback
-        self._recycle = recycle if config.recycle_dim > 0 else None
         # Mixed-precision sweeps: the preconditioner applies in float32
         # (a SinglePrecisionLU twin), so prepend float64-residual
         # iterative refinement before the BiCGStab recurrences.
@@ -196,12 +185,12 @@ class CornerBlockSolver:
             return self._direct[canonical].lu
         return self._exact.get(system)
 
-    def _fallback_solver(self, system: int) -> BatchedDirectSolver:
+    def _fallback_solver(self, system: int) -> DirectSolver:
         system = self._canonical[system]
         solver = self._direct.get(system)
         if solver is None:
             matrix = self.assembly.system_matrix(self.eps_list[system])
-            solver = BatchedDirectSolver.build(
+            solver = DirectSolver.build(
                 matrix, self._factor_options, stats=self.stats
             )
             self.stats.add(fallbacks=1)
@@ -282,24 +271,11 @@ class CornerBlockSolver:
 
         with span("solver.block_sweeps", "solver",
                   columns=int(iter_cols.size)) as sweep_span:
-            x, converged, iters, sweeps, deflated, refined = (
-                self._bicgstab_block(
-                    block[:, iter_cols], systems[iter_cols], trans
-                )
+            x, converged, iters, sweeps, refined = self._bicgstab_block(
+                block[:, iter_cols], systems[iter_cols], trans
             )
-            sweep_span.set(
-                sweeps=sweeps,
-                deflation_dim=0 if self._recycle is None else (
-                    self._recycle.subspace(trans).size
-                ),
-                deflated_columns=deflated,
-                refinement_sweeps=refined,
-            )
-        self.stats.add(
-            block_sweeps=sweeps,
-            deflated_columns=deflated,
-            refinement_sweeps=refined,
-        )
+            sweep_span.set(sweeps=sweeps, refinement_sweeps=refined)
+        self.stats.add(block_sweeps=sweeps, refinement_sweeps=refined)
         self.stats.record_block_sweeps(sweeps)
         self.diagnostics.sweeps += sweeps
         # Convergence record: converged columns only — a fallback column's
@@ -335,50 +311,33 @@ class CornerBlockSolver:
                 self.diagnostics.fallback_columns += len(cols)
         return out
 
-    def _harvest_corrections(
-        self, trans, x_out, seed, converged, zero_rhs
-    ) -> None:
-        """Feed converged columns' corrections into the recycled basis.
-
-        Harvests ``x - M^{-1} b`` rather than ``x``: the anchor seed
-        already supplies the solution subspace every iteration, so the
-        cross-iteration information worth keeping is the span of the
-        preconditioner's *errors* — which is what the next iteration's
-        initial residual must be deflated against.
-        """
-        if self._recycle is None:
-            return
-        good = np.flatnonzero(converged & ~zero_rhs)
-        if good.size:
-            self._recycle.harvest(trans, x_out[:, good] - seed[:, good])
-
     # ------------------------------------------------------------------ #
     # Blocked BiCGStab with per-column convergence masking               #
     # ------------------------------------------------------------------ #
     def _bicgstab_block(
         self, b: np.ndarray, systems: np.ndarray, trans: str
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int, int]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
         """Returns ``(x, converged_mask, per_column_iterations, sweeps,
-        deflated_columns, refinement_sweeps)``.
+        refinement_sweeps)``.
 
         The recurrences are the standard per-column BiCGStab scalars; the
         vector operations run over the whole *active* block, so each
-        sweep costs two blocked preconditioner applications and two
-        blocked operator applications regardless of how many columns are
-        in flight.  The iteration state lives in *compacted* arrays that
-        are re-sliced only when a column leaves the active set (converged
-        or broken down) — steady-state sweeps touch no fancy indexing, so
-        the per-sweep overhead stays proportional to the live columns.
+        sweep costs at most two blocked preconditioner applications and
+        two blocked operator applications regardless of how many columns
+        are in flight.  A column whose half-step residual ``s`` already
+        meets tolerance skips the second application pair.  The
+        iteration state lives in *compacted* arrays that are re-sliced
+        only when a column leaves the active set (converged or broken
+        down) — steady-state sweeps touch no fancy indexing, so the
+        per-sweep overhead stays proportional to the live columns.
         Breakdown columns (vanishing ``rho``/``denominator``, non-finite
         residuals) are flagged for the per-corner direct fallback.
 
-        Two optional pre-phases run before the recurrences: recycled
-        deflation (project the previous iteration's solution subspace
-        out of the initial residual — warm columns often converge here,
-        paying zero sweeps) and, under ``precond_dtype=float32``,
-        float64-residual iterative refinement (one preconditioner + one
-        operator application per sweep, half a BiCGStab sweep's cost,
-        with a stall guard falling through to the full recurrences).
+        Under ``precond_dtype=float32`` a float64-residual iterative
+        refinement pre-phase runs before the recurrences (one
+        preconditioner + one operator application per sweep, half a
+        BiCGStab sweep's cost, with a stall guard falling through to the
+        full recurrences).
         """
         n, m = b.shape
         bnorm = np.linalg.norm(b, axis=0)
@@ -390,43 +349,6 @@ class CornerBlockSolver:
         if zero_rhs.any():
             x_out[:, zero_rhs] = 0.0
         r0 = b - self._apply_operator(x_out, self.diags[:, systems], trans)
-        # Recycling harvests *corrections* x - M^{-1}b, not solutions:
-        # the anchor seed already supplies the solution subspace, so the
-        # directions worth keeping across iterations are the ones the
-        # preconditioner gets wrong — and those are what the next
-        # iteration's deflation must span.
-        seed = x_out.copy() if self._recycle is not None else None
-
-        deflated = 0
-        q_map: dict[int, DeflationProjector] = {}
-        basis = None if self._recycle is None else self._recycle.basis(trans)
-        if basis is not None:
-            # GCRO-style deflation setup: one shared L @ U serves every
-            # system's C_s = A_s U; each system QR-factors its C_s into
-            # a DeflationProjector.  The outer update below leaves each
-            # column's residual orthogonal to its Q, and the recurrence
-            # loop then iterates on the *projected* operator
-            # (I - Q Q^H) A — the recycled slow modes are removed from
-            # the spectrum, so every sweep contracts at the rate of the
-            # remaining well-clustered modes (a better initial guess
-            # alone cannot cut sweeps here; see repro.fdfd.linalg.recycle).
-            if trans == "T":
-                lu_shared = self._laplacian_t @ basis
-            else:
-                lu_shared = self._laplacian @ basis
-            for system in np.unique(systems):
-                scols = np.flatnonzero((systems == system) & ~zero_rhs)
-                if scols.size == 0:
-                    continue
-                c = lu_shared + self.diags[:, system][:, None] * basis
-                proj = DeflationProjector.build(basis, c)
-                if proj is None:
-                    continue
-                dx, r_new = proj.deflate(r0[:, scols])
-                x_out[:, scols] += dx
-                r0[:, scols] = r_new
-                q_map[int(system)] = proj
-                deflated += int(scols.size)
 
         rnorm0 = np.linalg.norm(r0, axis=0)
         converged = (rnorm0 <= thresh_full) | zero_rhs
@@ -435,64 +357,16 @@ class CornerBlockSolver:
         sweeps = 0
         refinement = 0
 
-        def finish():
-            self._harvest_corrections(trans, x_out, seed, converged, zero_rhs)
-            return x_out, converged, iters, sweeps, deflated, refinement
-
         # Compacted working set: `cols` maps working position -> input
         # column; all state arrays below share that column order.
         keep = ~(converged | failed)
         cols = np.flatnonzero(keep)
         if cols.size == 0:
-            return finish()
+            return x_out, converged, iters, sweeps, refinement
         x = x_out[:, cols].copy()
         r = r0[:, cols].copy()
-        sys_cols = systems[cols]
-        diag_cols = self.diags[:, sys_cols]
+        diag_cols = self.diags[:, systems[cols]]
         thresh = thresh_full[cols]
-        if q_map:
-            # Coefficients removed by the projected operator, one column
-            # of `z` per working column; `corrected` folds them back so
-            # published solutions carry the outer component.
-            kdim = basis.shape[1]
-            z = np.zeros((kdim, cols.size), dtype=np.complex128)
-            # Shared-structure projection pieces: C_s = (L U) + d_s * U
-            # with L U shared across systems, so both C_s^H w and C_s y
-            # split into one shared gemm plus a diagonal-weighted basis
-            # gemm — the per-sweep cost is four minimal-FLOP gemms for
-            # the whole block, never a per-system wide product.
-            bh = np.ascontiguousarray(basis.conj().T)
-            luh = np.ascontiguousarray(lu_shared.conj().T)
-            no_proj = ~np.isin(sys_cols, list(q_map))
-
-        def project_block(w, sys_slice, d_slice, np_slice):
-            """In-place ``w -= C (C^H C)^{-1} C^H w``, per-column system.
-
-            ``d_slice`` holds each working column's diagonal, so
-            ``C_{s(j)}^H w_j = (L U)^H w_j + U^H (conj(d_j) * w_j)``
-            assembles for every column at once.  Returns the coefficient
-            block ``y`` so the caller can accumulate ``z``.
-            """
-            t = luh @ w + bh @ (np.conj(d_slice) * w)
-            y = np.empty_like(t)
-            for system, proj in q_map.items():
-                g = sys_slice == system
-                if g.any():
-                    y[:, g] = proj.solve_gram(t[:, g])
-            if np_slice.any():
-                # Columns whose system failed to build a projector run
-                # undeflated: their removed component is identically zero.
-                y[:, np_slice] = 0.0
-            w -= lu_shared @ y + d_slice * (basis @ y)
-            return y
-
-        def corrected(x_slice, z_slice):
-            """Inner solution -> outer solution: ``x - U z``.
-
-            ``U`` is shared by every system (only ``C_s`` differs), so
-            one gemm serves the whole slice.
-            """
-            return x_slice - basis @ z_slice
 
         if self._mixed:
             # Iterative refinement against the float64 residual: the
@@ -529,33 +403,16 @@ class CornerBlockSolver:
                 prev[good] = new[ok]
             done = prev <= thresh
             if done.any():
-                # `z` is still zero here (refinement tracks the true
-                # residual directly), so refined columns publish as-is.
                 converged[cols[done]] = True
                 x_out[:, cols[done]] = x[:, done]
                 live = ~done
                 cols = cols[live]
                 x = x[:, live]
                 r = r[:, live]
-                sys_cols = sys_cols[live]
                 diag_cols = diag_cols[:, live]
                 thresh = thresh[live]
-                if q_map:
-                    z = z[:, live]
-                    no_proj = no_proj[live]
                 if cols.size == 0:
-                    return finish()
-            if q_map:
-                # Refinement sweeps are not Q-orthogonal; restore the
-                # invariant the projected recurrences preserve (residual
-                # orthogonal to Q), or the Q-component would stall above
-                # tolerance for the rest of the iteration.
-                for system, proj in q_map.items():
-                    g = np.flatnonzero(sys_cols == system)
-                    if g.size:
-                        dx, r_new = proj.deflate(r[:, g])
-                        x[:, g] += dx
-                        r[:, g] = r_new
+                    return x_out, converged, iters, sweeps, refinement
 
         r_hat = r.copy()
         p = np.zeros_like(r)
@@ -576,8 +433,6 @@ class CornerBlockSolver:
 
             p_hat = self._apply_preconditioner(p, trans)
             v = self._apply_operator(p_hat, diag_cols, trans)
-            if q_map:
-                qh_v = project_block(v, sys_cols, diag_cols, no_proj)
             denom = np.einsum("ij,ij->j", np.conj(r_hat), v)
             denom_bad = ~np.isfinite(denom) | (np.abs(denom) == 0.0)
             alpha = rho_new / np.where(denom_bad, 1.0, denom)
@@ -585,32 +440,28 @@ class CornerBlockSolver:
             snorm = np.linalg.norm(s, axis=0)
             s_done = snorm <= thresh
 
-            s_hat = self._apply_preconditioner(s, trans)
-            t = self._apply_operator(s_hat, diag_cols, trans)
-            if q_map:
-                qh_t = project_block(t, sys_cols, diag_cols, no_proj)
-            tt = np.einsum("ij,ij->j", np.conj(t), t).real
-            tt_bad = tt == 0.0
-            omega = np.einsum("ij,ij->j", np.conj(t), s) / np.where(
-                tt_bad, 1.0, tt
-            )
-
-            x += alpha * p_hat + omega * s_hat
-            if q_map:
-                z += alpha * qh_v + omega * qh_t
-            r = s - omega * t
-            rnorm = np.linalg.norm(r, axis=0)
+            # Columns whose ``s`` already met tolerance take the half step
+            # x + alpha p_hat and leave the working set below (the omega
+            # update would divide by a vanishing t); only the others pay
+            # the second preconditioner and operator application.
+            r = s
+            rnorm = snorm
+            tt_bad = np.zeros(cols.size, dtype=bool)
             if s_done.any():
-                # ``s`` already met tolerance: take the half step only
-                # (the omega update would divide by a vanishing t).
-                x[:, s_done] = (
-                    x[:, s_done]
-                    - omega[s_done] * s_hat[:, s_done]
+                x[:, s_done] += alpha[s_done] * p_hat[:, s_done]
+            if not s_done.all():
+                a = slice(None) if not s_done.any() else np.flatnonzero(~s_done)
+                s_a = s[:, a]
+                s_hat = self._apply_preconditioner(s_a, trans)
+                t = self._apply_operator(s_hat, diag_cols[:, a], trans)
+                tt = np.einsum("ij,ij->j", np.conj(t), t).real
+                tt_bad[a] = tt == 0.0
+                omega[a] = np.einsum("ij,ij->j", np.conj(t), s_a) / np.where(
+                    tt == 0.0, 1.0, tt
                 )
-                if q_map:
-                    z[:, s_done] -= omega[s_done] * qh_t[:, s_done]
-                r[:, s_done] = s[:, s_done]
-                rnorm[s_done] = snorm[s_done]
+                x[:, a] += alpha[a] * p_hat[:, a] + omega[a] * s_hat
+                r[:, a] -= omega[a] * t
+                rnorm[a] = np.linalg.norm(r[:, a], axis=0)
 
             bad = rho_bad | ((denom_bad | tt_bad) & ~s_done)
             bad |= ~np.isfinite(rnorm)
@@ -622,10 +473,7 @@ class CornerBlockSolver:
                 # compact every live array once.
                 converged[cols[done]] = True
                 failed[cols[bad]] = True
-                if q_map:
-                    x_out[:, cols[done]] = corrected(x[:, done], z[:, done])
-                else:
-                    x_out[:, cols[done]] = x[:, done]
+                x_out[:, cols[done]] = x[:, done]
                 live = ~(done | bad)
                 if not live.any():
                     break
@@ -635,26 +483,19 @@ class CornerBlockSolver:
                 r_hat = r_hat[:, live]
                 p = p[:, live]
                 v = v[:, live]
-                sys_cols = sys_cols[live]
                 diag_cols = diag_cols[:, live]
                 thresh = thresh[live]
                 rho_old = rho_old[live]
                 alpha = alpha[live]
                 omega = omega[live]
-                if q_map:
-                    z = z[:, live]
-                    no_proj = no_proj[live]
 
         # Unconverged stragglers: publish whatever they reached (unused —
         # the caller routes them to the direct fallback).
         still = np.flatnonzero(~(converged | failed))
         if still.size:
             live = np.isin(cols, still)
-            if q_map:
-                x_out[:, cols[live]] = corrected(x[:, live], z[:, live])
-            else:
-                x_out[:, cols[live]] = x[:, live]
-        return finish()
+            x_out[:, cols[live]] = x[:, live]
+        return x_out, converged, iters, sweeps, refinement
 
 
 @register_solver("krylov-block")
@@ -683,7 +524,6 @@ class BlockedKrylovSolver(PreconditionedKrylovSolver):
         config: SolverConfig,
         stats: SolveStats | None = None,
         on_fallback=None,
-        recycle: RecyclePool | None = None,
     ) -> CornerBlockSolver:
         """Build the block operator for one iteration's corner family."""
         return CornerBlockSolver(
@@ -695,5 +535,4 @@ class BlockedKrylovSolver(PreconditionedKrylovSolver):
             config,
             stats,
             on_fallback,
-            recycle,
         )

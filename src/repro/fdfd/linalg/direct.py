@@ -1,12 +1,12 @@
-"""Direct (SuperLU) backends: per-column and batched triangular sweeps.
+"""Direct (SuperLU) backend and the single-precision preconditioner twin.
 
-``DirectSolver`` reproduces the PR 1 behaviour exactly: one SuperLU
-factorization per permittivity, one triangular sweep per right-hand
-side.  ``BatchedDirectSolver`` shares the factorization but hands a
-whole ``(n, k)`` block to SuperLU in a single call, amortizing the
-per-call overhead and the L/U traversals across the forward,
-adjoint-transposed and multi-direction sources that used to arrive one
-at a time.
+``DirectSolver`` factorizes once per permittivity and hands every
+``(n, k)`` block of right-hand sides to SuperLU in a single matrix-RHS
+call.  SuperLU's ``gstrs`` runs each column through the same triangular
+sweeps it would use alone, so a block solve is bit-identical to a
+sequence of single solves (asserted by the test suite); only the
+per-call Python and setup overhead is amortized across the forward,
+adjoint-transposed and multi-direction sources.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.fdfd.linalg.base import (
 )
 from repro.obs.trace import span
 
-__all__ = ["DirectSolver", "BatchedDirectSolver", "SinglePrecisionLU"]
+__all__ = ["DirectSolver", "SinglePrecisionLU"]
 
 
 class SinglePrecisionLU:
@@ -60,12 +60,7 @@ class SinglePrecisionLU:
 
 @register_solver("direct")
 class DirectSolver(LinearSolver):
-    """SuperLU-factorized operator; one sweep per right-hand side.
-
-    The multi-RHS entry point loops columns so that its results are
-    bit-identical to a sequence of single solves — the reference the
-    batched backend is tested against.
-    """
+    """SuperLU-factorized operator; one matrix-RHS call per block."""
 
     def __init__(
         self,
@@ -96,13 +91,11 @@ class DirectSolver(LinearSolver):
         rhs = np.asarray(rhs, dtype=np.complex128)
         if rhs.ndim != 2:
             raise ValueError(f"solve_many expects an (n, k) block, got {rhs.shape}")
-        out = np.empty_like(rhs)
+        self.stats.add(solves=1, rhs_columns=rhs.shape[1], batched_calls=1)
         with span("solver.solve", "solver", backend="direct",
                   columns=rhs.shape[1]):
-            for j in range(rhs.shape[1]):
-                out[:, j] = self._lu.solve(rhs[:, j], trans=trans)
-        self.stats.add(solves=1, rhs_columns=rhs.shape[1])
-        return out
+            out = self._lu.solve(rhs, trans=trans)
+        return np.ascontiguousarray(out)
 
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
         self._check_trans(trans)
@@ -114,26 +107,7 @@ class DirectSolver(LinearSolver):
         return self._lu
 
 
-@register_solver("batched")
-class BatchedDirectSolver(DirectSolver):
-    """Direct backend whose multi-RHS solve is a single SuperLU call.
-
-    SuperLU's ``gstrs`` processes a matrix RHS column by column through
-    the same triangular sweeps, so the results match the per-column
-    path; only the Python-level and setup overhead is amortized.  The
-    class advertises ``batches_rhs`` so upper layers (the devices'
-    multi-direction port-power op) aggregate their right-hand sides.
-    """
-
-    batches_rhs = True
-
-    def solve_many(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-        self._check_trans(trans)
-        rhs = np.asarray(rhs, dtype=np.complex128)
-        if rhs.ndim != 2:
-            raise ValueError(f"solve_many expects an (n, k) block, got {rhs.shape}")
-        self.stats.add(solves=1, rhs_columns=rhs.shape[1], batched_calls=1)
-        with span("solver.solve", "solver", backend="batched",
-                  columns=rhs.shape[1]):
-            out = self._lu.solve(rhs, trans=trans)
-        return np.ascontiguousarray(out)
+#: The retired ``batched`` backend's class name.  ``direct`` now does the
+#: single matrix-RHS call itself; the alias keeps code that patches or
+#: imports ``BatchedDirectSolver`` by name working.
+BatchedDirectSolver = DirectSolver

@@ -32,8 +32,7 @@ from repro.fdfd.linalg.base import (
     SolverConfig,
     register_solver,
 )
-from repro.fdfd.linalg.direct import BatchedDirectSolver, DirectSolver
-from repro.fdfd.linalg.recycle import DeflationProjector, RecyclePool
+from repro.fdfd.linalg.direct import DirectSolver
 from repro.obs.trace import span
 
 __all__ = ["PreconditionedKrylovSolver", "KrylovDiagnostics"]
@@ -75,12 +74,6 @@ class PreconditionedKrylovSolver(LinearSolver):
     on_fallback:
         Called with the fallback :class:`DirectSolver` so the owner can
         recycle its LU as a new preconditioner anchor.
-    recycle:
-        Cross-iteration deflation pool
-        (:class:`~repro.fdfd.linalg.recycle.RecyclePool`) shared through
-        the workspace.  When present, the initial residual is deflated
-        against the harvested basis and converged solutions are
-        harvested back — see :mod:`repro.fdfd.linalg.recycle`.
     """
 
     #: The workspace supplies a recycled anchor LU at construction.
@@ -94,14 +87,12 @@ class PreconditionedKrylovSolver(LinearSolver):
         config: SolverConfig,
         stats: SolveStats | None = None,
         on_fallback: Callable[[DirectSolver], None] | None = None,
-        recycle: RecyclePool | None = None,
     ):
         super().__init__(matrix, stats)
         self._precond = preconditioner
         self._factor_options = factor_options
         self.config = config
         self._on_fallback = on_fallback
-        self._recycle = recycle if config.recycle_dim > 0 else None
         self._direct: DirectSolver | None = None
         self._ops: dict[str, tuple] = {}
         self.diagnostics = KrylovDiagnostics()
@@ -115,7 +106,6 @@ class PreconditionedKrylovSolver(LinearSolver):
         stats: SolveStats | None = None,
         preconditioner: spla.SuperLU | None = None,
         on_fallback=None,
-        recycle: RecyclePool | None = None,
         **_ignored,
     ) -> "PreconditionedKrylovSolver":
         return cls(
@@ -125,7 +115,6 @@ class PreconditionedKrylovSolver(LinearSolver):
             config or SolverConfig(backend="krylov"),
             stats,
             on_fallback,
-            recycle,
         )
 
     # ------------------------------------------------------------------ #
@@ -158,10 +147,9 @@ class PreconditionedKrylovSolver(LinearSolver):
 
     def _ensure_direct(self) -> DirectSolver:
         if self._direct is None:
-            # A batched direct solver, so post-fallback multi-RHS blocks
-            # go through one SuperLU matrix-RHS sweep (bit-identical to
-            # per-column sweeps) instead of k round-trips.
-            self._direct = BatchedDirectSolver.build(
+            # Post-fallback multi-RHS blocks then go through one SuperLU
+            # matrix-RHS sweep instead of k round-trips.
+            self._direct = DirectSolver.build(
                 self.matrix, self._factor_options, stats=self.stats
             )
             self.stats.add(fallbacks=1)
@@ -185,38 +173,6 @@ class PreconditionedKrylovSolver(LinearSolver):
         # better start than zero (physical sources concentrate b on a
         # line; the nominal field is already the right global shape).
         x0 = None if m is None else m.matvec(b)
-        seed = x0
-        deflation_dim = 0
-        proj = None
-        basis = None if self._recycle is None else self._recycle.basis(trans)
-        if basis is not None and x0 is not None:
-            proj = DeflationProjector.build(basis, a @ basis)
-        if proj is not None:
-            # GCRO-style deflation (see repro.fdfd.linalg.recycle): the
-            # outer update makes the residual orthogonal to Q = qr(A U),
-            # then the Krylov method runs on the *projected* operator
-            # (I - Q Q^H) A — the recycled slow modes are removed from
-            # the spectrum — and one extra matvec maps the inner
-            # solution back through U R^{-1} so the true residual equals
-            # the inner one the solver certified.
-            x_outer = x0 + proj.deflate(b - a @ x0)[0]
-            b_eff = b - a @ x_outer
-            x0_eff = None
-            n = b.shape[0]
-            a_eff = spla.LinearOperator(
-                (n, n),
-                matvec=lambda vv: proj.project_out(a @ vv)[0],
-                dtype=np.complex128,
-            )
-            # Certify against tol * ||b||, not tol * ||deflated r0||.
-            rtol_eff, atol_eff = 0.0, float(
-                self.config.tol * np.linalg.norm(b)
-            )
-            deflation_dim = proj.dim
-            self.stats.add(deflated_columns=1)
-        else:
-            a_eff, b_eff, x0_eff = a, b, x0
-            rtol_eff, atol_eff = self.config.tol, 0.0
         iters = 0
 
         def count(_arg):
@@ -224,8 +180,7 @@ class PreconditionedKrylovSolver(LinearSolver):
             iters += 1
 
         with span("solver.krylov", "solver",
-                  method=self.config.krylov_method,
-                  deflation_dim=deflation_dim) as sp_handle:
+                  method=self.config.krylov_method) as sp_handle:
             if self.config.krylov_method == "gmres":
                 # GMRES counts outer restart cycles; size the cycles so
                 # the total inner-iteration budget matches config.maxiter
@@ -235,11 +190,10 @@ class PreconditionedKrylovSolver(LinearSolver):
                 restart = min(self.config.gmres_restart, self.config.maxiter)
                 full, rem = divmod(self.config.maxiter, restart)
                 x, info = spla.gmres(
-                    a_eff,
-                    b_eff,
-                    x0=x0_eff,
-                    rtol=rtol_eff,
-                    atol=atol_eff,
+                    a,
+                    b,
+                    x0=x0,
+                    rtol=self.config.tol,
                     restart=restart,
                     maxiter=full,
                     M=m,
@@ -248,11 +202,10 @@ class PreconditionedKrylovSolver(LinearSolver):
                 )
                 if info != 0 and rem:
                     x, info = spla.gmres(
-                        a_eff,
-                        b_eff,
+                        a,
+                        b,
                         x0=x,
-                        rtol=rtol_eff,
-                        atol=atol_eff,
+                        rtol=self.config.tol,
                         restart=rem,
                         maxiter=1,
                         M=m,
@@ -261,34 +214,21 @@ class PreconditionedKrylovSolver(LinearSolver):
                     )
             else:
                 x, info = spla.bicgstab(
-                    a_eff,
-                    b_eff,
-                    x0=x0_eff,
-                    rtol=rtol_eff,
-                    atol=atol_eff,
+                    a,
+                    b,
+                    x0=x0,
+                    rtol=self.config.tol,
                     maxiter=self.config.maxiter,
                     M=m,
                     callback=count,
                 )
             sp_handle.set(iterations=iters, converged=info == 0)
-        if proj is not None and info == 0:
-            # Fold the projected-out component back: the inner solution
-            # y solves (I - P) A y = r0', so the outer solution is
-            # x_outer + y - U coeffs(A y) — its true residual is exactly
-            # the inner residual the solver certified.
-            x = x_outer + x - proj.correction(proj.coefficients(a @ x))
         if info == 0:
             self.stats.add(
                 solves=1, rhs_columns=1, krylov_solves=1, iterations=iters
             )
             self.diagnostics.solves += 1
             self.diagnostics.iterations += iters
-            if self._recycle is not None:
-                # Harvest the correction x - M^{-1}b, not the solution:
-                # the anchor seed re-supplies the solution subspace each
-                # iteration, so the basis should span the directions the
-                # preconditioner got wrong (see blocked._harvest_corrections).
-                self._recycle.harvest(trans, x if seed is None else x - seed)
             return x
         # The failed attempt is not a completed solve: record only its
         # burnt sweeps, and let the direct fallback count the solve

@@ -196,8 +196,8 @@ class HelmholtzSolver:
     def solve_many(self, rhs_block: np.ndarray, trans: str = "N") -> np.ndarray:
         """Solve for an ``(n, k)`` block of right-hand sides at once.
 
-        With the ``batched`` backend this is a single matrix-RHS
-        triangular sweep; other backends process columns individually.
+        The ``direct`` backend hands the block to SuperLU in a single
+        matrix-RHS call; the Krylov backends solve columns individually.
         """
         return self.linsolver.solve_many(
             np.asarray(rhs_block, dtype=np.complex128), trans=trans

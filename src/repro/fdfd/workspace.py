@@ -30,24 +30,18 @@ module caches the invariants:
 
 Solves themselves go through the pluggable backends of
 :mod:`repro.fdfd.linalg` (:meth:`SimulationWorkspace.linear_solver`):
-``direct``/``batched`` cache one SuperLU per permittivity as before,
-while ``krylov`` keeps a small pool of *preconditioner anchors* per
+``direct`` caches one SuperLU per permittivity, while ``krylov`` and
+``krylov-block`` keep a small pool of *preconditioner anchors* per
 operator set — LUs of recently factorized permittivities, nearest of
 which preconditions a BiCGStab/GMRES solve for every other corner.
 :meth:`SimulationWorkspace.begin_solver_epoch` (called by the optimizer
 once per iteration) drops the anchors so the first permittivity of each
 iteration — the nominal corner — becomes the anchor its siblings recycle.
-Two opt-in refinements ride the same anchor plumbing:
-``SolverConfig.recycle_dim`` keeps a cross-iteration deflation basis per
-operator set (harvested solutions from the previous iteration's
-converged solves; *kept* across epochs — that is its point — but dropped
-by :meth:`clear`, by pickling, and whenever the block path's spread
-guard re-anchors away from the basis's neighbourhood), and
 ``SolverConfig.precond_dtype == "float32"`` gives each anchor a lazy
 single-precision LU twin used only for preconditioner sweeps.
 
 Every cache is content-addressed, so a warm workspace returns the same
-bits as a cold build for the direct backends — tests assert bit-for-bit
+bits as a cold build for the direct backend — tests assert bit-for-bit
 identity of matrices, fields and gradients.
 """
 
@@ -67,7 +61,6 @@ from repro.fdfd.linalg import (
     SOLVER_REGISTRY,
     DirectSolver,
     LinearSolver,
-    RecyclePool,
     SinglePrecisionLU,
     SolveStats,
     SolverConfig,
@@ -337,10 +330,6 @@ class SimulationWorkspace:
         # sweep, one omega per point — cannot pin factorizations without
         # limit.
         self._anchors: OrderedDict = OrderedDict()
-        # Cross-iteration deflation bases (SolverConfig.recycle_dim):
-        # keyed and LRU-bounded like _anchors, but *not* cleared by
-        # begin_solver_epoch — surviving epochs is their purpose.
-        self._recycle: OrderedDict = OrderedDict()
         self._anchor_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -466,7 +455,6 @@ class SimulationWorkspace:
             on_fallback=lambda direct: self._add_anchor(
                 akey, eps_hash, eps_flat, direct.lu, matrix=direct.matrix
             ),
-            recycle=self._recycle_pool(akey),
         )
 
     def _new_anchor(self, eps_flat, lu, matrix=None) -> _PrecondAnchor:
@@ -481,27 +469,6 @@ class SimulationWorkspace:
             anchors[eps_hash] = self._new_anchor(eps_flat, lu, matrix)
             while len(anchors) > self.solver_config.max_anchors:
                 anchors.popitem(last=False)
-
-    def _recycle_pool(self, akey) -> RecyclePool | None:
-        """The operator set's deflation pool (LRU-touched), or ``None``.
-
-        Pools deliberately survive :meth:`begin_solver_epoch` —
-        cross-iteration reuse is their purpose — but are dropped by
-        :meth:`clear`, by pickling, and when the block path's spread
-        guard re-anchors the operator set away from the pool's
-        neighbourhood (:meth:`_begin_corner_block`).
-        """
-        dim = self.solver_config.recycle_dim
-        if dim <= 0:
-            return None
-        with self._anchor_lock:
-            pool = self._recycle.get(akey)
-            if pool is None:
-                pool = self._recycle[akey] = RecyclePool(dim)
-            self._recycle.move_to_end(akey)
-            while len(self._recycle) > self._assemblies.maxsize:
-                self._recycle.popitem(last=False)
-        return pool
 
     @property
     def supports_corner_block(self) -> bool:
@@ -579,11 +546,6 @@ class SimulationWorkspace:
                     # nonzero-distance anchor off-family by definition.
                     if nearest_dist > 2.0 * spread:
                         seed_nominal = True
-                        # The anchor neighbourhood changed: solutions
-                        # harvested around the old anchor no longer span
-                        # this family's subspace, so drop the recycled
-                        # basis along with the anchor choice.
-                        self._recycle.pop(akey, None)
             if seed_nominal:
                 # Seed from the factorization LRU when it already holds
                 # an LU for the nominal permittivity (repeated-theta
@@ -642,7 +604,6 @@ class SimulationWorkspace:
             config=self.solver_config,
             stats=self.solver_stats,
             on_fallback=reanchor,
-            recycle=self._recycle_pool(akey),
         )
 
     @property
@@ -691,14 +652,7 @@ class SimulationWorkspace:
         The design pattern changes every iteration, so last iteration's
         anchors are stale; clearing them makes the first factorization of
         the new iteration — the nominal corner — the anchor every other
-        corner recycles.  A no-op for the direct backends.
-
-        Recycled deflation bases (``SolverConfig.recycle_dim``) are
-        deliberately *kept*: an anchor LU is only a good preconditioner
-        for the iteration that factorized it, but the harvested
-        correction directions — the anchor's systematic errors on the
-        corner family — still span the next epoch's error space, which
-        is exactly what cross-iteration recycling exploits.
+        corner recycles.  A no-op for the direct backend.
         """
         with self._anchor_lock:
             self._anchors.clear()
@@ -772,11 +726,9 @@ class SimulationWorkspace:
         self.solver_stats.reset()
         with self._anchor_lock:
             self._anchors.clear()
-            self._recycle.clear()
 
     # Pickling support: ship an empty workspace (LU objects cannot be
-    # pickled; worker processes re-warm their own caches, and recycled
-    # deflation bases are dropped so worker payloads stay lean).
+    # pickled; worker processes re-warm their own caches).
     def __getstate__(self):
         return {
             "factor_options": self.factor_options,

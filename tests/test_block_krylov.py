@@ -284,6 +284,57 @@ class TestCornerBlockSolver:
         x = block.solve_block(b)
         np.testing.assert_array_equal(x[:, 1], 0.0)
 
+    def _counted_block(self, grid, eps, bumps):
+        """A block preconditioned by ``eps``'s LU, counting sweep columns."""
+        ws = SimulationWorkspace()
+        assembly = ws.assembly(grid, OMEGA)
+        options = default_factor_options()
+        family = corner_family(eps, bumps=bumps)[1:]
+        block = CornerBlockSolver(
+            assembly, family, options.splu(assembly.system_matrix(eps)),
+            {}, options, SolverConfig(backend="krylov-block"),
+        )
+        calls = []
+        apply = block._apply_preconditioner
+
+        def counted(columns, trans):
+            calls.append(columns.shape[1])
+            return apply(columns, trans)
+
+        block._apply_preconditioner = counted
+        return assembly, family, block, calls
+
+    def test_half_step_columns_skip_second_preconditioner(self, grid, eps):
+        """Columns whose ``s`` meets tol pay no second application pair.
+
+        The 3e-4 corner is so close to the anchor that its half step
+        already converges on the first sweep; the 0.6 corner needs two.
+        """
+        assembly, family, block, calls = self._counted_block(
+            grid, eps, bumps=(3e-4, 0.6)
+        )
+        b = rhs_block(grid, k=2, seed=9)
+        x = block.solve_block(b)
+        assert block.diagnostics.column_iterations == [1, 2]
+        # Seed (both columns), sweep 1's first half (both), its second
+        # half (only the unconverged column), then sweep 2 (one column).
+        assert calls == [2, 2, 1, 1, 1]
+        for j, corner in enumerate(family):
+            resid = np.linalg.norm(assembly.system_matrix(corner) @ x[:, j] - b[:, j])
+            assert resid <= block.config.tol * np.linalg.norm(b[:, j])
+
+        # A sweep where every column meets tol at the half step skips the
+        # second application entirely.
+        assembly, family, block, calls = self._counted_block(
+            grid, eps, bumps=(1e-3,)
+        )
+        b = rhs_block(grid, k=1, seed=9)
+        x = block.solve_block(b)
+        assert block.diagnostics.column_iterations == [1]
+        assert calls == [1, 1]
+        resid = np.linalg.norm(assembly.system_matrix(family[0]) @ x[:, 0] - b[:, 0])
+        assert resid <= block.config.tol * np.linalg.norm(b[:, 0])
+
 
 # --------------------------------------------------------------------- #
 # Corner-batched device power ops + engine/eval integration             #

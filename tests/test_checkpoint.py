@@ -6,7 +6,7 @@ Contracts under test (ISSUE PR 6):
    SIGKILL of a real subprocess, or graceful SIGINT) resumes from its
    newest checkpoint to a final ``fom_trace`` and theta bitwise-equal to
    the uninterrupted run for LU-backed solver backends
-   (direct/batched), and solver-precision-equal for krylov.
+   (direct), and solver-precision-equal for krylov.
 2. **Refusal semantics** — truncated/corrupted files, foreign format
    versions, and config/device digest mismatches are refused with
    descriptive errors; ``--resume auto`` skips invalid files instead of
@@ -158,7 +158,7 @@ class TestConfigDigest:
             dict(sampling="axial"),
             dict(lr=0.123),
             dict(relax_epochs=0),
-            dict(solver="batched"),
+            dict(solver="krylov"),
         ):
             assert config_digest(OptimizerConfig(**override), "bending") != base, (
                 f"trajectory-shaping override {override} left the digest "
@@ -373,7 +373,7 @@ class TestRotationAndDiscovery:
 # Bitwise resume (the tentpole contract)                                #
 # --------------------------------------------------------------------- #
 class TestBitwiseResume:
-    @pytest.mark.parametrize("backend", ["direct", "batched"])
+    @pytest.mark.parametrize("backend", ["direct"])
     def test_resume_mid_run_is_bitwise_identical(
         self, bend, reference, backend
     ):

@@ -27,6 +27,29 @@ class TestParser:
         assert args.solver == "krylov"
         assert build_parser().parse_args(["design", "bending"]).solver == "direct"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["design", "bending"],
+            ["evaluate", "result.json"],
+            ["submit", "bending", "--connect", "127.0.0.1:1"],
+        ],
+        ids=["design", "evaluate", "submit"],
+    )
+    @pytest.mark.parametrize(
+        "spec, replacement",
+        [("batched", "'direct'"), ("krylov-block:recycle", "'krylov-block'")],
+    )
+    def test_retired_solver_exits_2_naming_replacement(
+        self, capsys, argv, spec, replacement
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--solver", spec])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--solver" in err
+        assert replacement in err
+
     def test_help_documents_solver_fallback(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["design", "--help"])

@@ -2,11 +2,10 @@
 
 The contract, per backend:
 
-* ``direct`` — bit-identical to the PR 1 SuperLU path (it *is* that path,
-  extracted behind :class:`~repro.fdfd.linalg.LinearSolver`).
-* ``batched`` — bit-identical solves delivered through single matrix-RHS
-  triangular sweeps; multi-direction devices batch forward and adjoint
-  systems.
+* ``direct`` — one SuperLU factorization per permittivity; a block of
+  right-hand sides goes to SuperLU in one matrix-RHS call that is
+  bit-identical to per-column solves, and multi-direction devices stack
+  their forward and adjoint systems into such blocks.
 * ``krylov`` — solves preconditioned by a recycled nominal LU, accurate
   to the configured tolerance, with automatic direct fallback; gradients
   must agree with finite differences and trajectories with the direct
@@ -26,7 +25,6 @@ from repro.fdfd import (
 )
 from repro.fdfd.linalg import (
     SOLVER_REGISTRY,
-    BatchedDirectSolver,
     DirectSolver,
     PreconditionedKrylovSolver,
     SolverConfig,
@@ -34,12 +32,13 @@ from repro.fdfd.linalg import (
     make_linear_solver,
     register_solver,
 )
+from repro.fdfd.linalg import direct as direct_module
 from repro.fdfd.workspace import default_factor_options
 from repro.params import rasterize_segments
 from repro.utils.constants import omega_from_wavelength
 
 OMEGA = omega_from_wavelength(1.55)
-BACKENDS = ("direct", "batched", "krylov")
+BACKENDS = ("direct", "krylov")
 
 
 @pytest.fixture
@@ -69,7 +68,9 @@ def rhs_block(grid, k=3, seed=0):
 
 class TestRegistryAndConfig:
     def test_builtin_backends_registered(self):
-        assert {"direct", "batched", "krylov"} <= set(available_backends())
+        assert available_backends() == ["direct", "krylov", "krylov-block"]
+        # The retired backend's class name survives only as an alias.
+        assert direct_module.BatchedDirectSolver is DirectSolver
 
     def test_unknown_backend_raises(self, grid, eps):
         matrix = HelmholtzSolver(grid, eps, OMEGA, workspace=None).system_matrix
@@ -92,6 +93,15 @@ class TestRegistryAndConfig:
         with pytest.raises(TypeError):
             SolverConfig.coerce(42)
 
+    def test_retired_spellings_refused_with_replacement(self):
+        with pytest.raises(ValueError, match="'batched' was removed.*'direct'"):
+            SolverConfig.coerce("batched")
+        with pytest.raises(ValueError, match="'batched' was removed"):
+            OptimizerConfig(solver="batched")
+        for spec in ("krylov-block:recycle", "krylov:gmres:recycle"):
+            with pytest.raises(ValueError, match="'recycle'.*'krylov-block'"):
+                SolverConfig.coerce(spec)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(krylov_method="jacobi")
@@ -101,35 +111,54 @@ class TestRegistryAndConfig:
             SolverConfig(maxiter=0)
 
     def test_optimizer_config_coerces_and_validates(self):
-        cfg = OptimizerConfig(solver="batched")
+        cfg = OptimizerConfig(solver="krylov-block")
         assert isinstance(cfg.solver, SolverConfig)
-        assert cfg.solver.backend == "batched"
+        assert cfg.solver.backend == "krylov-block"
         with pytest.raises(ValueError, match="simulation"):
             OptimizerConfig(solver="krylov", simulation_cache=False)
 
 
 class TestDirectAndBatched:
-    def test_batched_solve_many_bitwise_matches_direct(self, grid, eps):
-        matrix = HelmholtzSolver(grid, eps, OMEGA, workspace=None).system_matrix
-        opts = default_factor_options()
-        direct = make_linear_solver("direct", matrix, opts)
-        batched = BatchedDirectSolver(matrix, direct.lu, None)
-        block = rhs_block(grid)
-        for trans in ("N", "T"):
-            assert np.array_equal(
-                direct.solve_many(block, trans=trans),
-                batched.solve_many(block, trans=trans),
+    def test_batched_solve_many_bitwise_matches_direct(self):
+        """One matrix-RHS SuperLU call == per-column solves, bit for bit.
+
+        The guarantee that lets ``direct`` stack the isolator's fwd+bwd
+        sources (and every adjoint block) without changing a single bit
+        of its trajectories.
+        """
+        for device_name in ("isolator", "crossing"):
+            device = make_device(device_name)
+            occ = device.cached_background().copy()
+            occ[device.design_slice] = rasterize_segments(
+                device.design_shape, device.dl, device.init_segments()
             )
+            matrix = HelmholtzSolver(
+                device.grid, device.eps_from_occupancy(occ), device.omega,
+                workspace=None,
+            ).system_matrix
+            solver = make_linear_solver(
+                "direct", matrix, default_factor_options()
+            )
+            block = rhs_block(device.grid, k=4, seed=3)
+            for trans in ("N", "T"):
+                columns = np.stack(
+                    [solver.solve(block[:, j], trans=trans) for j in range(4)],
+                    axis=1,
+                )
+                assert np.array_equal(
+                    solver.solve_many(block, trans=trans), columns
+                ), (device_name, trans)
+            assert solver.stats.batched_calls == 2
 
     def test_solve_many_matches_column_solves(self, grid, eps):
         matrix = HelmholtzSolver(grid, eps, OMEGA, workspace=None).system_matrix
-        solver = make_linear_solver("batched", matrix, default_factor_options())
+        solver = make_linear_solver("direct", matrix, default_factor_options())
         block = rhs_block(grid, k=4)
         stacked = np.stack([solver.solve(block[:, j]) for j in range(4)], axis=1)
         assert np.array_equal(solver.solve_many(block), stacked)
 
     def test_batched_counts_batched_calls(self, grid, eps):
-        ws = SimulationWorkspace(solver_config="batched")
+        ws = SimulationWorkspace()
         solver = HelmholtzSolver(grid, eps, OMEGA, workspace=ws)
         solver.solve_many(rhs_block(grid))
         stats = ws.stats()["solver"]
@@ -299,16 +328,22 @@ def device_with_backend(name, backend):
 #: tolerance — FD checks run the iterative backend near direct precision.
 FD_BACKENDS = {
     "direct": "direct",
-    "batched": "batched",
     "krylov": SolverConfig(backend="krylov", tol=1e-10),
 }
 
 
-def adjoint_grad(device, pattern, seed=0):
-    """Gradient of a fixed random weighting of all port powers."""
+def adjoint_grad(device, pattern, seed=0, per_direction=False):
+    """Gradient of a fixed random weighting of all port powers.
+
+    ``per_direction`` builds the powers one direction at a time instead
+    of through :meth:`port_powers_all`'s stacked solves.
+    """
     rng = np.random.default_rng(seed)
     rho = Tensor(pattern.copy(), requires_grad=True)
-    powers = device.port_powers_all(rho)
+    if per_direction:
+        powers = {d: device.port_powers(rho, d) for d in device.directions}
+    else:
+        powers = device.port_powers_all(rho)
     total = None
     for direction in device.directions:
         for name, p in powers[direction].items():
@@ -394,52 +429,52 @@ class TestGradientConsistency:
         assert rel < 1e-3
 
     def test_isolator_batched_matches_direct_gradient(self, isolator_pattern):
-        g_direct = adjoint_grad(
-            device_with_backend("isolator", "direct"), isolator_pattern
-        )
-        g_batched = adjoint_grad(
-            device_with_backend("isolator", "batched"), isolator_pattern
-        )
-        np.testing.assert_allclose(g_batched, g_direct, rtol=1e-9, atol=1e-12)
+        """Stacked fwd+bwd solves vs one taped op per direction."""
+        device = device_with_backend("isolator", "direct")
+        g_stacked = adjoint_grad(device, isolator_pattern)
+        g_direct = adjoint_grad(device, isolator_pattern, per_direction=True)
+        np.testing.assert_allclose(g_stacked, g_direct, rtol=1e-9, atol=1e-12)
 
     def test_isolator_batched_actually_batches(self, isolator_pattern):
-        device = device_with_backend("isolator", "batched")
-        assert device._batches_directions()
+        device = device_with_backend("isolator", "direct")
         adjoint_grad(device, isolator_pattern)
         stats = device.workspace.stats()["solver"]
         assert stats["batched_calls"] >= 2  # fwd block + adjoint block
 
     def test_bending_never_batches(self, bend_pattern):
-        device = device_with_backend("bending", "batched")
-        assert not device._batches_directions()  # single direction
+        device = device_with_backend("bending", "direct")
+        adjoint_grad(device, bend_pattern)  # single direction: no blocks
+        assert device.workspace.stats()["solver"]["batched_calls"] == 0
 
     def test_isolator_array_all_batches_and_matches(self, isolator_pattern):
-        direct = device_with_backend("isolator", "direct")
-        batched = device_with_backend("isolator", "batched")
-        p_direct = direct.port_powers_array_all(isolator_pattern)
-        p_batched = batched.port_powers_array_all(isolator_pattern)
-        assert p_batched == p_direct  # matrix-RHS sweeps are bitwise
-        assert batched.workspace.stats()["solver"]["batched_calls"] >= 1
+        device = device_with_backend("isolator", "direct")
+        p_stacked = device.port_powers_array_all(isolator_pattern)
+        assert device.workspace.stats()["solver"]["batched_calls"] >= 1
+        p_loop = {
+            d: device.port_powers_array(isolator_pattern, d)
+            for d in device.directions
+        }
+        assert p_stacked == p_loop  # matrix-RHS sweeps are bitwise
 
     def test_evaluate_post_fab_batched_matches_direct(self, isolator_pattern):
+        """Cached (stacked) evaluation == the cold per-direction path."""
         from repro.eval import evaluate_post_fab
         from repro.fab.process import FabricationProcess
 
         reports = {}
-        for backend in ("direct", "batched"):
-            device = device_with_backend("isolator", backend)
+        for cache in (True, False):
+            device = make_device("isolator")
+            device.configure_simulation_cache(cache)
             process = FabricationProcess(
                 device.design_shape,
                 device.dl,
                 context=device.litho_context(12),
                 pad=12,
             )
-            reports[backend] = evaluate_post_fab(
+            reports[cache] = evaluate_post_fab(
                 device, process, isolator_pattern, n_samples=2, seed=7
             )
-        np.testing.assert_array_equal(
-            reports["batched"].foms, reports["direct"].foms
-        )
+        np.testing.assert_array_equal(reports[True].foms, reports[False].foms)
 
 
 class TestTrajectoryConsistency:
@@ -455,11 +490,6 @@ class TestTrajectoryConsistency:
         optimizer.close()
         return result.fom_trace()
 
-    def test_bending_batched_bitwise_matches_direct(self):
-        direct = self._trace("bending", "direct", 3)
-        batched = self._trace("bending", "batched", 3)
-        assert np.array_equal(direct, batched)
-
     @pytest.mark.krylov
     def test_bending_krylov_matches_direct(self):
         direct = self._trace("bending", "direct", 3)
@@ -470,16 +500,14 @@ class TestTrajectoryConsistency:
     @pytest.mark.slow
     def test_isolator_backends_agree(self):
         direct = self._trace("isolator", "direct", 2)
-        batched = self._trace("isolator", "batched", 2)
         krylov = self._trace("isolator", "krylov", 2)
-        np.testing.assert_allclose(batched, direct, rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(krylov, direct, rtol=1e-5, atol=1e-8)
 
 
 @pytest.mark.krylov
 @pytest.mark.slow
 class TestLargeGridConvergence:
-    """Krylov recycling on a grid where factorization is genuinely heavy."""
+    """Anchor-preconditioned Krylov on a grid where factorization is heavy."""
 
     def test_large_grid_corner_solves_converge(self):
         grid = SimGrid((160, 160), dl=0.05, npml=12)

@@ -372,14 +372,13 @@ class TestMonteCarloExecutors:
 # --------------------------------------------------------------------- #
 # Process-pool taped corner fan-out (forward replay + VJP assembly)     #
 # --------------------------------------------------------------------- #
-ALL_BACKENDS = ("direct", "batched", "krylov", "krylov-block")
+ALL_BACKENDS = ("direct", "krylov", "krylov-block")
 #: Tolerance of process-vs-serial comparisons per backend: LU-backed
 #: backends differ only in adjoint recombination (per-port basis solves
 #: instead of one aggregated solve — machine-epsilon territory);
 #: preconditioned backends additionally anchor per worker chunk.
 PROCESS_TOL = {
     "direct": dict(rtol=1e-9, atol=1e-12),
-    "batched": dict(rtol=1e-9, atol=1e-12),
     "krylov": dict(rtol=1e-5, atol=1e-7),
     "krylov-block": dict(rtol=1e-5, atol=1e-7),
 }
@@ -637,7 +636,7 @@ class TestCrossExecutorDeterminism:
     def test_thread_matches_serial(self, backend):
         serial = _trace("bending", "serial", backend)
         threaded = _trace("bending", "thread:2", backend)
-        if backend in ("direct", "batched"):
+        if backend == "direct":
             # Shared memory + LU-backed solves: bit-identical.
             assert np.array_equal(serial.fom_trace(), threaded.fom_trace())
             assert np.array_equal(serial.pattern, threaded.pattern)
@@ -679,7 +678,7 @@ class TestCrossExecutorDeterminism:
         _, g_serial, _ = _loss_and_grad("bending", "serial", backend)
         _, g_proc, pids = _loss_and_grad("bending", "process:2", backend)
         assert len(pids) >= 2
-        tol = 1e-9 if backend in ("direct", "batched") else 1e-4
+        tol = 1e-9 if backend == "direct" else 1e-4
         scale = max(float(np.linalg.norm(g_serial)), 1e-30)
         assert float(np.linalg.norm(g_proc - g_serial)) <= tol * scale
 

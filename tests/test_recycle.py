@@ -1,50 +1,45 @@
-"""Krylov subspace recycling + mixed-precision preconditioning (PR 9).
+"""Recycled anchor LUs: mixed-precision twins and Krylov regressions.
 
-Covers
+The Krylov backends recycle an anchor corner's LU as the preconditioner
+for its sibling corners.  Covers
 
-* the ``:recycle`` / ``recycle_dim`` / ``precond_dtype`` configuration
-  surface (coercion grammar, validation, checkpoint-digest binding),
-* :class:`RecycledSubspace` basis maintenance (orthonormality, FIFO
-  eviction, dependent-candidate dropping, degenerate inputs),
-* :class:`DeflationProjector` GCRO algebra (residual-optimal deflation,
-  operator projection, ill-conditioned refusal),
-* recycled-vs-cold solution agreement — a hypothesis property across
-  random diagonal deltas and basis dims, plus the blocked path on a
-  real corner family (warm solves must also *cut* sweeps),
+* the ``precond_dtype`` configuration surface, and the refusal of the
+  retired subspace-recycling knobs (``recycle_dim``, format-v1
+  checkpoints whose config digest carries it),
 * the mixed-precision preconditioner (:class:`SinglePrecisionLU` twin,
   refinement engagement, full-tolerance results),
-* workspace lifecycle: bases survive :meth:`begin_solver_epoch`, die
-  with :meth:`clear` / pickling / the spread-guard re-anchor,
-* the PR's satellite regressions: the GMRES iteration-budget overshoot,
-  the ``solve_many`` mid-block fallback short-circuit, and the
-  ``solver.block_exact`` / ``solver.block_fallback`` trace spans.
+* regressions on the recycled-anchor paths: the GMRES iteration-budget
+  overshoot, the ``solve_many`` mid-block fallback short-circuit, and
+  the ``solver.block_exact`` / ``solver.block_fallback`` trace spans.
 """
 
+import hashlib
 import pickle
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings, strategies as st
 
 from repro.core import OptimizerConfig
-from repro.core.checkpoint import config_digest
+from repro.core.checkpoint import (
+    _HEADER,
+    _MAGIC,
+    CheckpointError,
+    DesignCheckpoint,
+    config_digest,
+)
 from repro.fdfd import SimGrid, SimulationWorkspace
 from repro.fdfd.linalg import (
-    DEFAULT_RECYCLE_DIM,
     PreconditionedKrylovSolver,
-    RecyclePool,
-    RecycledSubspace,
     SinglePrecisionLU,
     SolverConfig,
 )
-from repro.fdfd.linalg.recycle import DeflationProjector
 from repro.fdfd.workspace import default_factor_options
 from repro.obs.trace import disable_tracing, enable_tracing
 from repro.utils.constants import omega_from_wavelength
 
-pytestmark = pytest.mark.recycle
+pytestmark = pytest.mark.krylov
 
 OMEGA = omega_from_wavelength(1.55)
 
@@ -93,35 +88,35 @@ def synthetic_system(n=120, seed=0):
 # --------------------------------------------------------------------- #
 # Configuration surface                                                 #
 # --------------------------------------------------------------------- #
+def v1_checkpoint_bytes():
+    """A checkpoint framed as format v1, the last to carry ``recycle_dim``."""
+    ckpt = DesignCheckpoint(
+        config_digest=config_digest(OptimizerConfig(), "bending"),
+        device_name="bending",
+        next_iteration=2,
+        theta=np.arange(6.0),
+        adam_state={"t": 2, "lr": 0.1},
+        rng_state={"bit_generator": "PCG64", "state": 7},
+    )
+    payload = pickle.dumps(ckpt)
+    digest = hashlib.blake2b(payload, digest_size=16).digest()
+    return _HEADER.pack(_MAGIC, 1, len(payload), digest) + payload
+
+
 class TestConfigSurface:
-    def test_recycle_token_enables_default_dim(self):
-        cfg = SolverConfig.coerce("krylov-block:recycle")
-        assert cfg.backend == "krylov-block"
-        assert cfg.recycle_dim == DEFAULT_RECYCLE_DIM
-
-    def test_recycle_token_composes_with_method(self):
-        cfg = SolverConfig.coerce("krylov:gmres:recycle")
-        assert cfg.krylov_method == "gmres"
-        assert cfg.recycle_dim == DEFAULT_RECYCLE_DIM
-
-    def test_plain_spec_disables_recycling(self):
-        assert SolverConfig.coerce("krylov-block").recycle_dim == 0
-
     def test_negative_recycle_dim_rejected(self):
-        with pytest.raises(ValueError, match="recycle_dim"):
-            SolverConfig(recycle_dim=-1)
+        # The field is gone: any recycle_dim, negative or not, is refused.
+        for dim in (-1, 8):
+            with pytest.raises(TypeError, match="recycle_dim"):
+                SolverConfig(recycle_dim=dim)
 
     def test_bad_precond_dtype_rejected(self):
         with pytest.raises(ValueError, match="precond_dtype"):
             SolverConfig(precond_dtype="float16")
 
     def test_checkpoint_digest_binds_recycling_fields(self):
-        base = config_digest(
-            OptimizerConfig(solver="krylov-block"), "bending"
-        )
-        recycled = config_digest(
-            OptimizerConfig(solver="krylov-block:recycle"), "bending"
-        )
+        """``precond_dtype`` binds; pre-removal (v1) checkpoints are refused."""
+        base = config_digest(OptimizerConfig(solver="krylov-block"), "bending")
         mixed = config_digest(
             OptimizerConfig(
                 solver=SolverConfig(
@@ -130,236 +125,15 @@ class TestConfigSurface:
             ),
             "bending",
         )
-        assert len({base, recycled, mixed}) == 3
-
-
-# --------------------------------------------------------------------- #
-# RecycledSubspace                                                      #
-# --------------------------------------------------------------------- #
-class TestRecycledSubspace:
-    def test_basis_stays_orthonormal(self):
-        rng = np.random.default_rng(0)
-        sub = RecycledSubspace(dim=6)
-        for seed in range(3):
-            block = rng.standard_normal((50, 3)) + 1j * rng.standard_normal(
-                (50, 3)
-            )
-            sub.add_block(block)
-        u = sub.basis()
-        assert u.shape == (50, 6)
-        np.testing.assert_allclose(
-            u.conj().T @ u, np.eye(6), atol=1e-12
-        )
-
-    def test_fifo_eviction_keeps_newest(self):
-        rng = np.random.default_rng(1)
-        sub = RecycledSubspace(dim=2)
-        old = rng.standard_normal(30) + 0j
-        sub.add_block(old)
-        newest = rng.standard_normal((30, 2)) + 0j
-        sub.add_block(newest)
-        u = sub.basis()
-        assert u.shape[1] == 2
-        assert sub.harvested == 3
-        # Incoming columns are orthogonalized against the basis *before*
-        # eviction, so the survivors span exactly the newest block's
-        # old-orthogonal components — and nothing of the evicted vector.
-        old_dir = old / np.linalg.norm(old)
-        newest_perp = newest - np.outer(old_dir, old_dir.conj() @ newest)
-        proj = u @ (u.conj().T @ newest_perp)
-        np.testing.assert_allclose(proj, newest_perp, atol=1e-10)
-        np.testing.assert_allclose(u.conj().T @ old, 0, atol=1e-10)
-
-    def test_dependent_candidates_dropped(self):
-        rng = np.random.default_rng(2)
-        sub = RecycledSubspace(dim=8)
-        v = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-        assert sub.add_block(v) == 1
-        assert sub.add_block(2.5 * v) == 0  # already spanned
-        assert sub.size == 1
-
-    def test_degenerate_inputs_are_noops(self):
-        sub = RecycledSubspace(dim=4)
-        assert sub.add_block(np.zeros(10, dtype=complex)) == 0
-        assert sub.add_block(np.full(10, np.nan + 0j)) == 0
-        assert sub.add_block(np.empty((10, 0))) == 0
-        assert sub.size == 0 and sub.basis() is None
-
-    def test_clear_and_pool(self):
-        pool = RecyclePool(dim=3)
-        pool.harvest("N", np.ones(5, dtype=complex))
-        assert pool.basis("N") is not None
-        assert pool.basis("T") is None  # orientations are independent
-        pool.clear()
-        assert pool.basis("N") is None
-
-    def test_dim_validation(self):
-        with pytest.raises(ValueError, match="dim"):
-            RecycledSubspace(0)
-
-
-# --------------------------------------------------------------------- #
-# DeflationProjector                                                    #
-# --------------------------------------------------------------------- #
-class TestDeflationProjector:
-    def _projector(self, n=60, k=4, seed=3):
-        rng = np.random.default_rng(seed)
-        u, _ = np.linalg.qr(
-            rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-        )
-        a = sp.random(
-            n, n, density=0.2, random_state=seed, dtype=np.float64
-        ).tocsc() + sp.eye(n, format="csc")
-        c = a @ u
-        proj = DeflationProjector.build(u, c)
-        assert proj is not None and proj.dim == k
-        return rng, a, proj
-
-    def test_deflate_is_residual_optimal(self):
-        rng, a, proj = self._projector()
-        r = rng.standard_normal(60) + 1j * rng.standard_normal(60)
-        dx, r_new = self._deflate(proj, r)
-        # r_new = (I - P) r: orthogonal to range(C), never longer than r,
-        # and consistent with the returned update dx = U y.
-        np.testing.assert_allclose(proj.c.conj().T @ r_new, 0, atol=1e-10)
-        assert np.linalg.norm(r_new) <= np.linalg.norm(r) + 1e-12
-        np.testing.assert_allclose(r - a @ dx, r_new, atol=1e-10)
-
-    @staticmethod
-    def _deflate(proj, r):
-        return proj.deflate(r)
-
-    def test_project_out_annihilates_image(self):
-        rng, _a, proj = self._projector()
-        w = rng.standard_normal((60, 5)) + 1j * rng.standard_normal((60, 5))
-        w_proj, y = proj.project_out(w)
-        np.testing.assert_allclose(proj.ch @ w_proj, 0, atol=1e-10)
-        np.testing.assert_allclose(proj.correction(y), proj.u @ y)
-        np.testing.assert_allclose(
-            y, proj.solve_gram(proj.ch @ w), atol=1e-12
-        )
-
-    def test_build_refuses_rank_deficient(self):
-        rng = np.random.default_rng(4)
-        u = rng.standard_normal((30, 3)) + 0j
-        c = u.copy()
-        c[:, 2] = c[:, 1]  # exactly dependent image columns
-        assert DeflationProjector.build(u, c) is None
-
-    def test_build_refuses_nonfinite(self):
-        rng = np.random.default_rng(5)
-        u = rng.standard_normal((30, 2)) + 0j
-        c = rng.standard_normal((30, 2)) + 0j
-        c[3, 0] = np.nan
-        assert DeflationProjector.build(u, c) is None
-
-
-# --------------------------------------------------------------------- #
-# Recycled vs cold agreement                                            #
-# --------------------------------------------------------------------- #
-class TestRecycledAgreement:
-    def _solver(self, lap, diag, lu0, recycle, **overrides):
-        matrix = (lap + sp.diags(diag)).tocsc()
-        cfg = SolverConfig(
-            backend="krylov",
-            recycle_dim=recycle.dim if recycle is not None else 0,
-            **overrides,
-        )
-        return PreconditionedKrylovSolver(
-            matrix, lu0, default_factor_options(), cfg, recycle=recycle
-        )
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        scale=st.floats(1e-4, 0.2),
-        dim=st.sampled_from([1, 2, 4, 8]),
-    )
-    def test_recycled_matches_cold_solution(self, seed, scale, dim):
-        """Deflation must never change answers — only how fast they come.
-
-        Random diagonal deltas around a fixed anchor, random basis dims:
-        a warm (recycled) solve and a cold reference must agree to the
-        solver tolerance for every draw.
-        """
-        lap, d0 = synthetic_system(seed=7)
-        lu0 = spla.splu((lap + sp.diags(d0)).tocsc())
-        rng = np.random.default_rng(seed)
-        pool = RecyclePool(dim=dim)
-        b = rng.standard_normal(d0.size) + 1j * rng.standard_normal(d0.size)
-        # Warm the pool on a couple of nearby systems, then solve a new
-        # one with and without the recycled basis.
-        for _ in range(2):
-            delta = scale * rng.uniform(size=d0.size)
-            self._solver(lap, d0 + delta, lu0, pool).solve(b)
-        delta = scale * rng.uniform(size=d0.size)
-        warm = self._solver(lap, d0 + delta, lu0, pool)
-        x_warm = warm.solve(b)
-        x_cold = self._solver(lap, d0 + delta, lu0, None).solve(b)
-        matrix = (lap + sp.diags(d0 + delta)).tocsc()
-        tol = warm.config.tol
-        assert np.linalg.norm(matrix @ x_warm - b) <= 10 * tol * np.linalg.norm(b)
-        # Both runs certify a tol-level residual, so each may sit a
-        # conditioning-amplified distance from the exact solution — the
-        # deflated solve just must not be *worse* than the cold one
-        # (beyond the tol-level floor both are entitled to).
-        x_ref = spla.splu(matrix).solve(b)
-        err_warm = np.linalg.norm(x_warm - x_ref)
-        err_cold = np.linalg.norm(x_cold - x_ref)
-        floor = 10 * tol * np.linalg.norm(x_ref)
-        assert err_warm <= 10 * err_cold + floor
-
-    def test_scalar_harvest_and_deflation_engage(self):
-        lap, d0 = synthetic_system(seed=11)
-        lu0 = spla.splu((lap + sp.diags(d0)).tocsc())
-        pool = RecyclePool(dim=4)
-        rng = np.random.default_rng(0)
-        b = rng.standard_normal(d0.size) + 1j * rng.standard_normal(d0.size)
-        first = self._solver(lap, d0 + 0.05, lu0, pool)
-        first.solve(b)
-        assert pool.subspace("N").harvested >= 1
-        second = self._solver(lap, d0 + 0.06, lu0, pool)
-        second.solve(b)
-        assert second.stats.deflated_columns == 1
-
-    def test_blocked_warm_solve_cuts_sweeps(self, grid, eps):
-        """The acceptance shape in miniature: same answers, fewer sweeps."""
-        family = corner_family(eps)
-        rhs = rhs_block(grid, len(family), seed=1)
-
-        def run(recycle_dim):
-            cfg = SolverConfig(backend="krylov-block", recycle_dim=recycle_dim)
-            ws = SimulationWorkspace(solver_config=cfg)
-            assembly = ws.assembly(grid, OMEGA)
-            outs = []
-            for _ in range(3):  # cold + two warm rounds, same family
-                block = ws.begin_corner_block(assembly, family)
-                outs.append(block.solve_block(rhs))
-            return outs, list(ws.solver_stats.block_sweep_trace)
-
-        cold_outs, cold_trace = run(0)
-        warm_outs, warm_trace = run(8)
-        for a, b in zip(cold_outs, warm_outs):
-            np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-6)
-        assert len(warm_trace) == len(cold_trace) == 3
-        # Round 1 has no basis yet — identical work; warm rounds must
-        # strictly beat the no-recycle baseline in blocked sweeps.
-        assert warm_trace[0] == cold_trace[0]
-        assert sum(warm_trace[1:]) < sum(cold_trace[1:])
-
-    def test_blocked_recycled_solutions_reach_tolerance(self, grid, eps):
-        family = corner_family(eps)
-        cfg = SolverConfig(backend="krylov-block", recycle_dim=8)
-        ws = SimulationWorkspace(solver_config=cfg)
-        assembly = ws.assembly(grid, OMEGA)
-        rhs = rhs_block(grid, len(family), seed=2)
-        for _ in range(2):
-            block = ws.begin_corner_block(assembly, family)
-            out = block.solve_block(rhs)
-        for j, corner in enumerate(family):
-            matrix = assembly.system_matrix(corner)
-            res = np.linalg.norm(matrix @ out[:, j] - rhs[:, j])
-            assert res <= 10 * cfg.tol * np.linalg.norm(rhs[:, j])
+        assert base != mixed
+        # Every v1 checkpoint's digest carries `recycle_dim`; the format
+        # bump refuses them all, naming the removal and the replacements.
+        with pytest.raises(
+            CheckpointError,
+            match=r"format v1.*recycle_dim.*'batched'.*'krylov-block' or "
+            r"'direct'",
+        ):
+            DesignCheckpoint.from_bytes(v1_checkpoint_bytes())
 
 
 # --------------------------------------------------------------------- #
@@ -409,54 +183,7 @@ class TestMixedPrecision:
 
 
 # --------------------------------------------------------------------- #
-# Workspace lifecycle                                                   #
-# --------------------------------------------------------------------- #
-class TestWorkspaceLifecycle:
-    def _warm(self, grid, eps):
-        ws = SimulationWorkspace(solver_config="krylov-block:recycle")
-        assembly = ws.assembly(grid, OMEGA)
-        block = ws.begin_corner_block(assembly, corner_family(eps))
-        block.solve_block(rhs_block(grid, 4, seed=4))
-        assert len(ws._recycle) == 1
-        (pool,) = ws._recycle.values()
-        assert pool.basis("N") is not None
-        return ws, assembly
-
-    def test_bases_survive_epoch_but_not_clear(self, grid, eps):
-        ws, _assembly = self._warm(grid, eps)
-        ws.begin_solver_epoch()
-        assert len(ws._anchors) == 0  # anchors die with the epoch...
-        (pool,) = ws._recycle.values()
-        assert pool.basis("N") is not None  # ...bases do not
-        ws.clear()
-        assert len(ws._recycle) == 0
-
-    def test_pickle_drops_bases_keeps_config(self, grid, eps):
-        ws, _assembly = self._warm(grid, eps)
-        clone = pickle.loads(pickle.dumps(ws))
-        assert clone.solver_config == ws.solver_config
-        assert clone.solver_config.recycle_dim == DEFAULT_RECYCLE_DIM
-        assert len(clone._recycle) == 0
-
-    def test_spread_guard_drops_stale_basis(self, grid, eps):
-        ws, assembly = self._warm(grid, eps)
-        # A new block far from the surviving anchor's neighbourhood: the
-        # nominal-vs-anchor distance dwarfs the new family's own spread,
-        # so the guard re-anchors — and must take the stale basis with it.
-        far = eps + 3.0
-        ws.begin_corner_block(assembly, corner_family(far, bumps=(0.01,)))
-        # The stale pool is dropped; the new block starts a fresh, empty
-        # one (nothing harvested around the old anchor survives).
-        (pool,) = ws._recycle.values()
-        assert pool.basis("N") is None and pool.basis("T") is None
-
-    def test_direct_backend_has_no_pool(self, grid):
-        ws = SimulationWorkspace()
-        assert ws._recycle_pool(("x",)) is None
-
-
-# --------------------------------------------------------------------- #
-# Satellite regressions                                                 #
+# Recycled-anchor path regressions                                      #
 # --------------------------------------------------------------------- #
 class TestSatelliteRegressions:
     def _hard_solver(self, **overrides):

@@ -60,7 +60,7 @@ from repro.params import rasterize_segments
 
 pytestmark = pytest.mark.remote
 
-ALL_BACKENDS = ("direct", "batched", "krylov", "krylov-block")
+ALL_BACKENDS = ("direct", "krylov", "krylov-block")
 #: Remote workers run the same forward-replay arithmetic as forked
 #: process workers; preconditioned backends anchor per worker, so they
 #: agree with serial to solver precision only.
@@ -216,7 +216,7 @@ class TestLoopbackDesign:
     def test_two_workers_match_serial(self, worker_pair, serial_trace, backend):
         serial = serial_trace(backend)
         remote, pids = _trace(_spec(*worker_pair), backend)
-        if backend in ("direct", "batched"):
+        if backend == "direct":
             # LU-backed solves are pure functions of their payloads and
             # the forward-replay seam reproduces the serial arithmetic:
             # every bit of the trajectory survives the socket hop.
@@ -309,7 +309,7 @@ class TestLoopbackMonteCarlo:
     def test_two_workers_match_serial(self, worker_pair, backend):
         serial, _ = self._evaluate("serial", backend)
         remote, _ = self._evaluate(_spec(*worker_pair), backend)
-        if backend in ("direct", "batched"):
+        if backend == "direct":
             assert np.array_equal(remote.foms, serial.foms)
             assert remote.mean_powers == serial.mean_powers
         else:
