@@ -23,6 +23,7 @@ import numpy as np
 from repro import __version__
 from repro.baselines import BASELINE_REGISTRY, run_baseline
 from repro.core import Boson1Optimizer, OptimizerConfig
+from repro.core.executors import executor_backend
 from repro.core.remote import (
     DEFAULT_CONNECT_RETRIES,
     DEFAULT_REMOTE_TIMEOUT,
@@ -47,12 +48,6 @@ choosing an executor / solver
 -----------------------------
 executors (corner / sample fan-out):
   serial       default; lowest overhead, fully deterministic.
-  thread[:n]   shared-memory threads; triangular solves, BLAS and FFTs
-               release the GIL, SuperLU factorization does not, so
-               factorization-bound (direct) fan-outs gain little.
-               bit-identical to serial for the direct solver, solver
-               precision for preconditioned ones (fallback anchors
-               arrive in scheduling order).
   process[:n]  forked workers; `design` ships pickle-clean forward-solve
                payloads and reassembles gradients in the parent, so
                results match serial to solver precision.  Best when
@@ -70,8 +65,8 @@ solvers (every FDFD solve):
                via preconditioned BiCGStab/GMRES; fastest per corner,
                accurate to the solver tolerance.
   krylov-block krylov + one *blocked* solve for the whole corner family
-               (serial executor only; other executors fall back to
-               scalar krylov per corner).  Fastest overall on 1 core.
+               (serial executor only; process and remote workers solve
+               each corner on its own).  Fastest overall on 1 core.
 krylov extras:
   :gmres       GMRES instead of BiCGStab for scalar krylov solves.
   --precond-dtype float32
@@ -105,7 +100,7 @@ worst ALPHA-tail, e.g. cvar:0.5; tail membership from detached losses,
 applied as constant Rockafellar weights).
 determinism: with no axes set nothing changes — single-wavelength
 mean-aggregate runs stay bitwise identical to pre-scenario builds for
-the direct backend on serial/thread executors, and a
+the direct backend on the serial executor, and a
 checkpoint written before the scenario axes existed refuses to resume
 with a descriptive digest error (the config digest covers the axes).
 with axes set, omega grouping never changes results: LU-backed
@@ -280,6 +275,19 @@ def _solver_arg(spec: str) -> str:
     return spec
 
 
+def _executor_arg(spec: str) -> str:
+    """argparse ``type`` for ``--executor``: refuse a bad backend up front.
+
+    Like :func:`_solver_arg`, a removed backend such as ``thread`` exits
+    with the message naming its replacements instead of a traceback.
+    """
+    try:
+        executor_backend(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return spec
+
+
 def _add_observability_args(p: argparse.ArgumentParser) -> None:
     """Tracing/metrics flags shared by ``design`` and ``evaluate``."""
     p.add_argument(
@@ -386,8 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_design.add_argument(
         "--executor",
         default="serial",
+        type=_executor_arg,
         help=(
-            "corner fan-out backend: serial | thread[:n] | process[:n] | "
+            "corner fan-out backend: serial | process[:n] | "
             "remote:host:port[,host:port...] (process forks workers, "
             "remote ships to `repro worker` hosts; both replay only the "
             "forward solves and the parent assembles the taped "
@@ -470,9 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
             "operator are applied to the whole corner block in single "
             "matrix-RHS sweeps, columns converge independently, and "
             "non-converging corners fall back to their own direct "
-            "factorizations; taped thread-pool execution and "
-            "single-corner solves fall back to scalar krylov "
-            "behaviour). krylov:gmres selects GMRES for the scalar "
+            "factorizations; process and remote workers fall back to "
+            "scalar krylov behaviour). krylov:gmres selects GMRES for "
+            "the scalar "
             "solves (the block algorithm is always BiCGStab)."
         ),
     )
@@ -486,8 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--executor",
         default="serial",
+        type=_executor_arg,
         help=(
-            "sample fan-out backend: serial | thread[:n] | process[:n] | "
+            "sample fan-out backend: serial | process[:n] | "
             "remote:host:port[,host:port...]"
         ),
     )
@@ -675,11 +685,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="linear-solver backend, as for `repro design`",
     )
     p_submit.add_argument(
-        "--executor", default=None, metavar="SPEC",
+        "--executor", default=None, metavar="SPEC", type=_executor_arg,
         help=(
-            "pin this job's corner fan-out backend (serial | thread[:n] "
-            "| process[:n] | remote:...); default: the daemon's --fleet, "
-            "or serial"
+            "pin this job's corner fan-out backend (serial | process[:n] "
+            "| remote:...); default: the daemon's --fleet, or serial"
         ),
     )
     p_submit.add_argument(

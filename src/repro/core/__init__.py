@@ -36,7 +36,6 @@ from repro.core.executors import (
     CornerExecutor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     make_executor,
 )
 from repro.core.objective import build_loss, radiation_power
@@ -67,7 +66,6 @@ __all__ = [
     "resolve_resume",
     "CornerExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "make_executor",
     "build_loss",

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+from repro.core.executors import executor_backend
 from repro.core.remote import (
     DEFAULT_CONNECT_RETRIES,
     DEFAULT_REMOTE_TIMEOUT,
@@ -90,15 +91,11 @@ class OptimizerConfig:
         :func:`repro.core.objective.aggregate_losses`.
     corner_executor:
         Backend for the per-iteration corner fan-out: ``"serial"``
-        (default), ``"thread"`` / ``"thread:n"``, ``"process"`` /
-        ``"process:n"``, or ``"remote:host:port[,host:port...]"``
-        (worker hosts started with ``repro worker --listen``).  Corner
-        losses are independent and reduced in a fixed order; serial and
-        thread executors produce bit-identical results for LU-backed
-        solver backends (``direct``; preconditioned
-        backends agree to solver tolerance, since fallback anchors
-        arrive in scheduling order and the serial executor takes the
-        blocked path for ``krylov-block``).  The process and remote
+        (default), ``"process"`` / ``"process:n"``, or
+        ``"remote:host:port[,host:port...]"`` (worker hosts started with
+        ``repro worker --listen``).  Corner losses are independent and
+        reduced in a fixed order.  The serial executor evaluates them
+        in-process through the device's power op.  The process and remote
         backends route through the forward-replay fan-out — workers run
         only the forward FDFD solves on pickle-clean payloads and the
         parent assembles the taped VJPs from the returned adjoint-basis
@@ -163,8 +160,8 @@ class OptimizerConfig:
         (krylov whose serial corner fan-out is one *blocked* BiCGStab —
         preconditioner and operator applied to the whole corner block
         in single matrix-RHS sweeps, per-column convergence masking,
-        per-corner direct fallback; threaded execution falls back to
-        the scalar per-corner path).
+        per-corner direct fallback; process and remote workers solve
+        each corner on the scalar path).
         ``SolverConfig(precond_dtype="float32")`` factors the
         preconditioner anchor's complex64 twin, with float64 iterative
         refinement preserving the solver tolerance; it shapes the
@@ -254,12 +251,7 @@ class OptimizerConfig:
         from repro.core.objective import parse_aggregate
 
         parse_aggregate(self.aggregate)  # validate the spec eagerly
-        backend, _, rest = self.corner_executor.partition(":")
-        if backend not in ("serial", "thread", "process", "remote"):
-            raise ValueError(
-                "corner_executor must be 'serial', 'thread', 'process' or "
-                f"'remote:host:port[,...]', got {self.corner_executor!r}"
-            )
+        backend, rest = executor_backend(self.corner_executor)
         if backend == "remote":
             # Reject malformed address lists at config time, before any
             # socket is opened (parse_worker_addresses raises a

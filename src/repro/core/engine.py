@@ -33,7 +33,6 @@ from repro.core.config import OptimizerConfig
 from repro.core.executors import (
     SerialExecutor,
     make_executor,
-    map_ordered_with_serial_head,
     run_warm_task,
     stable_worker_token,
 )
@@ -329,19 +328,6 @@ class Boson1Optimizer:
     # ------------------------------------------------------------------ #
     # Loss evaluation                                                    #
     # ------------------------------------------------------------------ #
-    def _powers_for(self, rho_scaled: Tensor, alpha_bg: float):
-        return self.device.port_powers_all(rho_scaled, alpha_bg)
-
-    def _corner_loss(self, rho: Tensor, corner: VariationCorner):
-        device = self.device.for_corner(corner)
-        rho_fab = self.process.apply(rho, corner)
-        alpha_bg = alpha_of_temperature(corner.temperature_k)
-        powers = device.port_powers_all(rho_fab, alpha_bg)
-        loss = build_loss(
-            self._terms_for(device), powers, self.config.dense_objectives
-        )
-        return loss, powers
-
     def _terms_for(self, device: PhotonicDevice) -> dict:
         """Objective terms for one scenario's device clone.
 
@@ -381,63 +367,52 @@ class Boson1Optimizer:
         return groups
 
     def _ideal_loss(self, rho: Tensor):
-        powers = self._powers_for(rho, 1.0)
+        powers = self.device.port_powers_all(rho, 1.0)
         loss = build_loss(self.terms, powers, self.config.dense_objectives)
         return loss, powers
 
-    def _corner_losses_block(self, rho: Tensor, corners, include_ideal: bool):
-        """All scenario losses from one blocked solve pair *per omega*.
+    def _corner_losses_local(self, rho: Tensor, corners, include_ideal: bool):
+        """All scenario losses in-process, through the one power op.
 
         The family is partitioned by omega (:meth:`_omega_groups`); each
-        group's members share their Laplacian, so every group joins a
-        single :meth:`PhotonicDevice.port_powers_corners` block solve —
-        shared ``L @ X`` products and single matrix-RHS preconditioner
-        sweeps — and each group's gradients arrive through one
-        transposed block solve on the backward pass.  The fabrication
-        chain still runs (taped) per corner.  While the Eq. (3)
-        relaxation ramp is active (``include_ideal``), the
-        ideal-condition system — which shares the centre-wavelength
-        Laplacian — rides the centre-omega group as one extra column
-        instead of paying its own scalar solve pair; if no scenario sits
-        at the centre wavelength the caller falls back to a scalar ideal
-        solve.  A single-group family at the centre wavelength executes
-        the identical op sequence as the pre-scenario block path, so
-        single-``omega`` runs stay bitwise.
+        group fabricates every member (taped, per corner) and hands the
+        results to :meth:`PhotonicDevice.port_powers_corners`.  On a
+        block-capable backend (``krylov-block``) the whole group is one
+        call — one blocked forward solve with shared ``L @ X`` products
+        and single matrix-RHS preconditioner sweeps, and one transposed
+        block solve on the backward pass.  Other backends make one call
+        per corner, which keeps every gradient bit of the ``direct``
+        backend.  While the Eq. (3) relaxation ramp is active
+        (``include_ideal``), the ideal-condition system — which shares
+        the centre-wavelength Laplacian — rides the centre-omega group;
+        if no scenario sits at the centre wavelength the caller solves
+        it on its own.
 
-        Returns ``None`` when any group's device cannot batch (backend
-        not block-capable, or a port inside the design window); the
-        caller then uses the per-corner fan-out.  Otherwise returns
-        ``(corner_results, ideal_result)`` with ``ideal_result`` being
-        ``None`` unless requested and hosted.
+        Returns ``(corner_results, ideal_result)`` with ``ideal_result``
+        being ``None`` unless requested and hosted.
         """
         groups = self._omega_groups(corners)
         center_key = round(float(self.device.wavelength_um), 12)
-        # Gate every group before fabricating anything: when a device
-        # can never batch (a port inside the design window), the taped
-        # per-corner litho chains built here would be thrown away every
-        # iteration.
-        plan = []
+        results: list = [None] * len(corners)
+        ideal_result = None
         for key, idxs in groups.items():
             device_g = self.device.for_corner(corners[idxs[0]])
             alphas = [
                 alpha_of_temperature(corners[i].temperature_k) for i in idxs
             ]
+            rho_fabs = [self.process.apply(rho, corners[i]) for i in idxs]
             with_ideal = include_ideal and key == center_key
             if with_ideal:
                 alphas.append(1.0)
-            if not device_g.can_batch_corners(alphas):
-                return None
-            plan.append((device_g, idxs, alphas, with_ideal))
-        results: list = [None] * len(corners)
-        ideal_result = None
-        for device_g, idxs, alphas, with_ideal in plan:
-            rho_fabs = [self.process.apply(rho, corners[i]) for i in idxs]
-            if with_ideal:
                 rho_fabs.append(rho)
-            with span("engine.block_corners", "engine", corners=len(alphas)):
-                powers_list = device_g.port_powers_corners(rho_fabs, alphas)
-            if powers_list is None:
-                return None
+            with span("engine.corners", "engine", corners=len(alphas)):
+                if device_g.supports_corner_block:
+                    powers_list = device_g.port_powers_corners(rho_fabs, alphas)
+                else:
+                    powers_list = [
+                        device_g.port_powers_all(rho_fab, alpha)
+                        for rho_fab, alpha in zip(rho_fabs, alphas)
+                    ]
             terms = self._terms_for(device_g)
             group_results = [
                 (build_loss(terms, powers, self.config.dense_objectives), powers)
@@ -562,24 +537,19 @@ class Boson1Optimizer:
         case, or CVaR tail expectation
         (:func:`repro.core.objective.aggregate_losses`).
 
-        Corner losses are independent given ``rho``; they fan out over
-        :attr:`executor` and are reduced serially in the sampler's
-        corner order, so for LU-backed solver backends the result is
-        bit-identical for every executor backend and worker count.  The
-        first corner (the nominal one, for every built-in sampling
-        strategy) is evaluated before the fan-out so the ``krylov``
-        backend's preconditioner anchor is established deterministically
-        too; its results match the direct backend to solver tolerance.
-        With a block-capable backend (``krylov-block``) and the serial
-        executor, the fan-out is replaced by one blocked solve per
-        direction of the tape (:meth:`_corner_losses_block`); taped
-        threaded execution keeps the per-corner path.  A process or
-        remote executor routes through the forward-replay fan-out
+        Corner losses take one of two paths.  The serial executor
+        evaluates them in-process through the device's one power op
+        (:meth:`_corner_losses_local`): one blocked solve per omega
+        group on a block-capable backend (``krylov-block``), one op call
+        per corner otherwise.  A process or remote executor routes
+        through the forward-replay fan-out
         (:meth:`_corner_losses_process`): workers carry the forward
         solves, the parent assembles the VJPs, and results match the
-        serial path to solver precision.  The returned corner count is
-        the number the loss actually averaged over (0 when ``use_fab``
-        is off).
+        serial path to solver precision.  Either way losses are reduced
+        serially in the sampler's corner order, so the result does not
+        depend on the worker count.  The returned corner count is the
+        number the loss actually averaged over (0 when ``use_fab`` is
+        off).
         """
         with span("engine.loss", "engine", iteration=iteration):
             return self._loss_impl(theta_t, iteration)
@@ -615,46 +585,16 @@ class Boson1Optimizer:
             )
 
         p = self.schedule.p(iteration)
-        workspace = self.device.workspace
-        corner_results = None
-        ideal_result = None
-        if (
-            workspace is not None
-            and workspace.supports_corner_block
-            and isinstance(self.executor, SerialExecutor)
-        ):
-            # Block-corner path: every scenario's system joins one
-            # blocked forward solve per omega group (and one blocked
-            # adjoint solve each on backward), with the relaxation
-            # ramp's ideal system as an extra centre-group column.
-            blocked = self._corner_losses_block(
+        if self.executor.supports_shared_memory:
+            corner_results, ideal_result = self._corner_losses_local(
                 rho, corners, include_ideal=p < 1.0
             )
-            if blocked is not None:
-                corner_results, ideal_result = blocked
-        if (
-            corner_results is None
-            and not self.executor.supports_shared_memory
-        ):
-            # Process executor: the tape cannot cross process boundaries,
-            # so workers replay only the forward solves and the parent
-            # assembles the VJPs (see _corner_losses_process).
+        else:
+            # Process or remote executor: the tape cannot cross process
+            # boundaries, so workers replay only the forward solves and
+            # the parent assembles the VJPs (see _corner_losses_process).
             corner_results, ideal_result = self._corner_losses_process(
                 rho, corners, include_ideal=p < 1.0
-            )
-        if corner_results is None:
-            # With a preconditioned backend, the first corner (the nominal
-            # one, for every built-in sampling strategy) is evaluated before
-            # the fan-out so the epoch's preconditioner anchor is
-            # established deterministically — a pooled executor would
-            # otherwise anchor whichever corner thread ran first.  LU-backed
-            # backends keep the full fan-out (no anchor, and a serial head
-            # would cost threaded runs one corner of overlap).
-            corner_results = map_ordered_with_serial_head(
-                self.executor,
-                lambda corner: self._corner_loss(rho, corner),
-                corners,
-                workspace is not None and workspace.solver_uses_preconditioner,
             )
         losses = []
         weights = []
@@ -710,7 +650,7 @@ class Boson1Optimizer:
             rho_fab = self.process.apply(
                 rho_const, probe, temperature=t_var, xi=xi_var
             )
-            powers = self._powers_for(rho_fab, 1.0)
+            powers = self.device.port_powers_all(rho_fab, 1.0)
             loss = build_loss(self.terms, powers, self.config.dense_objectives)
             loss.backward()
             t_grad = 0.0 if t_var.grad is None else float(t_var.grad)

@@ -7,15 +7,9 @@ step: one loss per fabrication corner in
 minimal executor abstraction over ``concurrent.futures`` so those sites
 can fan out without committing to a backend:
 
-* ``serial``  — in-process loop; zero overhead, always available.
-* ``thread``  — ``ThreadPoolExecutor``.  SuperLU triangular solves,
-  BLAS and the FFT lithography release the GIL, but SciPy's SuperLU
-  *factorization* holds it: two threads factorizing eight isolator
-  matrices ran at 1.0–1.2x of serial on 2 vCPUs (SciPy 1.17.1), against
-  ~1.8x for two threads of triangular solves.  Factorization-bound
-  fan-outs (the ``direct`` backend's corners) therefore gain little.
-  Safe for taped (autodiff) work: corner subgraphs are disjoint and the
-  tape is built from parent pointers, not global state.
+* ``serial``  — in-process loop; zero overhead, always available.  The
+  optimizer and the Monte-Carlo evaluation run it through the device's
+  one in-process power op rather than per-item tasks.
 * ``process`` — ``ProcessPoolExecutor``; for picklable task payloads.
   Tape-free workloads (Monte-Carlo evaluation) ship whole tasks; taped
   corner losses go through the *forward-replay* seam — workers run only
@@ -55,7 +49,7 @@ import itertools
 import os
 import uuid
 from collections import OrderedDict
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.obs.metrics import get_metrics
@@ -64,10 +58,9 @@ from repro.obs.trace import SpanCapture, span
 __all__ = [
     "CornerExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "make_executor",
-    "map_ordered_with_serial_head",
+    "executor_backend",
     "resolve_worker_count",
     "worker_warm",
     "run_warm_task",
@@ -275,13 +268,6 @@ def resolve_worker_count(
 class _PoolExecutor(CornerExecutor):
     """Shared machinery for ``concurrent.futures``-backed executors."""
 
-    #: Whether an auto-resolved single worker should skip the pool and
-    #: run inline in the parent.  True for process pools (one forked
-    #: worker is strictly worse than the parent doing the work); False
-    #: for threads (even one pool thread overlaps GIL-releasing solves
-    #: with parent-side bookkeeping and is the pre-autotune behaviour).
-    _inline_single_auto_worker = False
-
     def __init__(self, max_workers: int | None = None):
         self.max_workers = max_workers
         self._pool: Executor | None = None
@@ -290,16 +276,13 @@ class _PoolExecutor(CornerExecutor):
     def _make_pool(self, workers: int) -> Executor:
         raise NotImplementedError
 
-    def _available_workers(self) -> int:
-        return os.cpu_count() or 1
-
     def _resolve_workers(self, n_items: int) -> int:
         if self._pool_workers is not None:
             # A live pool's size sticks until shutdown; resizing per map
             # call would churn workers and their warm state.
             return self._pool_workers
         return resolve_worker_count(
-            self.max_workers, n_items, self._available_workers()
+            self.max_workers, n_items, os.cpu_count() or 1
         )
 
     def map_ordered(self, fn, items):
@@ -307,12 +290,9 @@ class _PoolExecutor(CornerExecutor):
         if len(items) <= 1:
             return [fn(item) for item in items]
         workers = self._resolve_workers(len(items))
-        if (
-            workers <= 1
-            and self._pool is None
-            and self.max_workers is None
-            and self._inline_single_auto_worker
-        ):
+        if workers <= 1 and self._pool is None and self.max_workers is None:
+            # One auto-resolved worker: a lone forked worker is strictly
+            # worse than the parent doing the work.
             return [fn(item) for item in items]
         if self._pool is None:
             self._pool_workers = workers
@@ -335,35 +315,6 @@ class _PoolExecutor(CornerExecutor):
             self._pool.shutdown(wait=True)
             self._pool = None
             self._pool_workers = None
-
-
-class ThreadExecutor(_PoolExecutor):
-    """Thread-pool fan-out.
-
-    Overlaps only GIL-releasing work: SuperLU triangular solves, BLAS
-    and FFTs.  SuperLU factorization holds the GIL, so factorization-
-    bound corner fan-outs run at about serial speed (see the module
-    docstring).
-    """
-
-    name = "thread"
-
-    def _available_workers(self) -> int:
-        # Threads share the parent's memory; beyond a handful they only
-        # contend, whatever the item count (pre-autotune default kept).
-        return min(8, os.cpu_count() or 1)
-
-    def _resolve_workers(self, n_items: int) -> int:
-        if self._pool_workers is not None:
-            return self._pool_workers
-        # Item-count-independent: a thread pool is cheap to fill and the
-        # auto-tuning contract only covers process/remote backends.
-        return self.max_workers or self._available_workers()
-
-    def _make_pool(self, workers: int) -> Executor:
-        return ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="corner"
-        )
 
 
 def _pool_worker_init() -> None:
@@ -394,7 +345,6 @@ class ProcessExecutor(_PoolExecutor):
 
     name = "process"
     supports_shared_memory = False
-    _inline_single_auto_worker = True
 
     def _make_pool(self, workers: int) -> Executor:
         return ProcessPoolExecutor(
@@ -408,27 +358,6 @@ class ProcessExecutor(_PoolExecutor):
         # instead of starting cold on every item.
         workers = self._pool_workers or self.max_workers or (os.cpu_count() or 1)
         return max(1, -(-n_items // workers))
-
-
-def map_ordered_with_serial_head(
-    pool: CornerExecutor,
-    fn: Callable[[T], R],
-    items: Sequence[T] | Iterable[T],
-    serial_head: bool,
-) -> list[R]:
-    """Ordered map, optionally evaluating the first item inline first.
-
-    Callers whose solver backend recycles preconditioner anchors (the
-    ``krylov`` workspace backend) run the first item in the calling
-    thread so the anchor is established deterministically before the
-    fan-out.  The head is skipped for executors without shared memory
-    (process pools): their workers hold their own re-warmed workspaces,
-    so a parent-side anchor would be dead work.
-    """
-    items = list(items)
-    if not serial_head or not items or not pool.supports_shared_memory:
-        return list(pool.map_ordered(fn, items))
-    return [fn(items[0])] + list(pool.map_ordered(fn, items[1:]))
 
 
 def _remote_factory(
@@ -458,10 +387,29 @@ def _remote_factory(
 #: lives in :mod:`repro.core.remote` to keep this module socket-free).
 EXECUTOR_BACKENDS: dict[str, "type[CornerExecutor] | Callable"] = {
     "serial": SerialExecutor,
-    "thread": ThreadExecutor,
     "process": ProcessExecutor,
     "remote": _remote_factory,
 }
+
+
+def executor_backend(spec: str) -> "tuple[str, str]":
+    """Split an executor spec into ``(backend, remainder)``.
+
+    Refuses unknown backends; the retired ``thread`` backend's message
+    names its replacements.
+    """
+    name, _, rest = str(spec).partition(":")
+    if name == "thread":
+        raise ValueError(
+            f"executor {spec!r}: the thread executor was removed; use "
+            "'serial' or 'process[:n]' (forked workers)"
+        )
+    if name not in EXECUTOR_BACKENDS:
+        raise ValueError(
+            f"unknown executor backend {name!r}; "
+            f"have {sorted(EXECUTOR_BACKENDS)}"
+        )
+    return name, rest
 
 
 def make_executor(
@@ -475,8 +423,8 @@ def make_executor(
     Parameters
     ----------
     spec:
-        ``None`` or ``"serial"``, ``"thread"``, ``"process"`` —
-        optionally with a worker count suffix (``"thread:4"``) — or
+        ``None`` or ``"serial"``, ``"process"`` — optionally with a
+        worker count suffix (``"process:4"``) — or
         ``"remote:host:port[,host:port...]"``.  An existing
         :class:`CornerExecutor` passes through unchanged.
     max_workers:
@@ -497,7 +445,7 @@ def make_executor(
         return SerialExecutor()
     if isinstance(spec, CornerExecutor):
         return spec
-    name, _, rest = str(spec).partition(":")
+    name, rest = executor_backend(spec)
     if name == "remote":
         if not rest:
             raise ValueError(
@@ -519,13 +467,7 @@ def make_executor(
             ) from None
         if max_workers < 1:
             raise ValueError(f"executor workers must be >= 1, got {max_workers}")
-    try:
-        cls = EXECUTOR_BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown executor backend {name!r}; "
-            f"have {sorted(EXECUTOR_BACKENDS)}"
-        ) from None
+    cls = EXECUTOR_BACKENDS[name]
     if cls is SerialExecutor:
         return cls()
     return cls(max_workers=max_workers)

@@ -530,7 +530,6 @@ class ServeDaemon(FrameServer):
             if cancelled:
                 job.finished_unix = time.time()
         else:
-            job.status = "completed"
             job.finished_unix = time.time()
             save_result(
                 {
@@ -544,6 +543,9 @@ class ServeDaemon(FrameServer):
                 },
                 self.store.result_path(job.id),
             )
+            # Flip the status only once result.json exists: a watcher
+            # that sees "completed" may read the result straight away.
+            job.status = "completed"
         job.error = None
         self.store.save(job)
         self._notify()

@@ -8,8 +8,9 @@ A :class:`PhotonicDevice` ties together
 * a cached *calibration run* per (direction, temperature scale) providing
   the input power ``P_in`` and the incident field for reflection
   subtraction, and
-* the autodiff custom op ``rho_scaled -> normalized port powers`` whose
-  VJP is one adjoint FDFD solve.
+* the one in-process autodiff custom op ``rho_scaled -> normalized port
+  powers`` (any number of systems, every direction stacked) whose VJP
+  solves every adjoint system in the same stacked way.
 
 Subclasses define geometry, ports, initialization paths and the device
 objective (Eq. 2 terms).
@@ -28,7 +29,7 @@ from repro.autodiff import Tensor
 from repro.autodiff.ops import as_tensor, custom_vjp_with_residuals
 from repro.fdfd.adjoint import PortInfrastructure, PortPowerProblem, PortSpec
 from repro.fdfd.grid import SimGrid
-from repro.fdfd.solver import FdfdFields, HelmholtzSolver, derive_h_fields
+from repro.fdfd.solver import FdfdFields, HelmholtzSolver
 from repro.fdfd.workspace import SimulationWorkspace, shared_workspace
 from repro.params.initializers import PathSegment
 from repro.utils.constants import EPS_SI, EPS_VOID, omega_from_wavelength
@@ -112,7 +113,8 @@ class PhotonicDevice:
       ``("fwd",)`` or ``("fwd", "bwd")``.
     * :meth:`background_occupancy` — binary full-grid occupancy of the
       fixed waveguides, **zero inside the design window**.
-    * :meth:`monitor_ports` / :meth:`source_port` — per direction.
+    * :meth:`monitor_ports` / :meth:`source_port` — per direction, all
+      outside the design window (a port crossing it is refused).
     * :meth:`calibration_occupancy` / :meth:`calibration_monitor` — the
       straight-guide geometry and monitor measuring launched power.
     * :meth:`init_segments` — light-concentrated initialization paths in
@@ -157,8 +159,9 @@ class PhotonicDevice:
         )
         self._background = None
         self._calibration_cache: dict[tuple[str, float], tuple] = {}
-        #: Guards the calibration cache's LRU bookkeeping only — the
-        #: thread executor's corner tasks hit the same (direction,
+        #: Guards the calibration cache's LRU bookkeeping only — a
+        #: ``repro worker`` runs tasks on per-connection threads that
+        #: can share one warm device and hit the same (direction,
         #: alpha) key concurrently, and the recency touch / eviction
         #: are mutations.  Solves happen outside the lock (a cold race
         #: duplicates work benignly; entries are content-addressed).
@@ -378,20 +381,23 @@ class PhotonicDevice:
         return plane in y_range and bool(set(trans) & set(x_range))
 
     def _port_infrastructure(
-        self, problem: PortPowerProblem, direction: str, alpha_bg: float
-    ) -> PortInfrastructure | None:
+        self, problem: PortPowerProblem, alpha_bg: float
+    ) -> PortInfrastructure:
         """Precomputed monitors + source for one (direction, alpha_bg).
 
         Port cross-sections lie outside the design window, so the
         environment permittivity (scaled background, empty design
-        region) determines their modes for *every* design pattern.  If a
-        device ever places a port inside the design window this returns
-        ``None`` and modes fall back to per-solve computation.
+        region) determines their modes for *every* design pattern.  A
+        device that places a port across its design window is refused.
         """
         for port in (problem.source_port, *problem.ports):
             plane, span = problem.port_plane_and_span(port)
             if self._line_in_design(plane, span, port.axis):
-                return None
+                raise ValueError(
+                    f"{self.name}: port {port.name!r} crosses the design "
+                    "window; port modes must not depend on the design "
+                    "pattern"
+                )
         eps_env = self.eps_from_occupancy(self.cached_background() * alpha_bg)
         return problem.prepare(eps_env)
 
@@ -402,8 +408,7 @@ class PhotonicDevice:
         eviction) happens under :attr:`_calibration_lock`, while the
         calibration solve itself runs outside it — concurrent cold
         misses on one key duplicate the solve benignly (entries are
-        content-addressed; last writer wins with identical bits), which
-        matches the pre-LRU behaviour of the threaded corner fan-out.
+        content-addressed; last writer wins with identical bits).
         Returning the whole entry also spares callers a second cache
         read that a concurrent eviction could invalidate.
         """
@@ -437,7 +442,7 @@ class PhotonicDevice:
             )
         incident = sol.fields.ez
         infra = (
-            self._port_infrastructure(problem, direction, alpha_bg)
+            self._port_infrastructure(problem, alpha_bg)
             if self.simulation_cache
             else None
         )
@@ -464,48 +469,224 @@ class PhotonicDevice:
 
     def _calibration_with_infra(
         self, direction: str, alpha_bg: float
-    ) -> tuple[PortPowerProblem, float, np.ndarray, PortInfrastructure | None]:
+    ) -> tuple[PortPowerProblem, float, np.ndarray, PortInfrastructure]:
+        """Calibration plus port infrastructure for one (direction, alpha).
+
+        With the simulation cache off the infrastructure is rebuilt on
+        every call instead of being memoized with the calibration.
+        """
         (problem, p_in, incident), infra = self._calibration_entry(
             direction, alpha_bg
         )
+        if infra is None:
+            infra = self._port_infrastructure(problem, alpha_bg)
         return problem, p_in, incident, infra
 
     # ------------------------------------------------------------------ #
-    # Differentiable port powers                                         #
+    # Differentiable port powers: one custom op                          #
     # ------------------------------------------------------------------ #
     def port_names(self, direction: str) -> list[str]:
         return [p.name for p in self.monitor_ports(direction)]
 
+    @property
+    def supports_corner_block(self) -> bool:
+        """Whether the workspace backend can solve corner blocks.
+
+        A property, matching
+        :attr:`SimulationWorkspace.supports_corner_block`, so truthiness
+        checks behave the same on both layers.
+        """
+        return self.workspace is not None and self.workspace.supports_corner_block
+
     def _power_op(
-        self, direction: str, alpha_bg: float
-    ) -> Callable[[Tensor], Tensor]:
-        """Custom op: design occupancy -> normalized port power vector."""
-        problem, p_in, incident, infra = self._calibration_with_infra(
-            direction, alpha_bg
+        self, alpha_bgs: tuple[float, ...], directions: tuple[str, ...]
+    ) -> Callable[..., Tensor]:
+        """The in-process power op: ``k`` design occupancies -> powers.
+
+        One custom op over ``k >= 1`` systems, one per entry of
+        ``alpha_bgs`` and one design-occupancy input each.  The forward
+        pass stacks every system's per-direction sources into one
+        ``(n, k * len(directions))`` block and the VJP stacks every
+        adjoint system into one transposed block:
+
+        * block-capable backends (``krylov-block``) solve the whole block
+          through :meth:`SimulationWorkspace.begin_corner_block` — shared
+          ``L @ X`` products and single matrix-RHS preconditioner sweeps;
+        * every other backend solves each system's stacked columns with
+          one :meth:`HelmholtzSolver.solve_many` — under ``direct`` one
+          SuperLU matrix-RHS call per system, bitwise equal to solving
+          each column alone.
+
+        Systems sharing a temperature share one calibration.  The output
+        is the system-major, direction-minor vector
+        :meth:`_split_powers` unflattens.
+        """
+        calibrations = {}
+        columns = []
+        for system, alpha in enumerate(alpha_bgs):
+            for direction in directions:
+                key = (direction, alpha)
+                if key not in calibrations:
+                    calibrations[key] = self._calibration_with_infra(
+                        direction, alpha
+                    )
+                columns.append(
+                    (system, *calibrations[key], self.port_names(direction))
+                )
+        sources = np.stack(
+            [
+                (-1j * self.omega)
+                * infra.source_jz.ravel().astype(np.complex128)
+                for *_head, infra, _names in columns
+            ],
+            axis=1,
         )
-        names = self.port_names(direction)
-        bg_scaled = self.cached_background() * alpha_bg
+        system_of = np.array([col[0] for col in columns], dtype=np.intp)
+        width = len(directions)
+        backgrounds = {
+            alpha: self.cached_background() * alpha
+            for alpha in dict.fromkeys(alpha_bgs)
+        }
+        grid, omega, workspace = self.grid, self.omega, self.workspace
         dslice = self.design_slice
         contrast = self.eps_solid - EPS_VOID
+        pml = columns[0][1].pml
 
-        def forward(occ_design):
-            occ = bg_scaled.copy()
-            occ[dslice] = occ_design
-            eps = self.eps_from_occupancy(occ)
-            sol = problem.solve(eps, incident_ez=incident, infra=infra)
-            powers = np.array(
-                [sol.raw_powers[n] / p_in for n in names], dtype=np.float64
-            )
-            return powers, sol
+        def forward(*occ_designs):
+            eps_list = []
+            for alpha, occ_design in zip(alpha_bgs, occ_designs):
+                occ = backgrounds[alpha].copy()
+                occ[dslice] = occ_design
+                eps_list.append(self.eps_from_occupancy(occ))
+            if self.supports_corner_block:
+                assembly = workspace.assembly(grid, omega, pml)
+                block = workspace.begin_corner_block(assembly, eps_list)
 
-        def vjp(g, out, sol, occ_design):
-            cotangents = {n: float(gi) for n, gi in zip(names, g)}
-            grad_eps = problem.grad_eps(sol, cotangents, input_power=p_in)
-            return (grad_eps[dslice] * contrast,)
+                def solve(rhs, trans="N"):
+                    return block.solve_block(rhs, system_of, trans=trans)
+
+                dxf, dyf = assembly.ops["dxf"], assembly.ops["dyf"]
+            else:
+                solvers = [
+                    HelmholtzSolver(grid, eps, omega, pml, workspace=workspace)
+                    for eps in eps_list
+                ]
+
+                def solve(rhs, trans="N"):
+                    return np.concatenate(
+                        [
+                            solver.solve_many(
+                                rhs[:, i * width : (i + 1) * width],
+                                trans=trans,
+                            )
+                            for i, solver in enumerate(solvers)
+                        ],
+                        axis=1,
+                    )
+
+                dxf, dyf = solvers[0].dxf, solvers[0].dyf
+            ez_block = solve(sources)
+            powers = []
+            solutions = []
+            for j, (_, problem, p_in, incident, infra, names) in enumerate(
+                columns
+            ):
+                ez = np.ascontiguousarray(ez_block[:, j]).reshape(grid.shape)
+                fields = FdfdFields(ez, dxf, dyf, omega)
+                sol = problem.measure(None, fields, incident, infra)
+                solutions.append(sol)
+                powers.extend(sol.raw_powers[n] / p_in for n in names)
+            return np.array(powers, dtype=np.float64), (solve, solutions)
+
+        def vjp(g, out, residuals, *occ_designs):
+            solve, solutions = residuals
+            adjoint_cols = []
+            offset = 0
+            for (_, problem, p_in, _inc, _infra, names), sol in zip(
+                columns, solutions
+            ):
+                cotangents = {
+                    n: float(g[offset + i]) for i, n in enumerate(names)
+                }
+                offset += len(names)
+                adjoint_cols.append(
+                    problem.adjoint_source(sol, cotangents, input_power=p_in)
+                )
+            lam_block = solve(np.stack(adjoint_cols, axis=1), trans="T")
+            grads = [np.zeros(grid.shape) for _ in occ_designs]
+            for j, ((system, problem, *_rest), sol) in enumerate(
+                zip(columns, solutions)
+            ):
+                grads[system] += problem.grad_from_adjoint(
+                    sol, np.ascontiguousarray(lam_block[:, j])
+                )
+            return tuple(grad[dslice] * contrast for grad in grads)
 
         return custom_vjp_with_residuals(
-            forward, vjp, name=f"{self.name}:{direction}:powers"
+            forward, vjp, name=f"{self.name}:powers"
         )
+
+    def _split_powers(
+        self, vector, n_systems: int, directions: Sequence[str], wrap
+    ) -> list[dict]:
+        """Unflatten the system-major power vector :meth:`_power_op` emits.
+
+        Shared by the taped (``wrap`` = identity on Tensor entries) and
+        no-tape (``wrap`` = float) callers so the layouts cannot drift
+        apart.
+        """
+        result = []
+        offset = 0
+        for _ in range(n_systems):
+            per_direction = {}
+            for direction in directions:
+                names = self.port_names(direction)
+                per_direction[direction] = {
+                    name: wrap(vector[offset + i])
+                    for i, name in enumerate(names)
+                }
+                offset += len(names)
+            result.append(per_direction)
+        return result
+
+    def _powers(
+        self,
+        patterns: Sequence,
+        alpha_bgs: Sequence[float],
+        directions: Sequence[str],
+        taped: bool,
+    ) -> list[dict]:
+        """Validate inputs, run one :meth:`_power_op` call, unflatten."""
+        if len(patterns) != len(alpha_bgs):
+            raise ValueError(
+                f"{len(patterns)} patterns for {len(alpha_bgs)} "
+                "temperature scales"
+            )
+        if not len(patterns):
+            raise ValueError("port powers need at least one design pattern")
+        for direction in directions:
+            if direction not in self.directions:
+                raise ValueError(
+                    f"unknown direction {direction!r}; have {self.directions}"
+                )
+        inputs = [
+            as_tensor(p) if taped else np.asarray(p, dtype=np.float64)
+            for p in patterns
+        ]
+        for x in inputs:
+            if tuple(x.shape) != self.design_shape:
+                raise ValueError(
+                    f"design shape {x.shape} != {self.design_shape}"
+                )
+        op = self._power_op(
+            tuple(float(a) for a in alpha_bgs), tuple(directions)
+        )
+        vector = op(*inputs)
+        if taped:
+            return self._split_powers(
+                vector, len(inputs), directions, lambda entry: entry
+            )
+        return self._split_powers(vector.data, len(inputs), directions, float)
 
     def port_powers(
         self, rho_scaled, direction: str, alpha_bg: float = 1.0
@@ -524,309 +705,27 @@ class PhotonicDevice:
             tape; the design's own temperature dependence arrives through
             ``rho_scaled``).
         """
-        if direction not in self.directions:
-            raise ValueError(
-                f"unknown direction {direction!r}; have {self.directions}"
-            )
-        rho_scaled = as_tensor(rho_scaled)
-        if tuple(rho_scaled.shape) != self.design_shape:
-            raise ValueError(
-                f"design shape {rho_scaled.shape} != {self.design_shape}"
-            )
-        op = self._power_op(direction, alpha_bg)
-        vector = op(rho_scaled)
-        return {
-            name: vector[i] for i, name in enumerate(self.port_names(direction))
-        }
+        return self._powers([rho_scaled], [alpha_bg], [direction], True)[0][
+            direction
+        ]
 
     def port_powers_all(
         self, rho_scaled, alpha_bg: float = 1.0
     ) -> dict[str, dict[str, Tensor]]:
         """Normalized port powers for *every* direction (differentiable).
 
-        On a multi-direction device all forward sources sharing this
-        permittivity are stacked into one matrix-RHS solve and, on the
-        backward pass, all adjoint systems into one transposed solve —
-        under ``direct`` the isolator's fwd+bwd pair costs two SuperLU
-        calls instead of four, with bitwise the per-direction results.
-        Single-direction devices (and ports touching the design window)
-        take the per-direction loop, term for term identical to calling
-        :meth:`port_powers`.
+        All directions' sources share this permittivity and are stacked
+        into one solve, and on the backward pass all adjoint systems
+        into one transposed solve — under ``direct`` the isolator's
+        fwd+bwd pair costs two SuperLU calls instead of four, with
+        bitwise the per-direction results of :meth:`port_powers`.
         """
-        op = self._power_op_all(alpha_bg) if len(self.directions) > 1 else None
-        if op is None:
-            return {
-                d: self.port_powers(rho_scaled, d, alpha_bg)
-                for d in self.directions
-            }
-        rho_scaled = as_tensor(rho_scaled)
-        if tuple(rho_scaled.shape) != self.design_shape:
-            raise ValueError(
-                f"design shape {rho_scaled.shape} != {self.design_shape}"
-            )
-        return self._split_by_direction(op(rho_scaled), lambda entry: entry)
-
-    def _split_by_direction(self, vector, wrap) -> dict[str, dict]:
-        """Unflatten a concatenated power vector back to per-direction dicts.
-
-        The inverse of the ordering :meth:`_power_op_all` emits; shared
-        by the taped (``wrap`` = identity on Tensor entries) and no-tape
-        (``wrap`` = float) callers so the layouts cannot drift apart.
-        """
-        result: dict[str, dict] = {}
-        offset = 0
-        for direction in self.directions:
-            names = self.port_names(direction)
-            result[direction] = {
-                name: wrap(vector[offset + i]) for i, name in enumerate(names)
-            }
-            offset += len(names)
-        return result
-
-    def _power_op_all(self, alpha_bg: float):
-        """Multi-direction power op; ``None`` when batching can't apply."""
-        infos = []
-        for direction in self.directions:
-            problem, p_in, incident, infra = self._calibration_with_infra(
-                direction, alpha_bg
-            )
-            if infra is None:
-                # A port touches the design window: modes depend on the
-                # pattern, so sources can't be precomputed or stacked.
-                return None
-            infos.append(
-                (direction, problem, p_in, incident, infra, self.port_names(direction))
-            )
-        bg_scaled = self.cached_background() * alpha_bg
-        dslice = self.design_slice
-        contrast = self.eps_solid - EPS_VOID
-        pml = infos[0][1].pml
-
-        def forward(occ_design):
-            occ = bg_scaled.copy()
-            occ[dslice] = occ_design
-            eps = self.eps_from_occupancy(occ)
-            solver = HelmholtzSolver(
-                self.grid, eps, self.omega, pml, workspace=self.workspace
-            )
-            rhs = np.stack(
-                [
-                    (-1j * self.omega)
-                    * info[4].source_jz.ravel().astype(np.complex128)
-                    for info in infos
-                ],
-                axis=1,
-            )
-            ez_block = solver.solve_many(rhs)
-            powers = []
-            solutions = []
-            for j, (direction, problem, p_in, incident, infra, names) in enumerate(
-                infos
-            ):
-                fields = solver.fields_from_ez(np.ascontiguousarray(ez_block[:, j]))
-                sol = problem.measure(solver, fields, incident, infra)
-                solutions.append(sol)
-                powers.extend(sol.raw_powers[n] / p_in for n in names)
-            return np.array(powers, dtype=np.float64), (solver, solutions)
-
-        def vjp(g, out, residuals, occ_design):
-            solver, solutions = residuals
-            adjoint_rhs = []
-            offset = 0
-            for (direction, problem, p_in, incident, infra, names), sol in zip(
-                infos, solutions
-            ):
-                cotangents = {
-                    n: float(g[offset + i]) for i, n in enumerate(names)
-                }
-                offset += len(names)
-                adjoint_rhs.append(
-                    problem.adjoint_source(sol, cotangents, input_power=p_in)
-                )
-            lam_block = solver.solve_many(np.stack(adjoint_rhs, axis=1), trans="T")
-            grad = np.zeros(self.grid.shape, dtype=np.float64)
-            for j, ((direction, problem, *_rest), sol) in enumerate(
-                zip(infos, solutions)
-            ):
-                grad += problem.grad_from_adjoint(
-                    sol, np.ascontiguousarray(lam_block[:, j])
-                )
-            return (grad[dslice] * contrast,)
-
-        return custom_vjp_with_residuals(
-            forward, vjp, name=f"{self.name}:all:powers"
-        )
-
-    # ------------------------------------------------------------------ #
-    # Corner-batched powers (block-corner solver backends)               #
-    # ------------------------------------------------------------------ #
-    @property
-    def supports_corner_block(self) -> bool:
-        """Whether the workspace backend can solve corner blocks.
-
-        A property, matching
-        :attr:`SimulationWorkspace.supports_corner_block`, so truthiness
-        checks behave the same on both layers.
-        """
-        return self.workspace is not None and self.workspace.supports_corner_block
-
-    def can_batch_corners(self, alpha_bgs: Sequence[float]) -> bool:
-        """Cheap gate: whether :meth:`port_powers_corners` would batch.
-
-        Callers check this *before* running the per-corner fabrication
-        chains — when a port touches the design window the block op can
-        never apply, and probing here avoids fabricating a corner family
-        whose batched solve will be refused.  Unlike
-        :meth:`_corner_block_op` it builds no backgrounds or closures;
-        it does run (and cache) each (direction, alpha) calibration on
-        first touch — solves the subsequent power evaluation needs
-        anyway.
-        """
-        if not self.supports_corner_block:
-            return False
-        for alpha in dict.fromkeys(float(a) for a in alpha_bgs):
-            for direction in self.directions:
-                *_rest, infra = self._calibration_with_infra(direction, alpha)
-                if infra is None:
-                    return False
-        return True
-
-    def _corner_block_op(self, alpha_bgs: tuple[float, ...]):
-        """Corner-batched power op; ``None`` when block solves can't apply.
-
-        One custom op spanning *all* corners of an iteration: the forward
-        pass stacks every corner's (per-direction) source into one
-        ``(n, k)`` block solved by the workspace's
-        :class:`~repro.fdfd.linalg.CornerBlockSolver` — shared ``L @ X``
-        and single matrix-RHS preconditioner sweeps — and the VJP stacks
-        every adjoint system into one transposed block solve.  Corners
-        sharing a temperature share one calibration; multi-direction
-        devices contribute one column per direction per corner.
-        """
-        if not self.supports_corner_block:
-            return None
-        infos_by_alpha: dict[float, list] = {}
-        for alpha in dict.fromkeys(alpha_bgs):
-            infos = []
-            for direction in self.directions:
-                problem, p_in, incident, infra = self._calibration_with_infra(
-                    direction, alpha
-                )
-                if infra is None:
-                    # A port touches the design window: sources depend on
-                    # the pattern and cannot be precomputed or stacked.
-                    return None
-                infos.append(
-                    (direction, problem, p_in, incident, infra,
-                     self.port_names(direction))
-                )
-            infos_by_alpha[alpha] = infos
-        bg_by_alpha = {
-            alpha: self.cached_background() * alpha for alpha in infos_by_alpha
-        }
-        dslice = self.design_slice
-        contrast = self.eps_solid - EPS_VOID
-        pml = next(iter(infos_by_alpha.values()))[0][1].pml
-        workspace = self.workspace
-
-        def forward(*occ_designs):
-            assembly = workspace.assembly(self.grid, self.omega, pml)
-            eps_list = []
-            for alpha, occ_design in zip(alpha_bgs, occ_designs):
-                occ = bg_by_alpha[alpha].copy()
-                occ[dslice] = occ_design
-                eps_list.append(self.eps_from_occupancy(occ))
-            block = workspace.begin_corner_block(assembly, eps_list)
-            rhs_cols = []
-            systems = []
-            col_infos = []
-            for i, alpha in enumerate(alpha_bgs):
-                for info in infos_by_alpha[alpha]:
-                    rhs_cols.append(
-                        (-1j * self.omega)
-                        * info[4].source_jz.ravel().astype(np.complex128)
-                    )
-                    systems.append(i)
-                    col_infos.append(info)
-            systems = np.asarray(systems, dtype=np.intp)
-            ez_block = block.solve_block(np.stack(rhs_cols, axis=1), systems)
-            # Derived H fields for the whole block: two sparse mat-mats
-            # instead of two matvecs per column.
-            hx_block, hy_block = derive_h_fields(
-                assembly.ops["dxf"], assembly.ops["dyf"], self.omega, ez_block
-            )
-            powers = []
-            solutions = []
-            for j, (direction, problem, p_in, incident, infra, names) in (
-                enumerate(col_infos)
-            ):
-                fields = FdfdFields(
-                    ez=np.ascontiguousarray(ez_block[:, j]).reshape(
-                        self.grid.shape
-                    ),
-                    hx=np.ascontiguousarray(hx_block[:, j]).reshape(
-                        self.grid.shape
-                    ),
-                    hy=np.ascontiguousarray(hy_block[:, j]).reshape(
-                        self.grid.shape
-                    ),
-                )
-                sol = problem.measure(None, fields, incident, infra)
-                solutions.append(sol)
-                powers.extend(sol.raw_powers[n] / p_in for n in names)
-            return (
-                np.array(powers, dtype=np.float64),
-                (block, systems, col_infos, solutions),
-            )
-
-        def vjp(g, out, residuals, *occ_designs):
-            block, systems, col_infos, solutions = residuals
-            adjoint_cols = []
-            offset = 0
-            for (direction, problem, p_in, incident, infra, names), sol in zip(
-                col_infos, solutions
-            ):
-                cotangents = {
-                    n: float(g[offset + i]) for i, n in enumerate(names)
-                }
-                offset += len(names)
-                adjoint_cols.append(
-                    problem.adjoint_source(sol, cotangents, input_power=p_in)
-                )
-            lam_block = block.solve_block(
-                np.stack(adjoint_cols, axis=1), systems, trans="T"
-            )
-            grads = [np.zeros(self.grid.shape) for _ in occ_designs]
-            for j, ((direction, problem, *_rest), sol) in enumerate(
-                zip(col_infos, solutions)
-            ):
-                grads[systems[j]] += problem.grad_from_adjoint(
-                    sol, np.ascontiguousarray(lam_block[:, j])
-                )
-            return tuple(grad[dslice] * contrast for grad in grads)
-
-        return custom_vjp_with_residuals(
-            forward, vjp, name=f"{self.name}:corners:powers"
-        )
-
-    def _split_corner_powers(self, vector, n_corners: int, wrap) -> list[dict]:
-        """Unflatten the corner-major power vector the block op emits.
-
-        Each corner's segment is delegated to :meth:`_split_by_direction`
-        so the per-direction layout stays defined in exactly one place.
-        """
-        stride = sum(len(self.port_names(d)) for d in self.directions)
-        return [
-            self._split_by_direction(
-                vector[c * stride : (c + 1) * stride], wrap
-            )
-            for c in range(n_corners)
-        ]
+        return self.port_powers_corners([rho_scaled], [alpha_bg])[0]
 
     def port_powers_corners(
         self, rho_scaled_list: Sequence, alpha_bgs: Sequence[float]
-    ) -> list[dict[str, dict[str, Tensor]]] | None:
-        """Differentiable powers for a whole corner family (one block solve).
+    ) -> list[dict[str, dict[str, Tensor]]]:
+        """Differentiable powers for a whole corner family (one op call).
 
         Parameters
         ----------
@@ -836,55 +735,23 @@ class PhotonicDevice:
         alpha_bgs:
             Matching background temperature scales.
 
-        Returns ``None`` when the workspace backend cannot solve corner
-        blocks (callers fall back to per-corner :meth:`port_powers_all`),
-        otherwise one ``{direction: {port: Tensor}}`` dict per corner,
-        all produced by a single blocked forward solve — and, on the
-        backward pass, a single blocked adjoint solve.
+        Returns one ``{direction: {port: Tensor}}`` dict per corner.  On
+        a block-capable backend all corners share a single blocked
+        forward solve and, on the backward pass, a single blocked
+        adjoint solve; other backends solve each corner with its own
+        factorization (see :meth:`_power_op`).
         """
-        if len(rho_scaled_list) != len(alpha_bgs):
-            raise ValueError(
-                f"{len(rho_scaled_list)} patterns for {len(alpha_bgs)} "
-                "temperature scales"
-            )
-        if not rho_scaled_list:
-            raise ValueError("port_powers_corners needs at least one corner")
-        op = self._corner_block_op(tuple(float(a) for a in alpha_bgs))
-        if op is None:
-            return None
-        tensors = [as_tensor(rho) for rho in rho_scaled_list]
-        for tensor in tensors:
-            if tuple(tensor.shape) != self.design_shape:
-                raise ValueError(
-                    f"design shape {tensor.shape} != {self.design_shape}"
-                )
-        vector = op(*tensors)
-        return self._split_corner_powers(vector, len(tensors), lambda e: e)
+        return self._powers(rho_scaled_list, alpha_bgs, self.directions, True)
 
     def port_powers_array_corners(
         self, patterns: Sequence[np.ndarray], alpha_bgs: Sequence[float]
-    ) -> list[dict[str, dict[str, float]]] | None:
-        """Plain numpy corner-batched powers (evaluation path, no tape).
+    ) -> list[dict[str, dict[str, float]]]:
+        """Plain numpy corner-family powers (evaluation path, no tape).
 
         The no-tape counterpart of :meth:`port_powers_corners`: every
-        Monte-Carlo sample's forward system joins one block solve.
-        Returns ``None`` when block solves can't apply.
+        Monte-Carlo sample's forward system joins one op call.
         """
-        if len(patterns) != len(alpha_bgs):
-            raise ValueError(
-                f"{len(patterns)} patterns for {len(alpha_bgs)} "
-                "temperature scales"
-            )
-        if not patterns:
-            raise ValueError(
-                "port_powers_array_corners needs at least one corner"
-            )
-        op = self._corner_block_op(tuple(float(a) for a in alpha_bgs))
-        if op is None:
-            return None
-        arrays = [np.asarray(p, dtype=np.float64) for p in patterns]
-        vector = op(*arrays).data
-        return self._split_corner_powers(vector, len(arrays), float)
+        return self._powers(patterns, alpha_bgs, self.directions, False)
 
     # ------------------------------------------------------------------ #
     # Forward-replay seam (process-pool corner fan-out)                  #
@@ -964,10 +831,9 @@ class PhotonicDevice:
     ) -> dict[str, dict[str, Tensor]]:
         """Differentiable port powers from precomputed fields (no solve).
 
-        The parent half of the process-pool corner fan-out, and the
-        custom-op seam the tentpole is built on: the forward pass simply
-        returns the worker-computed powers, while the VJP assembles the
-        adjoint field from the summary's basis columns —
+        The parent half of the process-pool corner fan-out: the forward
+        pass simply returns the worker-computed powers, while the VJP
+        assembles the adjoint field from the summary's basis columns —
         ``lam = sum_j g_j coeff_j y_j`` per direction, then the standard
         ``-2 omega^2 Re(lam * ez)`` permittivity gradient — so the taped
         backward pass runs entirely in the parent with zero FDFD solves.
@@ -1041,37 +907,23 @@ class PhotonicDevice:
         op = custom_vjp_with_residuals(
             forward, vjp, name=f"{self.name}:precomputed:powers"
         )
-        return self._split_by_direction(op(rho_scaled), lambda entry: entry)
+        return self._split_powers(
+            op(rho_scaled), 1, self.directions, lambda entry: entry
+        )[0]
 
     def port_powers_array(
         self, rho_scaled: np.ndarray, direction: str, alpha_bg: float = 1.0
     ) -> dict[str, float]:
-        """Plain numpy port powers (evaluation path, no tape)."""
-        problem, p_in, incident, infra = self._calibration_with_infra(
-            direction, alpha_bg
-        )
-        occ = self.cached_background() * alpha_bg
-        occ[self.design_slice] = rho_scaled
-        sol = problem.solve(
-            self.eps_from_occupancy(occ), incident_ez=incident, infra=infra
-        )
-        return {n: sol.raw_powers[n] / p_in for n in self.port_names(direction)}
+        """Plain numpy port powers of one direction (no tape)."""
+        return self._powers([rho_scaled], [alpha_bg], [direction], False)[0][
+            direction
+        ]
 
     def port_powers_array_all(
         self, rho_scaled: np.ndarray, alpha_bg: float = 1.0
     ) -> dict[str, dict[str, float]]:
         """Plain numpy port powers for *every* direction (no tape).
 
-        The evaluation-path counterpart of :meth:`port_powers_all`: on a
-        multi-direction device the forward sources stack into one
-        matrix-RHS solve; otherwise it loops :meth:`port_powers_array`
-        with identical results.
+        The evaluation-path counterpart of :meth:`port_powers_all`.
         """
-        op = self._power_op_all(alpha_bg) if len(self.directions) > 1 else None
-        if op is None:
-            return {
-                d: self.port_powers_array(rho_scaled, d, alpha_bg)
-                for d in self.directions
-            }
-        vector = op(np.asarray(rho_scaled, dtype=np.float64)).data
-        return self._split_by_direction(vector, float)
+        return self.port_powers_array_corners([rho_scaled], [alpha_bg])[0]

@@ -9,9 +9,7 @@ import numpy as np
 
 from repro.core.executors import (
     CornerExecutor,
-    SerialExecutor,
     make_executor,
-    map_ordered_with_serial_head,
     run_warm_task,
     stable_worker_token,
 )
@@ -192,6 +190,45 @@ def _evaluate_sample_task(
     return fom, powers, delta, worker, obs
 
 
+def _evaluate_local(
+    device: PhotonicDevice,
+    process: FabricationProcess,
+    pattern: np.ndarray,
+    corners: "list[VariationCorner]",
+    block_chunk: int,
+) -> "list[tuple[float, dict[str, dict[str, float]]]]":
+    """In-process FoMs + powers of every scenario, in corner order.
+
+    Samples are grouped by omega (order-preserving) so each wavelength's
+    samples share their Laplacian.  Each group is evaluated through the
+    device's power op: ``block_chunk`` samples per call on a
+    block-capable backend — one blocked solve each, the first sample of
+    a chunk anchoring it — and one sample per call otherwise.
+    """
+    fabbed = [process.apply_array(pattern, c) for c in corners]
+    alphas = [alpha_of_temperature(c.temperature_k) for c in corners]
+    groups: dict = {}
+    for i, c in enumerate(corners):
+        lam = (
+            c.wavelength_um
+            if c.wavelength_um is not None
+            else device.wavelength_um
+        )
+        groups.setdefault(round(float(lam), 12), []).append(i)
+    results: list = [None] * len(corners)
+    for idxs in groups.values():
+        clone = device.for_corner(corners[idxs[0]])
+        step = block_chunk if clone.supports_corner_block else 1
+        for start in range(0, len(idxs), step):
+            sel = idxs[start:start + step]
+            chunk = clone.port_powers_array_corners(
+                [fabbed[i] for i in sel], [alphas[i] for i in sel]
+            )
+            for i, powers in zip(sel, chunk):
+                results[i] = (clone.fom(powers), powers)
+    return results
+
+
 def evaluate_post_fab(
     device: PhotonicDevice,
     process: FabricationProcess,
@@ -219,26 +256,23 @@ def evaluate_post_fab(
     seed:
         Evaluation seed, independent of the optimization seed.
     executor:
-        Sample fan-out backend (``None``/``"serial"``, ``"thread"``,
-        ``"process"``, ``"remote:host:port[,...]"``, or a
+        Sample fan-out backend (``None``/``"serial"``, ``"process"``,
+        ``"remote:host:port[,...]"``, or a
         :class:`~repro.core.executors.CornerExecutor`).
         All corners are drawn *before* the fan-out and results reduce in
         sample order, so with LU-backed solver backends the report is
         bit-identical for every backend and worker count — including the
         remote backend, whose dead-worker resubmission re-runs the same
-        pure per-sample tasks on survivors.  The ``krylov``
-        backend evaluates the first sample before the fan-out on
-        shared-memory executors so the preconditioner anchor is
-        deterministic (process workers re-warm their own workspaces and
-        anchor per worker chunk); its pooled-executor results can still
-        differ from serial at the solver tolerance, since fallback
-        anchors arrive in scheduling order.  With a block-capable
-        backend (``krylov-block``) and the serial executor, every
-        sample's forward system joins one blocked solve
+        pure per-sample tasks on survivors.  The serial executor
+        evaluates samples in-process through the device's power op; with
+        a block-capable backend (``krylov-block``) every chunk of
+        samples joins one blocked solve
         (:meth:`PhotonicDevice.port_powers_array_corners`) — the first
         sample anchors the block deterministically, and samples that
         don't converge against it fall back to their own direct
-        factorizations.
+        factorizations.  Process workers re-warm their own workspaces
+        and anchor per worker chunk, so preconditioned backends agree
+        with serial to the solver tolerance there.
     block_chunk:
         Samples per blocked solve on the ``krylov-block`` path (must be
         >= 1; default 2).  Small chunks let fallback factorizations
@@ -289,63 +323,19 @@ def evaluate_post_fab(
         remote_timeout=remote_timeout,
         remote_connect_retries=remote_connect_retries,
     )
-    # In-process (serial/thread) task; the process and remote backends
-    # route through _evaluate_sample_task below for worker warm-pooling
-    # and stats merging.
-    task = functools.partial(_evaluate_sample, device, process, pattern)
     workspace = device.workspace
     try:
-        results = None
-        alphas = [alpha_of_temperature(c.temperature_k) for c in corners]
-        # Order-preserving omega groups: samples of one wavelength share
-        # their Laplacian and ride the same blocked solves.  A
-        # non-stratified evaluation is a single group on `device`.
-        omega_groups: dict = {}
-        for i, c in enumerate(corners):
-            lam = (
-                c.wavelength_um
-                if c.wavelength_um is not None
-                else device.wavelength_um
+        if pool.supports_shared_memory:
+            results = _evaluate_local(
+                device, process, pattern, corners, block_chunk
             )
-            omega_groups.setdefault(round(float(lam), 12), []).append(i)
-        if (
-            workspace is not None
-            and workspace.supports_corner_block
-            and isinstance(pool, SerialExecutor)
-            # Gate before fabricating all samples (see PhotonicDevice
-            # .can_batch_corners): an unbatchable device would waste
-            # every apply_array below.
-            and all(
-                device.for_corner(corners[idxs[0]]).can_batch_corners(
-                    [alphas[i] for i in idxs]
-                )
-                for idxs in omega_groups.values()
-            )
-        ):
-            fabbed = [process.apply_array(pattern, c) for c in corners]
-            blocked: list | None = [None] * n_scenarios
-            for idxs in omega_groups.values():
-                clone = device.for_corner(corners[idxs[0]])
-                for start in range(0, len(idxs), block_chunk):
-                    sel = idxs[start:start + block_chunk]
-                    chunk = clone.port_powers_array_corners(
-                        [fabbed[i] for i in sel], [alphas[i] for i in sel]
-                    )
-                    if chunk is None:
-                        blocked = None
-                        break
-                    for i, powers in zip(sel, chunk):
-                        blocked[i] = (clone.fom(powers), powers)
-                if blocked is None:
-                    break
-            results = blocked
-        if results is None and not pool.supports_shared_memory:
+        else:
             # Process/remote fan-out: same warm-pool seam as the
             # engine's taped corner fan-out — workers (forked or behind
             # a socket) keep their re-warmed device across chunks and
             # repeated evaluations, and their solve statistics merge
             # back into the parent workspace.
-            task_p = functools.partial(
+            task = functools.partial(
                 _evaluate_sample_task,
                 stable_worker_token(device, ":eval"),
                 device,
@@ -358,7 +348,7 @@ def evaluate_post_fab(
                 "eval.dispatch", "eval",
                 backend=pool.name, samples=len(corners),
             ) as dispatch:
-                outcomes = pool.map_ordered(task_p, corners)
+                outcomes = pool.map_ordered(task, corners)
             tracer = get_tracer()
             metrics = get_metrics()
             for fom, powers, delta, _worker, obs in outcomes:
@@ -369,13 +359,6 @@ def evaluate_post_fab(
                 if workspace is not None:
                     workspace.merge_solver_stats(delta)
                 results.append((fom, powers))
-        if results is None:
-            results = map_ordered_with_serial_head(
-                pool,
-                task,
-                corners,
-                workspace is not None and workspace.solver_uses_preconditioner,
-            )
     finally:
         if not isinstance(executor, CornerExecutor):
             pool.shutdown()

@@ -96,19 +96,7 @@ def wavelength_sweep(
     all_powers: list[dict[str, dict[str, float]]] = []
     for i, lam in enumerate(wavelengths):
         clone = device.at_wavelength(lam)
-        powers = None
-        if clone.supports_corner_block and clone.can_batch_corners([alpha_bg]):
-            # Block-capable backend (krylov-block): this wavelength's
-            # per-direction systems ride one blocked solve — shared
-            # ``L @ X`` and a single matrix-RHS preconditioner sweep —
-            # instead of one scalar solve per direction.  The direct
-            # backend never takes this branch, so its results stay
-            # bitwise.
-            batched = clone.port_powers_array_corners([pattern], [alpha_bg])
-            if batched is not None:
-                powers = batched[0]
-        if powers is None:
-            powers = clone.port_powers_array_all(pattern, alpha_bg)
+        powers = clone.port_powers_array_all(pattern, alpha_bg)
         foms[i] = clone.fom(powers)
         all_powers.append(powers)
     return SpectrumResult(

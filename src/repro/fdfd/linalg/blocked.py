@@ -27,8 +27,8 @@ parameterized systems:
 ``BlockedKrylovSolver``
     The registry entry (``"krylov-block"``).  Per-matrix behaviour is
     inherited from :class:`PreconditionedKrylovSolver` (calibration
-    runs, worst-corner probes and any taped/threaded per-corner path
-    keep working unchanged); its :meth:`corner_block` classmethod is the
+    runs and the forward solves of process/remote workers keep working
+    unchanged); its :meth:`corner_block` classmethod is the
     seam :meth:`SimulationWorkspace.begin_corner_block` uses to build
     the block operator for one iteration's corner family.
 """
@@ -502,8 +502,8 @@ class CornerBlockSolver:
 class BlockedKrylovSolver(PreconditionedKrylovSolver):
     """Corner-block-capable Krylov backend.
 
-    Per-matrix solves (calibration environments, worst-corner probes,
-    any taped/threaded per-corner path) behave exactly like the scalar
+    Per-matrix solves (calibration environments, the forward solves of
+    process/remote workers) behave exactly like the scalar
     ``krylov`` backend — this class only *adds* the corner-block seam
     that :meth:`SimulationWorkspace.begin_corner_block` drives.  The
     block algorithm is always blocked BiCGStab;

@@ -91,7 +91,11 @@ class DirectSolver(LinearSolver):
         rhs = np.asarray(rhs, dtype=np.complex128)
         if rhs.ndim != 2:
             raise ValueError(f"solve_many expects an (n, k) block, got {rhs.shape}")
-        self.stats.add(solves=1, rhs_columns=rhs.shape[1], batched_calls=1)
+        self.stats.add(
+            solves=1,
+            rhs_columns=rhs.shape[1],
+            batched_calls=int(rhs.shape[1] > 1),
+        )
         with span("solver.solve", "solver", backend="direct",
                   columns=rhs.shape[1]):
             out = self._lu.solve(rhs, trans=trans)

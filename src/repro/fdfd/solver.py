@@ -20,8 +20,6 @@ bit-identical matrices and fields — the caches are content-addressed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -47,15 +45,13 @@ def derive_h_fields(dxf, dyf, omega: float, ez):
     ``e^{+i omega t}``, the curl relations give
     ``Hx = -d_y Ez / (i omega mu)`` and ``Hy = +d_x Ez / (i omega mu)``
     in natural units.  ``ez`` may be a flat vector or an ``(n, k)``
-    block — sparse mat-vec and mat-mat both apply, so blocked solvers
-    derive all columns' H fields in two products.
+    block — sparse mat-vec and mat-mat both apply.
     """
     hx = -(dyf @ ez) / (1j * omega)
     hy = (dxf @ ez) / (1j * omega)
     return hx, hy
 
 
-@dataclass
 class FdfdFields:
     """Field solution bundle on the simulation grid.
 
@@ -64,12 +60,29 @@ class FdfdFields:
     ez:
         Out-of-plane electric field, shape ``(Nx, Ny)`` complex.
     hx, hy:
-        In-plane magnetic fields derived from ``ez`` (same shape).
+        In-plane magnetic fields derived from ``ez`` (same shape) on
+        first access.  Port powers, adjoint sources and gradients read
+        only ``ez``; only the Poynting-flux monitors read H.
     """
 
-    ez: np.ndarray
-    hx: np.ndarray
-    hy: np.ndarray
+    def __init__(self, ez: np.ndarray, dxf, dyf, omega: float):
+        self.ez = ez
+        self._derive = (dxf, dyf, omega)
+        self._h: tuple[np.ndarray, np.ndarray] | None = None
+
+    def _h_fields(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._h is None:
+            hx, hy = derive_h_fields(*self._derive, self.ez.ravel())
+            self._h = (hx.reshape(self.ez.shape), hy.reshape(self.ez.shape))
+        return self._h
+
+    @property
+    def hx(self) -> np.ndarray:
+        return self._h_fields()[0]
+
+    @property
+    def hy(self) -> np.ndarray:
+        return self._h_fields()[1]
 
 
 class HelmholtzSolver:
@@ -128,15 +141,15 @@ class HelmholtzSolver:
 
         if workspace is not None:
             assembly = workspace.assembly(grid, self.omega, pml)
-            self._dxf = assembly.ops["dxf"]
-            self._dyf = assembly.ops["dyf"]
+            self.dxf = assembly.ops["dxf"]
+            self.dyf = assembly.ops["dyf"]
             self.linsolver = workspace.linear_solver(assembly, eps_r)
             self.system_matrix = self.linsolver.matrix
         else:
             ops = build_derivative_ops(grid, self.omega, pml)
             laplacian = laplacian_from_ops(ops)
-            self._dxf = ops["dxf"]
-            self._dyf = ops["dyf"]
+            self.dxf = ops["dxf"]
+            self.dyf = ops["dyf"]
             self.system_matrix = (
                 laplacian
                 + sp.diags(self.omega**2 * eps_r.ravel(), format="csr")
@@ -163,8 +176,8 @@ class HelmholtzSolver:
         Returns
         -------
         FdfdFields
-            ``ez`` plus derived ``hx = d_y ez / (i omega)`` and
-            ``hy = -d_x ez / (i omega)``.
+            ``ez``; ``hx = -d_y ez / (i omega)`` and
+            ``hy = d_x ez / (i omega)`` are derived on first access.
         """
         source_jz = np.asarray(source_jz)
         if source_jz.shape != self.grid.shape:
@@ -172,22 +185,8 @@ class HelmholtzSolver:
                 f"source shape {source_jz.shape} != grid {self.grid.shape}"
             )
         b = (-1j * self.omega) * source_jz.ravel().astype(np.complex128)
-        ez_flat = self.linsolver.solve(b)
-        return self.fields_from_ez(ez_flat)
-
-    def fields_from_ez(self, ez_flat: np.ndarray) -> FdfdFields:
-        """Derive the field bundle from a flattened ``Ez`` solution.
-
-        Split out of :meth:`solve` so that multi-RHS (batched) solves can
-        reconstruct per-column field bundles.
-        """
-        ez = ez_flat.reshape(self.grid.shape)
-        hx, hy = derive_h_fields(self._dxf, self._dyf, self.omega, ez_flat)
-        return FdfdFields(
-            ez=ez,
-            hx=hx.reshape(self.grid.shape),
-            hy=hy.reshape(self.grid.shape),
-        )
+        ez = self.linsolver.solve(b).reshape(self.grid.shape)
+        return FdfdFields(ez, self.dxf, self.dyf, self.omega)
 
     def solve_raw(self, rhs_flat: np.ndarray) -> np.ndarray:
         """Solve ``A x = rhs`` for an arbitrary flattened right-hand side."""

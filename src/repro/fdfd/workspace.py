@@ -254,22 +254,28 @@ class _PrecondAnchor:
     factorizes a complex64 twin *lazily*, the first time it actually
     preconditions something, so exact-only anchors never pay the second
     factorization; the matrix is released once the twin exists.
+
+    ``design`` marks anchors registered by a corner block — design
+    systems.  Per-matrix solves (calibration environments) register
+    plain anchors, which precondition other per-matrix solves but never
+    a block.
     """
 
-    __slots__ = ("eps", "lu", "_matrix", "_lu32")
+    __slots__ = ("eps", "lu", "_matrix", "_lu32", "design")
 
-    def __init__(self, eps: np.ndarray, lu, matrix=None):
+    def __init__(self, eps: np.ndarray, lu, matrix=None, design=False):
         self.eps = eps
         self.lu = lu
         self._matrix = matrix
         self._lu32 = None
+        self.design = design
 
     def preconditioner(self, factor_options: FactorOptions, stats: SolveStats):
         if self._matrix is None:
             return self.lu
         if self._lu32 is None:
-            # Benign race under thread fan-out: two threads may both
-            # factorize the twin; last assignment wins, both are valid.
+            # Benign race when worker threads share a workspace: two may
+            # both factorize the twin; last assignment wins, both valid.
             self._lu32 = SinglePrecisionLU.factorize(
                 self._matrix, factor_options
             )
@@ -457,16 +463,20 @@ class SimulationWorkspace:
             ),
         )
 
-    def _new_anchor(self, eps_flat, lu, matrix=None) -> _PrecondAnchor:
+    def _new_anchor(
+        self, eps_flat, lu, matrix=None, design=False
+    ) -> _PrecondAnchor:
         """An anchor entry, keeping the matrix only if a twin may be cut."""
         if self.solver_config.precond_dtype != "float32":
             matrix = None
-        return _PrecondAnchor(eps_flat, lu, matrix)
+        return _PrecondAnchor(eps_flat, lu, matrix, design)
 
-    def _add_anchor(self, akey, eps_hash, eps_flat, lu, matrix=None) -> None:
+    def _add_anchor(
+        self, akey, eps_hash, eps_flat, lu, matrix=None, design=False
+    ) -> None:
         with self._anchor_lock:
             anchors = self._anchor_pool(akey)
-            anchors[eps_hash] = self._new_anchor(eps_flat, lu, matrix)
+            anchors[eps_hash] = self._new_anchor(eps_flat, lu, matrix, design)
             while len(anchors) > self.solver_config.max_anchors:
                 anchors.popitem(last=False)
 
@@ -487,18 +497,20 @@ class SimulationWorkspace:
         """Open a corner block: one block operator for a corner family.
 
         The block analogue of the per-corner :meth:`linear_solver` path,
-        sharing its anchor policy: the first permittivity of the epoch
-        (``eps_list[0]`` — the nominal corner in the optimizer loop, if
-        nothing anchored earlier) is factorized and becomes the anchor;
-        the whole block is preconditioned by the anchor nearest to the
-        nominal corner.  Systems whose permittivity *is* an existing
-        anchor are solved exactly with that LU (like the scalar path's
-        ``DirectSolver`` for the anchor corner), and per-column direct
-        fallbacks re-anchor through :meth:`_add_anchor` exactly like the
-        scalar fallback.
+        sharing its anchor policy: the first design system of the epoch
+        (``eps_list[0]`` — the worst-corner probe or the nominal corner
+        in the optimizer loop, if no block anchored earlier) is
+        factorized and becomes the anchor; the whole block is
+        preconditioned by the block anchor nearest to the nominal
+        corner.  Anchors that per-matrix solves registered (calibration
+        environments) never precondition a block.  Systems whose
+        permittivity *is* an existing anchor are solved exactly with
+        that LU (like the scalar path's ``DirectSolver`` for the anchor
+        corner), and per-column direct fallbacks re-anchor through
+        :meth:`_add_anchor` exactly like the scalar fallback.
 
         Returns ``None`` when the configured backend is not
-        block-capable — callers then fall back to per-corner solves.
+        block-capable.
         """
         backend_cls = SOLVER_REGISTRY[self.solver_config.backend]
         if not getattr(backend_cls, "supports_corner_block", False):
@@ -516,21 +528,24 @@ class SimulationWorkspace:
         nominal_flat = eps_arrs[0].ravel()
         with self._anchor_lock:
             anchors = self._anchor_pool(akey)
-            seed_nominal = not anchors
+            # One preconditioner serves the whole block, so an
+            # off-family anchor would sink every column at once — the
+            # scalar path self-heals via its first fallback, the block
+            # must decide up front.  A calibration environment (a plain
+            # anchor) is off-family for every design system: as the
+            # epoch's first factorization it would otherwise cost the
+            # worst-corner probe its whole iteration budget.
+            family = [a for a in anchors.values() if a.design]
+            seed_nominal = not family
             nearest = None
-            if anchors:
+            if family:
                 nearest = min(
-                    anchors.values(),
+                    family,
                     key=lambda a: float(
                         np.linalg.norm(a.eps - nominal_flat)
                     ),
                 )
                 if hashes[0] not in anchors and len(eps_arrs) > 1:
-                    # One preconditioner serves the whole block, so an
-                    # off-family anchor (e.g. a calibration environment
-                    # factorized earlier in the epoch) would sink every
-                    # column at once — the scalar path self-heals via its
-                    # first fallback, the block must decide up front.
                     # Yardstick: the corner family's own spread around
                     # the nominal; an anchor within ~2 spreads is
                     # family-grade (the worst-corner probe), anything
@@ -564,7 +579,7 @@ class SimulationWorkspace:
                         fkey, DirectSolver(matrix, lu, self.solver_stats)
                     )
                 anchors[hashes[0]] = self._new_anchor(
-                    nominal_flat.copy(), lu, matrix
+                    nominal_flat.copy(), lu, matrix, design=True
                 )
                 while len(anchors) > self.solver_config.max_anchors:
                     anchors.popitem(last=False)
@@ -586,7 +601,7 @@ class SimulationWorkspace:
         def reanchor(system: int, direct) -> None:
             self._add_anchor(
                 akey, hashes[system], eps_arrs[system].ravel().copy(),
-                direct.lu, matrix=direct.matrix,
+                direct.lu, matrix=direct.matrix, design=True,
             )
             # Mirror the scalar path: the fallback solver joins the
             # factorization LRU so re-solving this permittivity (same

@@ -402,10 +402,14 @@ class TestCornerBatchedPowers:
             rel = np.linalg.norm(g_block - g_direct) / np.linalg.norm(g_direct)
             assert rel < 1e-6
 
-    def test_non_block_backend_returns_none(self, bend_pattern):
-        device = device_with_backend("bending", "krylov")
-        assert device.port_powers_corners([bend_pattern], [1.0]) is None
-        assert device.port_powers_array_corners([bend_pattern], [1.0]) is None
+    def test_non_block_backend_solves_each_corner(self, bend_pattern):
+        device = device_with_backend("bending", "direct")
+        patterns = [bend_pattern, np.clip(bend_pattern * 0.9, 0.0, 1.0)]
+        alphas = [1.0, 0.999]
+        family = device.port_powers_array_corners(patterns, alphas)
+        for pattern, alpha, powers in zip(patterns, alphas, family):
+            assert powers == device.port_powers_array_all(pattern, alpha)
+        assert device.workspace.stats()["solver"]["block_solves"] == 0
 
     def test_mismatched_lengths_raise(self, bend_pattern):
         device = device_with_backend("bending", "krylov-block")
@@ -432,27 +436,31 @@ class TestEngineAndEvalAgreement:
         block, block_stats = self._trace("bending", "krylov-block", 3)
         np.testing.assert_allclose(block, direct, rtol=1e-5, atol=1e-8)
         np.testing.assert_allclose(block, krylov, rtol=1e-5, atol=1e-8)
-        # The engine actually used the blocked path: forward + adjoint
-        # block per iteration, and far fewer blocked sweeps than the
-        # scalar path's per-column iterations.
-        assert block_stats["block_solves"] == 2 * 3
+        # The engine actually used the blocked path: per iteration a
+        # forward + adjoint block for the corner family and another pair
+        # for the one-system worst-corner probe, and far fewer blocked
+        # sweeps than the scalar path's per-column iterations.
+        assert block_stats["block_solves"] == 4 * 3
         assert block_stats["block_sweeps"] > 0
         assert block_stats["block_sweeps"] < scalar_stats["iterations"]
 
-    def test_threaded_executor_keeps_per_corner_path(self):
-        device = make_device("bending")
-        optimizer = Boson1Optimizer(
-            device,
-            OptimizerConfig(
-                iterations=1, seed=0, solver="krylov-block",
-                corner_executor="thread:2",
-            ),
-        )
-        result = optimizer.run()
-        optimizer.close()
-        stats = device.workspace.stats()["solver"]
-        assert stats["block_solves"] == 0  # taped threads: scalar path
-        assert len(result.history) == 1
+    @pytest.mark.parametrize(
+        "device_name, wasted, fallbacks",
+        [("bending", 0, 0), ("crossing", 0, 0), ("isolator", 12, 1)],
+    )
+    def test_calibration_anchor_never_preconditions_a_block(
+        self, device_name, wasted, fallbacks
+    ):
+        """Iteration 0's first factorization is the alpha=1 calibration.
+
+        The worst-corner probe — a one-system block — must seed its own
+        anchor instead of spending its iteration budget against that
+        straight-guide LU.  What the isolator still wastes is its
+        backward calibration solved against the forward one's anchor.
+        """
+        _, stats = self._trace(device_name, "krylov-block", 2)
+        assert stats["wasted_iterations"] == wasted
+        assert stats["fallbacks"] == fallbacks
 
     def test_evaluate_post_fab_block_matches_direct(self, bend_pattern):
         reports = {}

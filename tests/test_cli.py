@@ -50,6 +50,24 @@ class TestParser:
         assert "--solver" in err
         assert replacement in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["design", "bending"],
+            ["evaluate", "result.json"],
+            ["submit", "bending", "--connect", "127.0.0.1:1"],
+        ],
+        ids=["design", "evaluate", "submit"],
+    )
+    @pytest.mark.parametrize("spec", ["thread", "thread:2"])
+    def test_thread_executor_exits_2_naming_process(self, capsys, argv, spec):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--executor", spec])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--executor" in err
+        assert "'process" in err
+
     def test_help_documents_solver_fallback(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["design", "--help"])

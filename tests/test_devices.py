@@ -11,6 +11,8 @@ from repro.devices import (
     WaveguideCrossing,
     make_device,
 )
+from repro.fdfd import SimulationWorkspace
+from repro.fdfd.adjoint import PortSpec
 from repro.params import rasterize_segments
 
 
@@ -207,6 +209,66 @@ class TestDeviceAdjoint:
         p2 = crossing.port_powers(rho2, "fwd")
         p2["out"].backward()
         assert not np.allclose(rho1.grad, rho2.grad)
+
+
+def _weighted_total(powers, weights):
+    total = None
+    for name, value in powers.items():
+        term = value * weights[name]
+        total = term if total is None else total + term
+    return total
+
+
+class TestOnePowerOp:
+    """Every public power entry point is a view of the same custom op."""
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.0127])
+    @pytest.mark.parametrize("name", ["bending", "crossing", "isolator"])
+    def test_entry_points_agree_bitwise(self, name, alpha):
+        device = make_device(name)
+        device.configure_simulation_cache(True, SimulationWorkspace())
+        rho = path_pattern(device) * alpha
+        rng = np.random.default_rng(3)
+        for direction in device.directions:
+            weights = {
+                n: float(rng.uniform(0.5, 1.5))
+                for n in device.port_names(direction)
+            }
+            views = {
+                "direction": lambda t: device.port_powers(
+                    t, direction, alpha
+                ),
+                "all": lambda t: device.port_powers_all(t, alpha)[direction],
+                "corners": lambda t: device.port_powers_corners(
+                    [t], [alpha]
+                )[0][direction],
+            }
+            results = {}
+            for key, view in views.items():
+                t = Tensor(rho.copy(), requires_grad=True)
+                powers = view(t)
+                _weighted_total(powers, weights).backward()
+                results[key] = (
+                    {n: p.item() for n, p in powers.items()}, t.grad
+                )
+            ref_powers, ref_grad = results["direction"]
+            for key in ("all", "corners"):
+                powers, grad = results[key]
+                assert powers == ref_powers, (key, direction)
+                assert np.array_equal(grad, ref_grad), (key, direction)
+            values = device.port_powers_array_all(rho, alpha)[direction]
+            assert values == ref_powers
+
+    def test_port_inside_design_window_refused(self):
+        class CutBend(WaveguideBend):
+            def monitor_ports(self, direction):
+                ports = super().monitor_ports(direction)
+                c = self.centre_um
+                return [PortSpec("probe", "y", c, c, 0.4), *ports[1:]]
+
+        device = CutBend()
+        with pytest.raises(ValueError, match="port 'probe' crosses"):
+            device.port_powers_array(np.zeros(device.design_shape), "fwd")
 
 
 class TestObjectiveTerms:

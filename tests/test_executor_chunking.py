@@ -3,7 +3,7 @@
 PR 4's determinism suite pinned fixed cases (one device, fixed corner
 counts, two worker counts).  These properties generalize it: for
 *random* item counts, chunkings and worker counts, an ordered map over
-any registered executor — serial, thread, process, and remote loopback
+any registered executor — serial, process, and remote loopback
 workers — must reproduce the serial result list exactly.  The work
 items here are cheap pure arithmetic, so the properties isolate the
 *scheduling* contract (pre-assignment, work stealing, chunked pool
@@ -63,7 +63,7 @@ def fleet():
         _WORKERS.append(start_worker_subprocess())
     addresses = [address for _proc, address in _WORKERS]
     _EXECUTORS["serial"] = SerialExecutor()
-    for spec in ("thread:1", "thread:2", "thread:3", "process:2", "process:3"):
+    for spec in ("process:2", "process:3"):
         _EXECUTORS[spec] = make_executor(spec)
     _EXECUTORS["remote:1worker"] = make_executor(
         f"remote:{addresses[0][0]}:{addresses[0][1]}", remote_timeout=15.0

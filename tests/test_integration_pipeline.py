@@ -100,7 +100,9 @@ class TestCornerConsistency:
         corner = VariationCorner(
             "c", litho="max", temperature_k=320.0, eta_shift=0.01
         )
-        loss_t, powers_t = opt._corner_loss(rho, corner)
+        [(loss_t, powers_t)], _ = opt._corner_losses_local(
+            rho, [corner], include_ideal=False
+        )
 
         fabbed = opt.process.apply_array(rho.data, corner)
         alpha = alpha_of_temperature(corner.temperature_k)
@@ -174,7 +176,9 @@ class TestLossComposition:
 
         # iteration >= relax_epochs -> p = 1 (pure fab)
         loss_p1, _, _ = opt.loss(theta_t, iteration=10)
-        fab, _ = opt._corner_loss(rho, VariationCorner("nominal"))
+        [(fab, _)], _ = opt._corner_losses_local(
+            rho, [VariationCorner("nominal")], include_ideal=False
+        )
         assert loss_p1.item() == pytest.approx(fab.item(), rel=1e-9)
 
         # halfway: strictly between (generic case)

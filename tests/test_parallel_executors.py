@@ -2,12 +2,12 @@
 
 Three contracts under test:
 
-1. **Backend independence** — serial / thread executors give
-   bit-identical results for the engine loss, full optimization
-   trajectories and Monte-Carlo evaluation, for any worker count; the
-   process executor (which replays only forward solves in workers and
-   reassembles the taped VJPs in the parent) matches to solver
-   precision, for every registered solver backend.
+1. **Backend independence** — the process executor (which replays only
+   forward solves in workers and reassembles the taped VJPs in the
+   parent) matches the serial executor to solver precision for the
+   engine loss, full optimization trajectories and Monte-Carlo
+   evaluation, for every registered solver backend and any worker
+   count; the retired thread backend is refused.
 2. **Cache independence** — a full ``Boson1Optimizer`` run with the
    simulation cache on matches the cold rebuild-everything path
    bit-for-bit (same seed => identical ``fom_trace``), for both
@@ -33,7 +33,6 @@ from repro.core.executors import (
     EXECUTOR_BACKENDS,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     make_executor,
     resolve_worker_count,
     stable_worker_token,
@@ -53,22 +52,31 @@ def _square(x):
     return x * x
 
 
+def _jittery(i):
+    time.sleep(0.002 * (5 - i % 5))  # finish out of order
+    return i * 10
+
+
 class TestMakeExecutor:
     def test_default_is_serial(self):
         assert isinstance(make_executor(None), SerialExecutor)
         assert isinstance(make_executor("serial"), SerialExecutor)
 
     def test_backend_selection(self):
-        assert isinstance(make_executor("thread"), ThreadExecutor)
         assert isinstance(make_executor("process"), ProcessExecutor)
 
+    @pytest.mark.parametrize("spec", ["thread", "thread:2"])
+    def test_thread_backend_refused(self, spec):
+        with pytest.raises(ValueError, match="'serial' or 'process"):
+            make_executor(spec)
+
     def test_worker_count_suffix(self):
-        ex = make_executor("thread:3")
-        assert isinstance(ex, ThreadExecutor)
+        ex = make_executor("process:3")
+        assert isinstance(ex, ProcessExecutor)
         assert ex.max_workers == 3
 
     def test_explicit_worker_count(self):
-        assert make_executor("thread", max_workers=2).max_workers == 2
+        assert make_executor("process", max_workers=2).max_workers == 2
 
     def test_passthrough_instance(self):
         ex = SerialExecutor()
@@ -78,42 +86,33 @@ class TestMakeExecutor:
         with pytest.raises(ValueError):
             make_executor("gpu")
         with pytest.raises(ValueError):
-            make_executor("thread:zero")
+            make_executor("process:zero")
         with pytest.raises(ValueError):
-            make_executor("thread:0")
+            make_executor("process:0")
 
     def test_registry_names(self):
-        assert set(EXECUTOR_BACKENDS) == {
-            "serial",
-            "thread",
-            "process",
-            "remote",
-        }
+        assert set(EXECUTOR_BACKENDS) == {"serial", "process", "remote"}
 
 
 class TestMapOrdered:
-    @pytest.mark.parametrize("spec", ["serial", "thread:2", "thread:5"])
+    @pytest.mark.parametrize("spec", ["serial", "process:2"])
     def test_order_preserved(self, spec):
         items = list(range(20))
         with make_executor(spec) as ex:
             assert ex.map_ordered(_square, items) == [i * i for i in items]
 
-    def test_thread_results_match_serial_under_jitter(self):
-        def jittery(i):
-            time.sleep(0.002 * (5 - i % 5))  # finish out of order
-            return i * 10
-
+    def test_process_results_match_serial_under_jitter(self):
         items = list(range(10))
-        serial = SerialExecutor().map_ordered(jittery, items)
-        with make_executor("thread:4") as ex:
-            assert ex.map_ordered(jittery, items) == serial
+        serial = SerialExecutor().map_ordered(_jittery, items)
+        with make_executor("process:4") as ex:
+            assert ex.map_ordered(_jittery, items) == serial
 
     def test_process_backend(self):
         with make_executor("process:2") as ex:
             assert ex.map_ordered(_square, [1, 2, 3]) == [1, 4, 9]
 
     def test_pool_reusable_after_shutdown(self):
-        ex = make_executor("thread:2")
+        ex = make_executor("process:2")
         assert ex.map_ordered(_square, [2, 3]) == [4, 9]
         ex.shutdown()
         assert ex.map_ordered(_square, [4]) == [16]
@@ -164,7 +163,7 @@ class TestWorkerAutoTuning:
 
     def test_live_pool_size_sticks_until_shutdown(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        ex = make_executor("thread")
+        ex = make_executor("process")
         ex.map_ordered(_square, range(6))
         first = ex._pool_workers
         ex.map_ordered(_square, range(2))
@@ -211,9 +210,11 @@ class TestWorkerTokenIdentity:
 
 
 class TestConfigValidation:
-    def test_engine_accepts_serial_and_thread(self):
+    def test_engine_accepts_serial_refuses_thread(self):
         OptimizerConfig(corner_executor="serial")
-        OptimizerConfig(corner_executor="thread:2")
+        for spec in ("thread", "thread:2"):
+            with pytest.raises(ValueError, match="'serial' or 'process"):
+                OptimizerConfig(corner_executor=spec)
 
     def test_engine_accepts_process(self):
         # The forward-replay fan-out made the process backend legal for
@@ -245,17 +246,10 @@ def _run(device, **overrides):
 
 
 class TestEngineDeterminism:
-    def test_thread_matches_serial_bitwise(self, bend):
-        serial = _run(bend, corner_executor="serial")
-        threaded = _run(bend, corner_executor="thread:4")
-        assert np.array_equal(serial.fom_trace(), threaded.fom_trace())
-        assert np.array_equal(serial.loss_trace(), threaded.loss_trace())
-        assert np.array_equal(serial.pattern, threaded.pattern)
-
     def test_worker_count_irrelevant(self, bend):
-        two = _run(bend, corner_executor="thread:2")
-        five = _run(bend, corner_executor="thread:5")
-        assert np.array_equal(two.loss_trace(), five.loss_trace())
+        one = _run(bend, corner_executor="process:1")
+        two = _run(bend, corner_executor="process:2")
+        assert np.array_equal(one.loss_trace(), two.loss_trace())
 
     def test_n_corners_reports_actual_count(self, bend):
         result = _run(bend, sampling="axial+worst")
@@ -325,15 +319,6 @@ class TestMonteCarloExecutors:
         )
         return device, process, pattern
 
-    def test_thread_matches_serial(self, mc_setup):
-        device, process, pattern = mc_setup
-        serial = evaluate_post_fab(device, process, pattern, 4, seed=2)
-        threaded = evaluate_post_fab(
-            device, process, pattern, 4, seed=2, executor="thread:3"
-        )
-        assert np.array_equal(serial.foms, threaded.foms)
-        assert serial.mean_powers == threaded.mean_powers
-
     def test_process_matches_serial(self, mc_setup):
         device, process, pattern = mc_setup
         serial = evaluate_post_fab(device, process, pattern, 3, seed=2)
@@ -344,7 +329,7 @@ class TestMonteCarloExecutors:
 
     def test_executor_instance_reused_not_shut_down(self, mc_setup):
         device, process, pattern = mc_setup
-        ex = make_executor("thread:2")
+        ex = make_executor("process:2")
         a = evaluate_post_fab(device, process, pattern, 3, seed=2, executor=ex)
         b = evaluate_post_fab(device, process, pattern, 3, seed=2, executor=ex)
         assert np.array_equal(a.foms, b.foms)
@@ -631,24 +616,6 @@ class TestProcessTapedFanout:
 
 class TestCrossExecutorDeterminism:
     """fom_trace agreement across executors x workers x solver backends."""
-
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_thread_matches_serial(self, backend):
-        serial = _trace("bending", "serial", backend)
-        threaded = _trace("bending", "thread:2", backend)
-        if backend == "direct":
-            # Shared memory + LU-backed solves: bit-identical.
-            assert np.array_equal(serial.fom_trace(), threaded.fom_trace())
-            assert np.array_equal(serial.pattern, threaded.pattern)
-        else:
-            # Preconditioned backends: the serial executor takes the
-            # blocked path (krylov-block) and fallback anchors arrive in
-            # scheduling order, so agreement is to solver precision.
-            np.testing.assert_allclose(
-                threaded.fom_trace(),
-                serial.fom_trace(),
-                **PROCESS_TOL[backend],
-            )
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_process_matches_serial(self, backend):

@@ -120,6 +120,26 @@ class TestLifecycle:
         )
         assert payload["final_loss"] == reference.final_loss
 
+    def test_result_written_before_status_completes(
+        self, daemon, monkeypatch
+    ):
+        """A watcher that sees "completed" must find result.json."""
+        import repro.core.serve as serve_mod
+
+        seen = []
+
+        def recording_save(payload, path):
+            seen.append(daemon.store.get(Path(path).parent.name).status)
+            return save_result(payload, path)
+
+        save_result = serve_mod.save_result
+        monkeypatch.setattr(serve_mod, "save_result", recording_save)
+        with _client(daemon) as client:
+            job = client.submit("bending", dict(CFG, iterations=1))
+            final = client.watch(job["id"])
+        assert final["status"] == "completed"
+        assert seen == ["running"]
+
     def test_status_and_list_carry_gauges(self, daemon):
         with _client(daemon) as client:
             job = client.submit("bending", dict(CFG))
