@@ -24,12 +24,7 @@ from repro import __version__
 from repro.baselines import BASELINE_REGISTRY, run_baseline
 from repro.core import Boson1Optimizer, OptimizerConfig
 from repro.core.executors import executor_backend
-from repro.core.remote import (
-    DEFAULT_CONNECT_RETRIES,
-    DEFAULT_REMOTE_TIMEOUT,
-    PROTOCOL_VERSION,
-    parse_worker_addresses,
-)
+from repro.core.remote import PROTOCOL_VERSION, parse_worker_addresses
 from repro.core.sampling import SAMPLING_STRATEGIES
 from repro.devices import DEVICE_REGISTRY, make_device
 from repro.eval import evaluate_ideal, evaluate_post_fab
@@ -57,29 +52,31 @@ executors (corner / sample fan-out):
 without an explicit :n, process and remote auto-tune to
 min(corner count, available workers); on a 1-core box an auto process
 spec runs inline, making `--executor process` safe everywhere.
-solvers (every FDFD solve):
+solvers (every FDFD solve), spelled --solver BACKEND[:MOD...]:
   direct       one SuperLU per corner, multi-column blocks (e.g. the
                isolator's forward and backward sources) in one
                matrix-RHS call; the bitwise reference.
   krylov       nominal-corner LU recycled across an iteration's corners
-               via preconditioned BiCGStab/GMRES; fastest per corner,
-               accurate to the solver tolerance.
+               via preconditioned BiCGStab/GMRES; accurate to the
+               solver tolerance.
   krylov-block krylov + one *blocked* solve for the whole corner family
                (serial executor only; process and remote workers solve
-               each corner on its own).  Fastest overall on 1 core.
-krylov extras:
+               each corner on its own).  not a universal win on 1 core:
+               1.19x faster than direct on bending, but slower on the
+               isolator (0.41-0.45 vs 0.35-0.39 s/iter at dl=0.05).
+modifiers (krylov backends):
   :gmres       GMRES instead of BiCGStab for scalar krylov solves.
-  --precond-dtype float32
-               factor the preconditioner anchor in single precision
-               (half the factorization memory/time); outer recurrences
-               stay float64 and iterative refinement re-certifies every
-               corner to the full solver tolerance.
+  :float32     factor the preconditioner anchor in single precision
+               (e.g. krylov-block:float32); outer recurrences stay
+               float64 and iterative refinement re-certifies every
+               corner to the full solver tolerance.  a memory knob, not
+               a speed-up: measured 1.12-1.20x slower than float64.
 determinism contract: direct is bitwise stable across executors;
 krylov variants (including float32 preconditioning) agree with it to
 the solver tolerance — trajectories match to ~1e-8, not bit-for-bit.
-rule of thumb: start with `--solver krylov-block`; add `--executor
-process:n` on multi-core machines; use `--solver direct` when chasing
-bits.
+rule of thumb: keep `--solver direct` unless a timed comparison on
+your device and grid favours `krylov-block`; add `--executor
+process:n` on multi-core machines.
 
 robust scenario families (broadband x thermal x fab)
 ----------------------------------------------------
@@ -206,8 +203,9 @@ forced on, and fanned out across `--fleet hostA:7070,hostB:7070`
 workers when configured (jobs may pin their own --executor instead).
 submitting: `repro submit DEVICE --connect HOST:PORT [--iterations N
 --sampling S --seed K --solver B ...]` — the same trajectory-shaping
-flags as `repro design`; the config is validated before the job is
-queued, so a bad submission is refused immediately.  then:
+flags as `repro design`, sent as one JSON-plain config; it is validated
+before connecting and again before the job is queued, so a bad
+submission is refused immediately.  then:
     repro status [JOB] --connect HOST:PORT   # one job, or all + gauges
     repro watch JOB --connect HOST:PORT      # live iteration stream
     repro cancel JOB --connect HOST:PORT     # queued: dropped in place;
@@ -230,62 +228,143 @@ SSH tunnel or VPN).
 """
 
 
-def _add_precond_dtype_arg(p: argparse.ArgumentParser) -> None:
-    """``--precond-dtype`` flag shared by ``design`` and ``evaluate``."""
+def _spec_arg(validate):
+    """argparse ``type`` keeping a spec string that ``validate`` accepts.
+
+    The spec stays the plain string a job config carries to the daemon;
+    a bad or removed spelling (``--solver batched``, ``--executor
+    thread``) exits 2 with the message naming its replacement instead
+    of a traceback.
+    """
+
+    def parse(spec: str) -> str:
+        try:
+            validate(spec)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return spec
+
+    return parse
+
+
+_solver_arg = _spec_arg(SolverConfig.coerce)
+_executor_arg = _spec_arg(executor_backend)
+
+
+def _axis_arg(spec: str) -> "list[float] | None":
+    """argparse ``type`` for a scenario axis: comma-separated floats."""
+    try:
+        values = [float(tok) for tok in spec.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad axis value: {exc}") from None
+    return values or None
+
+
+#: Where the CLI takes a default from the config, it reads it here.
+_DEFAULTS = OptimizerConfig()
+
+
+def _add_job_args(p: argparse.ArgumentParser) -> None:
+    """Trajectory-shaping flags shared by ``design`` and ``submit``.
+
+    :func:`_job_config` turns them into ``OptimizerConfig`` overrides.
+    """
+    p.add_argument("--iterations", type=int, default=30)
     p.add_argument(
-        "--precond-dtype",
-        default="float64",
-        choices=("float64", "float32"),
+        "--sampling",
+        choices=sorted(SAMPLING_STRATEGIES),
+        default=_DEFAULTS.sampling,
+    )
+    p.add_argument("--relax-epochs", type=int, default=None)
+    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    p.add_argument(
+        "--wavelengths",
+        type=_axis_arg,
+        default=None,
+        metavar="UM[,UM...]",
         help=(
-            "precision of the preconditioner anchor factorization "
-            "(krylov backends only): float32 factors a complex64 twin — "
-            "half the factorization memory and time — while outer "
-            "recurrences stay float64 and iterative refinement restores "
-            "the full solver tolerance (default %(default)s)"
+            "operating-wavelength axis of the scenario family "
+            "(comma-separated um, e.g. 1.53,1.55,1.57); every sampled "
+            "fab corner is crossed with each wavelength and grouped by "
+            "omega for blocked solves (default: the device's centre "
+            "wavelength only; see 'robust scenario families' below)"
+        ),
+    )
+    p.add_argument(
+        "--temperatures",
+        type=_axis_arg,
+        default=None,
+        metavar="K[,K...]",
+        help=(
+            "operating-temperature axis of the scenario family "
+            "(comma-separated kelvin, e.g. 290,310), composed with each "
+            "fab corner's own thermal excursion as offsets around 300 K "
+            "(default: corner temperatures unchanged)"
+        ),
+    )
+    p.add_argument(
+        "--aggregate",
+        default=_DEFAULTS.aggregate,
+        metavar="MODE",
+        help=(
+            "scenario-loss reduction: mean (weighted expectation) | "
+            "worst (tempered soft-max worst case) | cvar:ALPHA "
+            "(expected loss of the worst ALPHA-tail, e.g. cvar:0.5; "
+            "default %(default)s)"
+        ),
+    )
+    p.add_argument(
+        "--solver",
+        default="direct",
+        type=_solver_arg,
+        metavar="BACKEND[:MOD]",
+        help=(
+            "linear-solver backend: direct (one LU per corner; "
+            "multi-column blocks in one matrix-RHS call), krylov "
+            "(BiCGStab preconditioned by the nominal corner's LU, "
+            "recycled across the iteration's fabrication corners; a "
+            "non-converging solve falls back to a direct factorization "
+            "automatically), or krylov-block (krylov whose corner "
+            "fan-out is one blocked BiCGStab: the preconditioner and "
+            "operator are applied to the whole corner block in single "
+            "matrix-RHS sweeps, columns converge independently, and "
+            "non-converging corners fall back to their own direct "
+            "factorizations; process and remote workers fall back to "
+            "scalar krylov behaviour).  Modifiers: :gmres selects GMRES "
+            "for the scalar solves (the block algorithm is always "
+            "BiCGStab); :float32 factors the preconditioner in single "
+            "precision, e.g. krylov-block:float32 (saves memory, not "
+            "time; see 'choosing an executor / solver' below)"
         ),
     )
 
 
-def _solver_spec(args):
-    """The ``--solver`` string, upgraded to a config when flags need it.
-
-    A plain backend string round-trips untouched (keeping ``direct``
-    runs on the zero-config path); ``--precond-dtype float32`` forces a
-    coerced :class:`SolverConfig` carrying the override.
-    """
-    if getattr(args, "precond_dtype", "float64") == "float64":
-        return args.solver
-    return SolverConfig.coerce(args.solver).with_overrides(
-        precond_dtype=args.precond_dtype
+def _add_remote_args(p: argparse.ArgumentParser) -> None:
+    """Remote-executor knobs shared by ``design`` and ``evaluate``."""
+    p.add_argument(
+        "--remote-timeout",
+        type=float,
+        default=_DEFAULTS.remote_timeout,
+        metavar="SECONDS",
+        help=(
+            "remote executor only: declare a worker dead after this many "
+            "seconds of silence (busy workers heartbeat, so long solves "
+            "survive short timeouts) and resubmit its work to survivors "
+            "(default %(default)s)"
+        ),
     )
-
-
-def _solver_arg(spec: str) -> str:
-    """argparse ``type`` for ``--solver``: refuse a bad spec up front.
-
-    The spec itself is kept (the zero-config ``direct`` path relies on
-    the plain string); only its validation happens here, so a removed
-    spelling such as ``batched`` exits with the message naming its
-    replacement instead of a traceback.
-    """
-    try:
-        SolverConfig.coerce(spec)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return spec
-
-
-def _executor_arg(spec: str) -> str:
-    """argparse ``type`` for ``--executor``: refuse a bad backend up front.
-
-    Like :func:`_solver_arg`, a removed backend such as ``thread`` exits
-    with the message naming its replacements instead of a traceback.
-    """
-    try:
-        executor_backend(spec)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return spec
+    p.add_argument(
+        "--remote-connect-retries",
+        type=int,
+        default=_DEFAULTS.remote_connect_retries,
+        metavar="N",
+        help=(
+            "remote executor only: connection attempts per worker "
+            "address, with exponential backoff + jitter between tries — "
+            "a worker still binding its socket becomes a short wait, not "
+            "a lost worker (default %(default)s)"
+        ),
+    )
 
 
 def _add_observability_args(p: argparse.ArgumentParser) -> None:
@@ -303,7 +382,7 @@ def _add_observability_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--trace-format",
-        default="jsonl",
+        default=_DEFAULTS.trace_format,
         metavar="FMT[,FMT]",
         help=(
             "trace export formats (comma-separated): jsonl | chrome "
@@ -314,7 +393,7 @@ def _add_observability_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--metrics-every",
         type=int,
-        default=0,
+        default=_DEFAULTS.metrics_every,
         metavar="N",
         help=(
             "log a counters/gauges snapshot every N iterations at info "
@@ -347,48 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_design = sub.add_parser("design", help="run the BOSON-1 optimizer")
     p_design.add_argument("device", choices=sorted(DEVICE_REGISTRY))
-    p_design.add_argument("--iterations", type=int, default=30)
-    p_design.add_argument(
-        "--sampling",
-        choices=sorted(SAMPLING_STRATEGIES),
-        default="axial+worst",
-    )
-    p_design.add_argument(
-        "--wavelengths",
-        default=None,
-        metavar="UM[,UM...]",
-        help=(
-            "operating-wavelength axis of the scenario family "
-            "(comma-separated um, e.g. 1.53,1.55,1.57); every sampled "
-            "fab corner is crossed with each wavelength and grouped by "
-            "omega for blocked solves (default: the device's centre "
-            "wavelength only; see 'robust scenario families' below)"
-        ),
-    )
-    p_design.add_argument(
-        "--temperatures",
-        default=None,
-        metavar="K[,K...]",
-        help=(
-            "operating-temperature axis of the scenario family "
-            "(comma-separated kelvin, e.g. 290,310), composed with each "
-            "fab corner's own thermal excursion as offsets around 300 K "
-            "(default: corner temperatures unchanged)"
-        ),
-    )
-    p_design.add_argument(
-        "--aggregate",
-        default="mean",
-        metavar="MODE",
-        help=(
-            "scenario-loss reduction: mean (weighted expectation) | "
-            "worst (tempered soft-max worst case) | cvar:ALPHA "
-            "(expected loss of the worst ALPHA-tail, e.g. cvar:0.5; "
-            "default %(default)s)"
-        ),
-    )
-    p_design.add_argument("--relax-epochs", type=int, default=None)
-    p_design.add_argument("--seed", type=int, default=0)
+    _add_job_args(p_design)
     p_design.add_argument("--output", default=None, help="result JSON path")
     p_design.add_argument("--quiet", action="store_true")
     p_design.add_argument(
@@ -403,30 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
             "gradients, matching serial to solver precision)"
         ),
     )
-    p_design.add_argument(
-        "--remote-timeout",
-        type=float,
-        default=DEFAULT_REMOTE_TIMEOUT,
-        metavar="SECONDS",
-        help=(
-            "remote executor only: declare a worker dead after this many "
-            "seconds of silence (busy workers heartbeat, so long solves "
-            "survive short timeouts) and resubmit its work to survivors "
-            "(default %(default)s)"
-        ),
-    )
-    p_design.add_argument(
-        "--remote-connect-retries",
-        type=int,
-        default=DEFAULT_CONNECT_RETRIES,
-        metavar="N",
-        help=(
-            "remote executor only: connection attempts per worker "
-            "address, with exponential backoff + jitter between tries — "
-            "a worker still binding its socket becomes a short wait, not "
-            "a lost worker (default %(default)s)"
-        ),
-    )
+    _add_remote_args(p_design)
     p_design.add_argument(
         "--checkpoint-dir",
         default=None,
@@ -441,14 +456,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_design.add_argument(
         "--checkpoint-every",
         type=int,
-        default=1,
+        default=_DEFAULTS.checkpoint_every,
         metavar="N",
         help="iterations between checkpoints (default %(default)s)",
     )
     p_design.add_argument(
         "--checkpoint-keep",
         type=int,
-        default=3,
+        default=_DEFAULTS.checkpoint_keep,
         metavar="K",
         help="rotated checkpoints kept on disk (default %(default)s)",
     )
@@ -463,29 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
             "checkpoint must match this run's config/device digest"
         ),
     )
-    p_design.add_argument(
-        "--solver",
-        default="direct",
-        type=_solver_arg,
-        metavar="BACKEND",
-        help=(
-            "linear-solver backend: direct (one LU per corner; "
-            "multi-column blocks in one matrix-RHS call), krylov "
-            "(BiCGStab preconditioned by the nominal corner's LU, "
-            "recycled across the iteration's fabrication corners; a "
-            "non-converging solve falls back to a direct factorization "
-            "automatically), or krylov-block (krylov whose corner "
-            "fan-out is one blocked BiCGStab: the preconditioner and "
-            "operator are applied to the whole corner block in single "
-            "matrix-RHS sweeps, columns converge independently, and "
-            "non-converging corners fall back to their own direct "
-            "factorizations; process and remote workers fall back to "
-            "scalar krylov behaviour). krylov:gmres selects GMRES for "
-            "the scalar "
-            "solves (the block algorithm is always BiCGStab)."
-        ),
-    )
-    _add_precond_dtype_arg(p_design)
     _add_observability_args(p_design)
 
     p_eval = sub.add_parser("evaluate", help="post-fab Monte-Carlo eval")
@@ -501,42 +493,24 @@ def build_parser() -> argparse.ArgumentParser:
             "remote:host:port[,host:port...]"
         ),
     )
-    p_eval.add_argument(
-        "--remote-timeout",
-        type=float,
-        default=DEFAULT_REMOTE_TIMEOUT,
-        metavar="SECONDS",
-        help=(
-            "remote executor only: dead-worker detection bound in "
-            "seconds (default %(default)s)"
-        ),
-    )
-    p_eval.add_argument(
-        "--remote-connect-retries",
-        type=int,
-        default=DEFAULT_CONNECT_RETRIES,
-        metavar="N",
-        help=(
-            "remote executor only: connection attempts per worker "
-            "address with exponential backoff (default %(default)s)"
-        ),
-    )
+    _add_remote_args(p_eval)
     p_eval.add_argument(
         "--solver",
         default="direct",
         type=_solver_arg,
-        metavar="BACKEND",
+        metavar="BACKEND[:MOD]",
         help=(
             "linear-solver backend for the evaluation solves: direct | "
-            "krylov[:gmres] | krylov-block (see `design --help`; krylov "
+            "krylov[:gmres] | krylov-block, each krylov backend "
+            "optionally :float32 (see `design --help`; krylov "
             "falls back to direct factorization on non-convergence, and "
             "krylov-block additionally batches all Monte-Carlo samples "
             "of a serial evaluation into one blocked solve)"
         ),
     )
-    _add_precond_dtype_arg(p_eval)
     p_eval.add_argument(
         "--wavelengths",
+        type=_axis_arg,
         default=None,
         metavar="UM[,UM...]",
         help=(
@@ -654,36 +628,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="queue a design job on a `repro serve` daemon",
         description=(
             "Queue a design job: the same trajectory-shaping flags as "
-            "`repro design`, validated by the daemon before anything is "
-            "queued.  Prints the job id for status/watch/cancel."
+            "`repro design`, validated here and again by the daemon "
+            "before anything is queued.  Prints the job id for "
+            "status/watch/cancel."
         ),
     )
     p_submit.add_argument("device", choices=sorted(DEVICE_REGISTRY))
     _add_connect_arg(p_submit)
-    p_submit.add_argument("--iterations", type=int, default=30)
-    p_submit.add_argument(
-        "--sampling",
-        choices=sorted(SAMPLING_STRATEGIES),
-        default="axial+worst",
-    )
-    p_submit.add_argument("--relax-epochs", type=int, default=None)
-    p_submit.add_argument("--seed", type=int, default=0)
-    p_submit.add_argument(
-        "--wavelengths", default=None, metavar="UM[,UM...]",
-        help="scenario wavelength axis, as for `repro design`",
-    )
-    p_submit.add_argument(
-        "--temperatures", default=None, metavar="K[,K...]",
-        help="scenario temperature axis, as for `repro design`",
-    )
-    p_submit.add_argument(
-        "--aggregate", default="mean", metavar="MODE",
-        help="scenario-loss reduction (mean | worst | cvar:ALPHA)",
-    )
-    p_submit.add_argument(
-        "--solver", default="direct", type=_solver_arg, metavar="BACKEND",
-        help="linear-solver backend, as for `repro design`",
-    )
+    _add_job_args(p_submit)
     p_submit.add_argument(
         "--executor", default=None, metavar="SPEC", type=_executor_arg,
         help=(
@@ -754,23 +706,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_axis(spec: str | None) -> tuple[float, ...] | None:
-    """Comma-separated floats -> tuple (``None``/empty stays ``None``)."""
-    if spec is None:
-        return None
-    values = tuple(float(tok) for tok in spec.split(",") if tok.strip())
-    return values or None
+def _job_config(args) -> dict:
+    """The JSON-plain ``OptimizerConfig`` overrides the job flags ask for.
+
+    ``design`` runs them (plus its local knobs) and ``submit`` sends
+    them to the daemon as they are, so both shape the same trajectory.
+    Raises ValueError, before any work or connection, when they do not
+    make a valid config.
+    """
+    config = {
+        "iterations": args.iterations,
+        "sampling": args.sampling,
+        "relax_epochs": (
+            args.relax_epochs
+            if args.relax_epochs is not None
+            else max(4, args.iterations // 3)
+        ),
+        "seed": args.seed,
+        "wavelengths_um": args.wavelengths,
+        "temperatures_k": args.temperatures,
+        "aggregate": args.aggregate,
+        "solver": args.solver,
+    }
+    if args.executor is not None:
+        config["corner_executor"] = args.executor
+    OptimizerConfig(**config)
+    return config
+
+
+def _invalid_config(exc: ValueError) -> int:
+    print(f"error: invalid config: {exc}", file=sys.stderr)
+    return 2
 
 
 def _cmd_design(args) -> int:
     from repro.core.checkpoint import CheckpointError, resolve_resume
 
-    device = make_device(args.device)
-    relax = (
-        args.relax_epochs
-        if args.relax_epochs is not None
-        else max(4, args.iterations // 3)
-    )
     checkpoint_dir = args.checkpoint_dir
     resume_ckpt = None
     if args.resume is not None:
@@ -790,31 +761,20 @@ def _cmd_design(args) -> int:
             f"(next iteration {resume_ckpt.next_iteration})"
         )
     try:
-        wavelengths_um = _parse_axis(args.wavelengths)
-        temperatures_k = _parse_axis(args.temperatures)
+        config = OptimizerConfig(
+            **_job_config(args),
+            remote_timeout=args.remote_timeout,
+            remote_connect_retries=args.remote_connect_retries,
+            checkpoint_dir=checkpoint_dir,
+            checkpoint_every=args.checkpoint_every,
+            checkpoint_keep=args.checkpoint_keep,
+            trace_dir=args.trace_dir,
+            trace_format=args.trace_format,
+            metrics_every=args.metrics_every,
+        )
     except ValueError as exc:
-        print(f"error: bad axis value: {exc}", file=sys.stderr)
-        return 2
-    config = OptimizerConfig(
-        iterations=args.iterations,
-        sampling=args.sampling,
-        relax_epochs=relax,
-        seed=args.seed,
-        wavelengths_um=wavelengths_um,
-        temperatures_k=temperatures_k,
-        aggregate=args.aggregate,
-        corner_executor=args.executor,
-        solver=_solver_spec(args),
-        remote_timeout=args.remote_timeout,
-        remote_connect_retries=args.remote_connect_retries,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_keep=args.checkpoint_keep,
-        trace_dir=args.trace_dir,
-        trace_format=args.trace_format,
-        metrics_every=args.metrics_every,
-    )
-    optimizer = Boson1Optimizer(device, config)
+        return _invalid_config(exc)
+    optimizer = Boson1Optimizer(make_device(args.device), config)
 
     def log(record):
         print(
@@ -837,17 +797,8 @@ def _cmd_design(args) -> int:
         )
     print("\nfinal design:")
     print(ascii_pattern(result.pattern, max_width=48))
-    payload = {
-        "device": args.device,
-        "method": "BOSON-1",
-        "pattern": result.pattern,
-        "fom_trace": result.fom_trace(),
-        "final_loss": result.final_loss,
-        "seed": args.seed,
-        "iterations": args.iterations,
-    }
     output = args.output or f"boson1_{args.device}_seed{args.seed}.json"
-    path = save_result(payload, output)
+    path = save_result(result.to_payload(), output)
     print(f"\nsaved to {path}")
     if args.trace_dir is not None:
         print(f"trace written to {args.trace_dir}")
@@ -855,13 +806,29 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    payload = load_result(args.result)
-    device = make_device(payload["device"])
-    if args.solver != "direct":
+    try:
+        payload = load_result(args.result)
+        if not isinstance(payload, dict) or not (
+            {"device", "pattern"} <= payload.keys()
+        ):
+            raise ValueError(
+                "not a result file (needs 'device' and 'pattern' entries)"
+            )
+        device = make_device(payload["device"])
+        pattern = np.asarray(payload["pattern"], dtype=np.float64)
+        if pattern.shape != device.design_shape:
+            raise ValueError(
+                f"pattern shape {pattern.shape} does not match the "
+                f"{payload['device']} design shape {device.design_shape}"
+            )
+    except (OSError, TypeError, ValueError) as exc:
+        print(f"error: cannot evaluate {args.result}: {exc}", file=sys.stderr)
+        return 2
+    if SolverConfig.coerce(args.solver).backend != "direct":
         from repro.fdfd.workspace import SimulationWorkspace
 
         device.configure_simulation_cache(
-            True, SimulationWorkspace(solver_config=_solver_spec(args))
+            True, SimulationWorkspace(solver_config=args.solver)
         )
     process = FabricationProcess(
         device.design_shape,
@@ -869,7 +836,6 @@ def _cmd_evaluate(args) -> int:
         context=device.litho_context(12),
         pad=12,
     )
-    pattern = np.asarray(payload["pattern"], dtype=np.float64)
     session = None
     if args.trace_dir is not None:
         from repro.obs import TraceSession
@@ -879,18 +845,13 @@ def _cmd_evaluate(args) -> int:
         )
         session = TraceSession(args.trace_dir, formats or ("jsonl",))
     try:
-        try:
-            wavelengths_um = _parse_axis(args.wavelengths)
-        except ValueError as exc:
-            print(f"error: bad axis value: {exc}", file=sys.stderr)
-            return 2
         pre, _ = evaluate_ideal(device, pattern)
         report = evaluate_post_fab(
             device, process, pattern, n_samples=args.samples, seed=args.seed,
             executor=args.executor, block_chunk=args.block_chunk,
             remote_timeout=args.remote_timeout,
             remote_connect_retries=args.remote_connect_retries,
-            wavelengths_um=wavelengths_um,
+            wavelengths_um=args.wavelengths,
         )
         if session is not None:
             session.record(
@@ -1127,27 +1088,9 @@ def _cmd_submit(args) -> int:
     from repro.core.serve import ServeError
 
     try:
-        wavelengths_um = _parse_axis(args.wavelengths)
-        temperatures_k = _parse_axis(args.temperatures)
+        config = _job_config(args)
     except ValueError as exc:
-        print(f"error: bad axis value: {exc}", file=sys.stderr)
-        return 2
-    config = {
-        "iterations": args.iterations,
-        "sampling": args.sampling,
-        "relax_epochs": (
-            args.relax_epochs
-            if args.relax_epochs is not None
-            else max(4, args.iterations // 3)
-        ),
-        "seed": args.seed,
-        "wavelengths_um": wavelengths_um,
-        "temperatures_k": temperatures_k,
-        "aggregate": args.aggregate,
-        "solver": args.solver,
-    }
-    if args.executor is not None:
-        config["corner_executor"] = args.executor
+        return _invalid_config(exc)
     client = _serve_client(args)
     if client is None:
         return 2
@@ -1259,7 +1202,15 @@ def _cmd_info(_args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if any(tok.split("=", 1)[0] == "--precond-dtype" for tok in argv):
+        parser.error(
+            "--precond-dtype was removed: spell the precision into the "
+            "solver spec as --solver BACKEND:float32 (e.g. --solver "
+            "krylov-block:float32)"
+        )
+    args = parser.parse_args(argv)
     # One logging setup for every subcommand; configure_logging exports
     # the resolved level to REPRO_LOG_LEVEL so worker subprocesses
     # (process pools, `repro worker` spawns) inherit it.

@@ -151,7 +151,8 @@ class OptimizerConfig:
         seed path bit-for-bit; only wall time differs.
     solver:
         Linear-solver backend: a
-        :class:`~repro.fdfd.linalg.SolverConfig` or a backend name —
+        :class:`~repro.fdfd.linalg.SolverConfig` or a
+        ``BACKEND[:MOD...]`` string —
         ``"direct"`` (one LU per permittivity, multi-column blocks in
         one matrix-RHS call; the reference), ``"krylov"``
         (nominal-LU-preconditioned
@@ -161,11 +162,13 @@ class OptimizerConfig:
         preconditioner and operator applied to the whole corner block
         in single matrix-RHS sweeps, per-column convergence masking,
         per-corner direct fallback; process and remote workers solve
-        each corner on the scalar path).
-        ``SolverConfig(precond_dtype="float32")`` factors the
-        preconditioner anchor's complex64 twin, with float64 iterative
-        refinement preserving the solver tolerance; it shapes the
-        trajectory only to solver precision but is still bound into
+        each corner on the scalar path; slower than ``direct`` on the
+        isolator: 0.41-0.45 vs 0.35-0.39 s/iter).
+        ``"krylov-block:float32"`` (``precond_dtype="float32"``) factors
+        the preconditioner anchor's complex64 twin, with float64
+        iterative refinement preserving the solver tolerance; it is not
+        faster (measured 1.12-1.20x slower), shapes the
+        trajectory only to solver precision, and is still bound into
         the checkpoint config digest (a resume must replay the same
         solver family).  ``None`` (the default)
         inherits whatever backend the device's workspace is already

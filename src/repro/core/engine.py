@@ -169,6 +169,20 @@ class OptimizationResult:
     def radiation_trace(self, direction: str) -> np.ndarray:
         return np.array([r.radiation(direction) for r in self.history])
 
+    def to_payload(self) -> dict:
+        """The result JSON ``repro design`` and ``repro serve`` save
+        (:func:`repro.utils.io.save_result`; ``repro evaluate`` reads it).
+        """
+        return {
+            "device": self.device_name,
+            "method": "BOSON-1",
+            "pattern": self.pattern,
+            "fom_trace": self.fom_trace(),
+            "final_loss": self.final_loss,
+            "seed": self.config.seed,
+            "iterations": self.config.iterations,
+        }
+
 
 class Boson1Optimizer:
     """The adaptive variation-aware subspace optimizer.

@@ -112,6 +112,21 @@ class ServeError(RuntimeError):
     """A serve request was refused (unknown job, invalid config, skew)."""
 
 
+def _json_plain(config: dict) -> dict:
+    """``config`` after the JSON round trip ``job.json`` puts it through.
+
+    Raises ValueError naming the first key whose value JSON cannot
+    carry (e.g. a :class:`~repro.fdfd.linalg.SolverConfig` object where
+    its ``"krylov-block:float32"`` string spelling belongs).
+    """
+    for key, value in config.items():
+        try:
+            json.dumps(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{key!r} does not survive JSON: {exc}") from None
+    return json.loads(json.dumps(config))
+
+
 # --------------------------------------------------------------------- #
 # On-disk job records                                                   #
 # --------------------------------------------------------------------- #
@@ -228,8 +243,10 @@ class JobStore:
                 config=dict(config),
                 submitted_unix=time.time(),
             )
-            self._jobs[job.id] = job
+            # Register only once job.json has landed: a record that
+            # failed to persist must not list as a job that never runs.
             self.save(job)
+            self._jobs[job.id] = job
             return job
 
     def get(self, job_id) -> "Job | None":
@@ -531,18 +548,7 @@ class ServeDaemon(FrameServer):
                 job.finished_unix = time.time()
         else:
             job.finished_unix = time.time()
-            save_result(
-                {
-                    "device": job.device,
-                    "method": "BOSON-1",
-                    "pattern": result.pattern,
-                    "fom_trace": result.fom_trace(),
-                    "final_loss": result.final_loss,
-                    "seed": config.seed,
-                    "iterations": len(result.history),
-                },
-                self.store.result_path(job.id),
-            )
+            save_result(result.to_payload(), self.store.result_path(job.id))
             # Flip the status only once result.json exists: a watcher
             # that sees "completed" may read the result straight away.
             job.status = "completed"
@@ -584,15 +590,16 @@ class ServeDaemon(FrameServer):
                 "submit config must be a dict of OptimizerConfig "
                 f"overrides, got {type(config).__name__}",
             )
-        probe = Job(id="probe", device=str(device), config=dict(config))
         try:
-            self._job_config(probe)  # validate before anything is queued
+            # Validate what job.json will hold, before anything is queued.
+            config = _json_plain(config)
+            self._job_config(Job("probe", str(device), config))
         except (TypeError, ValueError) as exc:
             return self.refuse(conn, f"invalid job config: {exc}")
         with self._lock:
             job = None
             if not (self._draining or self._closed):
-                job = self.store.create(str(device), dict(config))
+                job = self.store.create(str(device), config)
                 self._queue.append(job.id)
                 self._queue_cond.notify_all()
         if job is None:

@@ -50,6 +50,7 @@ _RETIRED_BACKENDS = {
     "batched": "use 'direct', which now hands every multi-column block "
     "to SuperLU in one matrix-RHS call",
 }
+_PRECOND_DTYPES = ("float64", "float32")
 _RETIRED_MODIFIERS = {
     "recycle": "Krylov subspace recycling never beat the plain backend "
     "on wall time; drop ':recycle' (e.g. 'krylov-block')",
@@ -99,14 +100,15 @@ class SolverConfig:
     precond_dtype:
         Precision of the preconditioner sweeps: ``"float64"`` (default)
         applies the anchor LU as factorized; ``"float32"`` gives each
-        anchor a single-precision (complex64) twin at roughly half the
-        memory traffic per triangular sweep — outer Krylov recurrences
-        and residuals stay float64, and the blocked path runs iterative
-        refinement against the float64 residual first, so the achieved
-        tolerance is unchanged (trajectories agree with float64 to
-        ``tol``, not bitwise).  LU-backed exact paths (``direct``,
-        anchor-exact corners, fallbacks) always solve in float64 and
-        stay bitwise.
+        anchor a single-precision (complex64) twin — outer Krylov
+        recurrences and residuals stay float64, and the blocked path
+        runs iterative refinement against the float64 residual first,
+        so the achieved tolerance is unchanged (trajectories agree with
+        float64 to ``tol``, not bitwise).  Not a speed-up: measured
+        float32 runs were 1.12-1.20x *slower* than float64.  LU-backed
+        exact paths (``direct``, anchor-exact corners, fallbacks)
+        always solve in float64 and stay bitwise.  String spelling:
+        ``"BACKEND:float32"`` (see :meth:`coerce`).
     """
 
     backend: str = "direct"
@@ -145,7 +147,7 @@ class SolverConfig:
                 f"gmres_restart must be >= 1, got {self.gmres_restart} "
                 "(the GMRES outer-cycle count divides maxiter by it)"
             )
-        if self.precond_dtype not in ("float64", "float32"):
+        if self.precond_dtype not in _PRECOND_DTYPES:
             raise ValueError(
                 "precond_dtype must be 'float64' or 'float32', "
                 f"got {self.precond_dtype!r}"
@@ -153,10 +155,12 @@ class SolverConfig:
 
     @classmethod
     def coerce(cls, spec: "SolverConfig | str | None") -> "SolverConfig":
-        """Accept a config, a backend name, or ``None`` (-> direct).
+        """Accept a config, a ``BACKEND[:MOD...]`` string, or ``None``.
 
-        A bare string may carry a colon-separated Krylov method name —
-        the grammar the CLI ``--solver`` flag uses (``"krylov:gmres"``).
+        ``None`` means ``direct``.  Each colon-separated modifier is a
+        Krylov method (``"krylov:gmres"``) or a preconditioner precision
+        (``"krylov-block:float32"``) — the grammar of the CLI
+        ``--solver`` flag, so every solver spec is one JSON-plain string.
         """
         if spec is None:
             return cls()
@@ -172,7 +176,10 @@ class SolverConfig:
                         f"removed: {_RETIRED_MODIFIERS[modifier]}"
                     )
                 # Unknown tokens fail through krylov_method validation.
-                kwargs["krylov_method"] = modifier
+                if modifier in _PRECOND_DTYPES:
+                    kwargs["precond_dtype"] = modifier
+                else:
+                    kwargs["krylov_method"] = modifier
             return cls(backend=backend, **kwargs)
         raise TypeError(f"cannot coerce {type(spec).__name__} to SolverConfig")
 

@@ -68,6 +68,32 @@ class TestParser:
         assert "--executor" in err
         assert "'process" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["design", "bending"], ["evaluate", "result.json"]],
+        ids=["design", "evaluate"],
+    )
+    @pytest.mark.parametrize(
+        "flag", [["--precond-dtype", "float32"], ["--precond-dtype=float64"]]
+    )
+    def test_retired_precond_dtype_names_solver_modifier(
+        self, capsys, argv, flag
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flag)
+        assert exc.value.code == 2
+        assert "--solver BACKEND:float32" in capsys.readouterr().err
+
+    def test_axis_flags_parse_to_floats(self):
+        args = build_parser().parse_args(
+            ["design", "bending", "--wavelengths", "1.53,1.57"]
+        )
+        assert args.wavelengths == [1.53, 1.57]
+        assert args.temperatures is None
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["submit", "bending", "--connect",
+                                       "127.0.0.1:1", "--temperatures", "hot"])
+
     def test_help_documents_solver_fallback(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["design", "--help"])
@@ -159,3 +185,73 @@ class TestCommands:
         payload = load_result(out_path)
         assert payload["method"] == "LS"
         assert np.asarray(payload["pattern"]).shape == (32, 32)
+
+
+class TestRefusals:
+    """Bad input is a one-line ``error:`` and exit 2, never a traceback."""
+
+    # Port 1 on loopback is closed: a submit that got as far as dialing
+    # would report "cannot reach daemon" instead of the config error.
+    @pytest.mark.parametrize(
+        "argv",
+        [["design", "bending"],
+         ["submit", "bending", "--connect", "127.0.0.1:1"]],
+        ids=["design", "submit"],
+    )
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--iterations", "0"], "iterations"),
+            (["--relax-epochs", "-1"], "relax_epochs"),
+            (["--aggregate", "bogus"], "aggregate"),
+            (["--wavelengths", "-1.5"], "wavelengths_um"),
+            (["--executor", "remote:nocolon"], "nocolon"),
+        ],
+    )
+    def test_invalid_job_config_exits_2(self, capsys, argv, flags, message):
+        assert main(argv + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: ")
+        assert message in err
+        assert "cannot reach daemon" not in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--trace-format", "xml"], "trace_format"),
+            (["--checkpoint-every", "0"], "checkpoint_every"),
+            (["--checkpoint-keep", "0"], "checkpoint_keep"),
+            (["--remote-timeout", "0"], "remote_timeout"),
+            (["--metrics-every", "-1"], "metrics_every"),
+        ],
+    )
+    def test_invalid_design_knob_exits_2(self, capsys, flags, message):
+        assert main(["design", "bending"] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: ")
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "No such file"),
+            ("{not json", "Expecting"),
+            ("wrong-shape", "pattern shape (1, 1)"),
+        ],
+        ids=["missing", "not-json", "wrong-shape"],
+    )
+    def test_evaluate_bad_result_file_exits_2(
+        self, tmp_path, capsys, content, message
+    ):
+        from repro.utils.io import save_result
+
+        path = tmp_path / "result.json"
+        if content == "wrong-shape":
+            save_result({"device": "bending", "pattern": np.zeros((1, 1))},
+                        path)
+        elif content is not None:
+            path.write_text(content)
+        assert main(["evaluate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot evaluate {path}: ")
+        assert message in err

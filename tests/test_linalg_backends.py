@@ -88,6 +88,13 @@ class TestRegistryAndConfig:
         cfg = SolverConfig.coerce("krylov:gmres")
         assert (cfg.backend, cfg.krylov_method) == ("krylov", "gmres")
         assert SolverConfig.coerce(cfg) is cfg
+        assert SolverConfig.coerce("krylov-block:float32") == SolverConfig(
+            backend="krylov-block", precond_dtype="float32"
+        )
+        cfg = SolverConfig.coerce("krylov:gmres:float32")
+        assert (cfg.krylov_method, cfg.precond_dtype) == ("gmres", "float32")
+        with pytest.raises(ValueError, match="float16"):
+            SolverConfig.coerce("krylov:float16")
         with pytest.raises(ValueError):
             SolverConfig.coerce("spectral")
         with pytest.raises(TypeError):

@@ -336,6 +336,66 @@ class TestProtocolHygiene:
             assert client.list_jobs()["jobs"] == []
 
 
+    def test_non_json_config_refused_without_phantom_job(self, daemon):
+        from repro.fdfd.linalg import SolverConfig
+
+        bad = {"iterations": 1, "solver": SolverConfig("krylov-block")}
+        with _client(daemon, timeout=5.0) as client:
+            with pytest.raises(ServeError, match="'solver'"):
+                client.submit("bending", bad)
+        with _client(daemon, timeout=5.0) as client:
+            assert client.list_jobs()["jobs"] == []
+
+    def test_store_lists_a_job_only_once_its_record_lands(self, tmp_path):
+        store = JobStore(tmp_path)
+        with pytest.raises(TypeError):
+            store.create("bending", {"solver": object()})
+        assert store.all() == []
+        assert store.create("bending", {}).id == "job-000001"
+
+
+class TestCliJobSpec:
+    """``repro design`` and ``repro submit`` build one job spec."""
+
+    ARGV = [
+        "--iterations", "1", "--sampling", "random", "--relax-epochs", "1",
+        "--seed", "3", "--wavelengths", "1.53,1.57", "--temperatures", "290",
+        "--aggregate", "cvar:0.5", "--solver", "krylov-block:float32",
+    ]
+
+    def test_design_and_submit_configs_match(self, daemon, monkeypatch):
+        import repro.cli as cli
+        from repro.core.checkpoint import config_digest
+        from repro.fdfd.linalg import SolverConfig
+
+        built = []
+
+        class Built(Exception):
+            pass
+
+        def capture(device, config):
+            built.append(config)
+            raise Built
+
+        monkeypatch.setattr(cli, "Boson1Optimizer", capture)
+        with pytest.raises(Built):
+            cli.main(["design", "bending", *self.ARGV])
+        host, port = daemon.address
+        argv = ["submit", "bending", "--connect", f"{host}:{port}"]
+        assert cli.main(argv + self.ARGV) == 0
+        # Rebuild from job.json as a restarted daemon would read it.
+        (stored,) = JobStore(daemon.store.root).scan()
+        served = daemon._job_config(stored)
+        assert config_digest(served, "bending") == config_digest(
+            built[0], "bending"
+        )
+        assert served.solver == SolverConfig(
+            backend="krylov-block", precond_dtype="float32"
+        )
+        with _client(daemon) as client:
+            assert client.watch(stored.id)["status"] == "completed"
+
+
 # --------------------------------------------------------------------- #
 # Peer loss on the client side                                          #
 # --------------------------------------------------------------------- #
