@@ -392,13 +392,14 @@ class Boson1Optimizer:
         group fabricates every member (taped, per corner) and hands the
         results to :meth:`PhotonicDevice.port_powers_corners`.  On a
         block-capable backend (``krylov-block``) the whole group is one
-        call — one blocked forward solve with shared ``L @ X`` products
-        and single matrix-RHS preconditioner sweeps, and one transposed
-        block solve on the backward pass.  Other backends make one call
-        per corner, which keeps every gradient bit of the ``direct``
-        backend.  While the Eq. (3) relaxation ramp is active
-        (``include_ideal``), the ideal-condition system — which shares
-        the centre-wavelength Laplacian — rides the centre-omega group;
+        call — one blocked forward solve with single matrix-RHS
+        preconditioner sweeps, and one adjoint block solve (run as a
+        forward one through the PML symmetrizer) on the backward pass.
+        Other backends make one call per corner, which keeps every
+        gradient bit of the ``direct`` backend.  While the Eq. (3)
+        relaxation ramp is active (``include_ideal``), the
+        ideal-condition system — which shares the centre-wavelength
+        Laplacian — rides the centre-omega group;
         if no scenario sits at the centre wavelength the caller solves
         it on its own.
 

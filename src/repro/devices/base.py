@@ -510,8 +510,8 @@ class PhotonicDevice:
         adjoint system into one transposed block:
 
         * block-capable backends (``krylov-block``) solve the whole block
-          through :meth:`SimulationWorkspace.begin_corner_block` — shared
-          ``L @ X`` products and single matrix-RHS preconditioner sweeps;
+          through :meth:`SimulationWorkspace.begin_corner_block` — single
+          matrix-RHS preconditioner sweeps for every corner at once;
         * every other backend solves each system's stacked columns with
           one :meth:`HelmholtzSolver.solve_many` — under ``direct`` one
           SuperLU matrix-RHS call per system, bitwise equal to solving

@@ -5,24 +5,42 @@ PML-stretched Laplacian ``L`` and differs only on the diagonal
 ``omega^2 eps_c``.  The scalar ``krylov`` backend already recycles the
 nominal corner's LU as a preconditioner across those corners, but still
 pays its ~3 preconditioner sweeps *per corner, one right-hand side at a
-time* — each sweep a separate SciPy call with two per-column triangular
-solves and two per-column matvecs.
+time*.
 
 This module restructures the corner fan-out around a single block
-operator, in the spirit of block Krylov methods for
-parameterized systems:
+solve, in the spirit of block Krylov methods for parameterized systems:
 
 ``CornerBlockSolver``
-    Holds the shared Laplacian plus one diagonal per corner.  Its
-    blocked BiCGStab stacks every corner's residual into an ``(n, k)``
-    block, so each sweep applies the recycled anchor LU to the whole
-    block in a *single* SuperLU matrix-RHS call and evaluates
-    ``A_c x_c`` for all columns through one shared ``L @ X`` sparse
-    mat-mat product plus a columnwise diagonal term.  Columns converge
-    (and leave the active block) independently; a column that exhausts
-    the iteration budget falls back to a direct factorization of *its*
-    corner, which re-anchors the workspace exactly like the scalar
-    path's fallback.
+    Holds one diagonal per corner plus the anchor's.  Its blocked
+    BiCGStab stacks every corner's residual into an ``(n, k)`` block, so
+    each sweep applies the recycled anchor LU to the whole block in a
+    *single* SuperLU matrix-RHS call.  Its cost model rests on two exact
+    identities of the FDFD operator:
+
+    * *Symmetrized adjoints.*  The SC-PML operator is diagonally
+      symmetrizable, ``A^T = S A S^-1`` with ``S`` the integer-point
+      stretch factors (:attr:`FdfdAssembly.symmetrizer`), so an adjoint
+      block is the forward block ``S A^-1 S^-1 b``: every triangular
+      sweep runs ``trans="N"``, which SuperLU does a whole block at a
+      time (its ``trans="T"`` path goes column by column, ~1.5x slower).
+    * *Residuals live on Omega.*  With the float64 anchor LU ``M = A_a``
+      and ``A_c = A_a + diag(delta_c)``, the seed residual is
+      ``-delta_c * M^-1 b`` and ``A_c M^-1 y = y + delta_c * M^-1 y``,
+      so every residual-space vector is supported on Omega, the union
+      of the ``delta_c`` supports (the design window, plus the
+      waveguides when a corner rescales the background).  The
+      recurrences run on those rows only; the preconditioner solve and
+      the ``x`` update are the only full-grid work per sweep, and no
+      ``L @ X`` product runs per sweep at all.
+
+    Each column the recurrences report converged is checked once
+    against the real operator of the caller's (trans-aware) system —
+    one sparse matvec per column per block — and a miss, like a column
+    that exhausts the iteration budget, falls back to a direct
+    factorization of *its* corner, which re-anchors the workspace
+    exactly like the scalar path's fallback.  A float32 twin
+    preconditioner is not an exact inverse, so that mode runs the same
+    loop on every cell against the true operator.
 
 ``BlockedKrylovSolver``
     The registry entry (``"krylov-block"``).  Per-matrix behaviour is
@@ -75,15 +93,34 @@ class BlockDiagnostics:
         return self.sweeps / self.block_solves if self.block_solves else 0.0
 
 
+def _add_columns(x: np.ndarray, cols, scale: np.ndarray, z: np.ndarray):
+    """``x[:, cols[j]] += scale[j] * z[:, j]`` in place; scales ``z``."""
+    z *= scale
+    for j, col in enumerate(cols):
+        x[:, col] += z[:, j]
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Columnwise ``a_j^H b_j``."""
+    return np.einsum("ij,ij->j", np.conj(a), b)
+
+
 class CornerBlockSolver:
     """Blocked BiCGStab over one iteration's corner family.
+
+    Cost per sweep: at most two blocked preconditioner applications
+    (``trans="N"`` for adjoint blocks too, through the symmetrizer), two
+    full-grid ``x`` updates, and recurrences restricted to Omega — the
+    cells where some iterated corner differs from the anchor.  Per
+    block: the seed application plus one true-operator matvec per
+    converged column, which certifies it.
 
     Parameters
     ----------
     assembly:
         The shared :class:`~repro.fdfd.workspace.FdfdAssembly` — supplies
-        the cached CSC Laplacian, the ``omega`` scale and the fallback
-        matrix assembly.
+        the cached CSC Laplacian, the symmetrizer, the ``omega`` scale
+        and the fallback matrix assembly.
     eps_list:
         One permittivity map per corner *system*.  Multiple right-hand
         -side columns may map onto one system (the isolator's fwd/bwd
@@ -102,6 +139,12 @@ class CornerBlockSolver:
         ``on_fallback(system_index, direct_solver)`` — called when a
         column's system had to be factorized directly so the owner can
         recycle the LU as a new preconditioner anchor.
+    anchor_eps:
+        The permittivity ``preconditioner`` factorizes.  With a float64
+        preconditioner the recurrences run on Omega; a float32 twin (or
+        no preconditioner) runs them on every cell against the true
+        operator.  Either way every returned column is verified against
+        its own system.
     """
 
     def __init__(
@@ -114,6 +157,8 @@ class CornerBlockSolver:
         config: SolverConfig,
         stats: SolveStats | None = None,
         on_fallback: Callable[[int, DirectSolver], None] | None = None,
+        *,
+        anchor_eps: np.ndarray,
     ):
         if not eps_list:
             raise ValueError("corner block needs at least one system")
@@ -121,7 +166,6 @@ class CornerBlockSolver:
         self.eps_list = [np.asarray(e, dtype=np.float64) for e in eps_list]
         self.n_systems = len(self.eps_list)
         self._laplacian = assembly.laplacian_csc
-        self._laplacian_t = self._laplacian.T  # CSR view, no copy
         # (n, n_systems): the only thing distinguishing the corners.
         self.diags = np.stack(
             [assembly.omega**2 * e.ravel() for e in self.eps_list], axis=1
@@ -151,33 +195,24 @@ class CornerBlockSolver:
         self._mixed = (
             config.precond_dtype == "float32" and preconditioner is not None
         )
+        # The anchor's diagonal, when M^-1 is an exact inverse of
+        # L + diag(anchor) and the recurrences may run on Omega.
+        self._anchor_diag = None
+        if preconditioner is not None and not self._mixed:
+            self._anchor_diag = assembly.omega**2 * np.asarray(
+                anchor_eps, dtype=np.float64
+            ).ravel()
         self.diagnostics = BlockDiagnostics()
 
     # ------------------------------------------------------------------ #
-    # Block operator / preconditioner applications                       #
+    # Preconditioner / fallback plumbing                                 #
     # ------------------------------------------------------------------ #
-    def _apply_operator(
-        self, block: np.ndarray, diag_cols: np.ndarray, trans: str
-    ) -> np.ndarray:
-        """``A_c x_c`` for every column: one shared ``L @ X`` + diagonal.
-
-        ``diag_cols`` is the per-column diagonal block (pre-gathered once
-        per solve, compacted alongside the iteration state).
-        """
-        if trans == "T":
-            out = self._laplacian_t @ block
-        else:
-            out = self._laplacian @ block
-        out += diag_cols * block
-        return out
-
-    def _apply_preconditioner(self, block: np.ndarray, trans: str) -> np.ndarray:
-        """Anchor LU over the whole block — a single matrix-RHS sweep."""
-        if self._precond is None:
-            return block.copy()
-        return np.asarray(
-            self._precond.solve(np.ascontiguousarray(block), trans=trans)
-        )
+    def _apply_preconditioner(self, block: np.ndarray) -> np.ndarray:
+        """Anchor LU over a Fortran block — a single matrix-RHS sweep."""
+        with span("solver.precond", "solver", columns=block.shape[1]):
+            if self._precond is None:
+                return np.array(block, order="F")
+            return np.asarray(self._precond.solve(block))
 
     def _lu_for_system(self, system: int) -> spla.SuperLU | None:
         canonical = self._canonical[system]
@@ -219,7 +254,9 @@ class CornerBlockSolver:
             one column per system).  Repeated entries are how
             multi-direction devices batch fwd+bwd columns of one corner.
         trans:
-            ``"N"`` for ``A x = b``, ``"T"`` for the adjoint systems.
+            ``"N"`` for ``A x = b``, ``"T"`` for the adjoint systems,
+            solved as ``S A^-1 S^-1 b`` with residuals weighted by
+            ``|S|`` so ``tol`` bounds ``||b - A^T x||`` itself.
         """
         LinearSolver._check_trans(trans)
         block = np.asarray(rhs, dtype=np.complex128)
@@ -247,8 +284,26 @@ class CornerBlockSolver:
         self.stats.add(solves=1, rhs_columns=k, block_solves=1, block_columns=k)
         self.diagnostics.block_solves += 1
         self.diagnostics.columns += k
-        out = np.empty_like(block)
+        if trans == "N":
+            return self._solve(block, systems, None, np.empty_like(block))
+        s = self.assembly.symmetrizer
+        scaled = block / s[:, None]
+        out = self._solve(scaled, systems, np.abs(s), scaled)
+        out *= s[:, None]
+        return out
 
+    def _solve(
+        self,
+        block: np.ndarray,
+        systems: np.ndarray,
+        weight: np.ndarray | None,
+        out: np.ndarray,
+    ) -> np.ndarray:
+        """Forward solves, converged in the ``weight``-scaled residual norm.
+
+        ``out`` may be ``block`` itself: every column is read before it
+        is written.
+        """
         # Columns whose system already owns an exact factorization (an
         # anchor, or an earlier fallback of this block) are solved
         # directly — the scalar path gives the anchor corner a
@@ -260,9 +315,7 @@ class CornerBlockSolver:
             cols = np.flatnonzero(exact_mask & (systems == system))
             lu = self._lu_for_system(int(system))
             with span("solver.block_exact", "solver", columns=len(cols)):
-                out[:, cols] = lu.solve(
-                    np.ascontiguousarray(block[:, cols]), trans=trans
-                )
+                out[:, cols] = lu.solve(np.asfortranarray(block[:, cols]))
             self.diagnostics.exact_columns += len(cols)
 
         iter_cols = np.flatnonzero(~exact_mask)
@@ -272,7 +325,9 @@ class CornerBlockSolver:
         with span("solver.block_sweeps", "solver",
                   columns=int(iter_cols.size)) as sweep_span:
             x, converged, iters, sweeps, refined = self._bicgstab_block(
-                block[:, iter_cols], systems[iter_cols], trans
+                [block[:, col] for col in iter_cols],
+                systems[iter_cols],
+                weight,
             )
             sweep_span.set(sweeps=sweeps, refinement_sweeps=refined)
         self.stats.add(block_sweeps=sweeps, refinement_sweeps=refined)
@@ -284,7 +339,8 @@ class CornerBlockSolver:
             int(i) for i, c in zip(iters, converged) if c
         )
         ok = np.flatnonzero(converged)
-        out[:, iter_cols[ok]] = x[:, ok]
+        for j in ok:
+            out[:, iter_cols[j]] = x[:, j]
         self.stats.add(
             krylov_solves=int(ok.size), iterations=int(iters[ok].sum())
         )
@@ -306,7 +362,7 @@ class CornerBlockSolver:
                 with span("solver.block_fallback", "solver",
                           columns=len(cols)):
                     out[:, cols] = solver.lu.solve(
-                        np.ascontiguousarray(block[:, cols]), trans=trans
+                        np.asfortranarray(block[:, cols])
                     )
                 self.diagnostics.fallback_columns += len(cols)
         return out
@@ -315,23 +371,31 @@ class CornerBlockSolver:
     # Blocked BiCGStab with per-column convergence masking               #
     # ------------------------------------------------------------------ #
     def _bicgstab_block(
-        self, b: np.ndarray, systems: np.ndarray, trans: str
+        self,
+        b: list[np.ndarray],
+        systems: np.ndarray,
+        weight: np.ndarray | None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-        """Returns ``(x, converged_mask, per_column_iterations, sweeps,
+        """Solve for the right-hand-side columns ``b``.
+
+        Returns ``(x, converged_mask, per_column_iterations, sweeps,
         refinement_sweeps)``.
 
-        The recurrences are the standard per-column BiCGStab scalars; the
-        vector operations run over the whole *active* block, so each
-        sweep costs at most two blocked preconditioner applications and
-        two blocked operator applications regardless of how many columns
-        are in flight.  A column whose half-step residual ``s`` already
-        meets tolerance skips the second application pair.  The
-        iteration state lives in *compacted* arrays that are re-sliced
-        only when a column leaves the active set (converged or broken
-        down) — steady-state sweeps touch no fancy indexing, so the
-        per-sweep overhead stays proportional to the live columns.
-        Breakdown columns (vanishing ``rho``/``denominator``, non-finite
-        residuals) are flagged for the per-corner direct fallback.
+        The recurrences are the standard per-column BiCGStab scalars on
+        the weighted residual ``weight * r`` (for an adjoint block that
+        is exactly the transposed system's residual, so the iterates are
+        those of BiCGStab on ``A^T``).  They run over the whole *active*
+        block on the rows of Omega; each sweep costs at most two blocked
+        preconditioner applications, each scattered from Omega into one
+        Fortran scratch block reused for the whole solve.  A column
+        whose half-step residual ``s`` already meets tolerance skips the
+        second application.  The iteration state lives in *compacted*
+        arrays re-sliced only when a column leaves the active set;
+        ``x`` stays full-grid and is updated in place.  Breakdown
+        columns (vanishing ``rho``/``denominator``, non-finite
+        residuals) are flagged for the per-corner direct fallback, and
+        so is every reportedly converged column that misses ``tol``
+        against the true operator.
 
         Under ``precond_dtype=float32`` a float64-residual iterative
         refinement pre-phase runs before the recurrences (one
@@ -339,18 +403,64 @@ class CornerBlockSolver:
         BiCGStab sweep's cost, with a stall guard falling through to the
         full recurrences).
         """
-        n, m = b.shape
-        bnorm = np.linalg.norm(b, axis=0)
-        thresh_full = self.config.tol * bnorm
+        m = len(b)
+        n = self.diags.shape[0]
+        thresh_full = self.config.tol * np.array(
+            [np.linalg.norm(bj if weight is None else weight * bj) for bj in b]
+        )
+        zero_rhs = thresh_full == 0.0
 
         # Seed with the anchor's solution M^{-1} b, like the scalar path.
-        x_out = self._apply_preconditioner(b, trans)
-        zero_rhs = bnorm == 0.0
-        if zero_rhs.any():
-            x_out[:, zero_rhs] = 0.0
-        r0 = b - self._apply_operator(x_out, self.diags[:, systems], trans)
+        # The scratch block carries b for the seed, then every later
+        # preconditioner input.
+        scratch = np.empty((n, m), dtype=np.complex128, order="F")
+        for j, bj in enumerate(b):
+            scratch[:, j] = bj
+        x_out = self._apply_preconditioner(scratch)
+        x_out[:, zero_rhs] = 0.0
 
-        rnorm0 = np.linalg.norm(r0, axis=0)
+        if self._anchor_diag is not None:
+            # M = L + diag(anchor): A_c M^-1 y = y + delta_c * M^-1 y, so
+            # every residual-space vector lives on Omega — the rows
+            # where an iterated corner differs from the anchor — and
+            # the seed residual b - A_c M^-1 b is -delta_c * M^-1 b.
+            support = np.zeros(n, dtype=bool)
+            for system in np.unique(systems):
+                support |= self.diags[:, system] != self._anchor_diag
+            rows = np.flatnonzero(support)
+            w_rows = None if weight is None else weight[rows, None]
+            coef = self.diags[rows][:, systems] - self._anchor_diag[rows, None]
+            if w_rows is not None:
+                coef *= w_rows
+            scratch.fill(0.0)
+
+            def operator(z, z_hat, coef):
+                return z + coef * z_hat[rows]
+
+            r = -coef * x_out[rows]
+        else:
+            rows = slice(None)
+            w_rows = None if weight is None else weight[:, None]
+            coef = self.diags[:, systems]
+
+            def operator(z, z_hat, coef):
+                out = self._laplacian @ z_hat
+                out += coef * z_hat
+                if w_rows is not None:
+                    out *= w_rows
+                return out
+
+            r = -operator(None, x_out, coef)
+            for j, bj in enumerate(b):
+                r[:, j] += bj if weight is None else weight * bj
+
+        def precondition(z):
+            """``M^-1`` of the unweighted residual-space block ``z``."""
+            k = z.shape[1]
+            scratch[rows, :k] = z if w_rows is None else z / w_rows
+            return self._apply_preconditioner(scratch[:, :k])
+
+        rnorm0 = np.linalg.norm(r, axis=0)
         converged = (rnorm0 <= thresh_full) | zero_rhs
         failed = ~np.isfinite(rnorm0)
         iters = np.zeros(m, dtype=np.int64)
@@ -361,14 +471,11 @@ class CornerBlockSolver:
         # column; all state arrays below share that column order.
         keep = ~(converged | failed)
         cols = np.flatnonzero(keep)
-        if cols.size == 0:
-            return x_out, converged, iters, sweeps, refinement
-        x = x_out[:, cols].copy()
-        r = r0[:, cols].copy()
-        diag_cols = self.diags[:, systems[cols]]
+        r = r[:, cols]
+        coef = coef[:, cols]
         thresh = thresh_full[cols]
 
-        if self._mixed:
+        if self._mixed and cols.size:
             # Iterative refinement against the float64 residual: the
             # float32 sweeps' rounding lands in the correction, not the
             # accumulated solution, so the achieved tolerance matches
@@ -383,13 +490,10 @@ class CornerBlockSolver:
                 if tgt.size == 0:
                     break
                 refinement += 1
-                dx = self._apply_preconditioner(
-                    np.ascontiguousarray(r[:, tgt]), trans
-                )
-                correction = self._apply_operator(
-                    dx, diag_cols[:, tgt], trans
-                )
-                new = np.linalg.norm(r[:, tgt] - correction, axis=0)
+                r_tgt = r[:, tgt]
+                dx = precondition(r_tgt)
+                correction = operator(r_tgt, dx, coef[:, tgt])
+                new = np.linalg.norm(r_tgt - correction, axis=0)
                 # Stall guard: apply the sweep only where it shrank the
                 # float64 residual; a column that stops halving stops
                 # refining (keeping its progress) and falls through to
@@ -397,22 +501,17 @@ class CornerBlockSolver:
                 ok = np.isfinite(new) & (new < prev[tgt])
                 good = tgt[ok]
                 if good.size:
-                    x[:, good] += dx[:, ok]
+                    _add_columns(x_out, cols[good], 1.0, dx[:, ok])
                     r[:, good] -= correction[:, ok]
                 improving[tgt] = ok & (new <= 0.5 * prev[tgt])
                 prev[good] = new[ok]
             done = prev <= thresh
-            if done.any():
-                converged[cols[done]] = True
-                x_out[:, cols[done]] = x[:, done]
-                live = ~done
-                cols = cols[live]
-                x = x[:, live]
-                r = r[:, live]
-                diag_cols = diag_cols[:, live]
-                thresh = thresh[live]
-                if cols.size == 0:
-                    return x_out, converged, iters, sweeps, refinement
+            converged[cols[done]] = True
+            live = ~done
+            cols = cols[live]
+            r = r[:, live]
+            coef = coef[:, live]
+            thresh = thresh[live]
 
         r_hat = r.copy()
         p = np.zeros_like(r)
@@ -421,45 +520,44 @@ class CornerBlockSolver:
         alpha = np.ones(cols.size, dtype=np.complex128)
         omega = np.ones(cols.size, dtype=np.complex128)
 
-        for _ in range(self.config.maxiter):
+        while cols.size and sweeps < self.config.maxiter:
             sweeps += 1
             iters[cols] += 1
 
-            rho_new = np.einsum("ij,ij->j", np.conj(r_hat), r)
+            rho_new = _dots(r_hat, r)
             rho_bad = ~np.isfinite(rho_new) | (np.abs(rho_new) == 0.0)
             # First sweep: p and v are zero, so this reduces to p = r.
             beta = (rho_new / rho_old) * (alpha / omega)
             p = r + beta * (p - omega * v)
 
-            p_hat = self._apply_preconditioner(p, trans)
-            v = self._apply_operator(p_hat, diag_cols, trans)
-            denom = np.einsum("ij,ij->j", np.conj(r_hat), v)
+            p_hat = precondition(p)
+            v = operator(p, p_hat, coef)
+            denom = _dots(r_hat, v)
             denom_bad = ~np.isfinite(denom) | (np.abs(denom) == 0.0)
             alpha = rho_new / np.where(denom_bad, 1.0, denom)
             s = r - alpha * v
             snorm = np.linalg.norm(s, axis=0)
             s_done = snorm <= thresh
+            # Every column takes the half step x + alpha p_hat; those
+            # whose ``s`` already met tolerance stop there and leave the
+            # working set below (the omega update would divide by a
+            # vanishing t), only the others pay the second application.
+            _add_columns(x_out, cols, alpha, p_hat)
+            del p_hat
 
-            # Columns whose ``s`` already met tolerance take the half step
-            # x + alpha p_hat and leave the working set below (the omega
-            # update would divide by a vanishing t); only the others pay
-            # the second preconditioner and operator application.
             r = s
             rnorm = snorm
             tt_bad = np.zeros(cols.size, dtype=bool)
-            if s_done.any():
-                x[:, s_done] += alpha[s_done] * p_hat[:, s_done]
             if not s_done.all():
                 a = slice(None) if not s_done.any() else np.flatnonzero(~s_done)
                 s_a = s[:, a]
-                s_hat = self._apply_preconditioner(s_a, trans)
-                t = self._apply_operator(s_hat, diag_cols[:, a], trans)
-                tt = np.einsum("ij,ij->j", np.conj(t), t).real
+                s_hat = precondition(s_a)
+                t = operator(s_a, s_hat, coef[:, a])
+                tt = _dots(t, t).real
                 tt_bad[a] = tt == 0.0
-                omega[a] = np.einsum("ij,ij->j", np.conj(t), s_a) / np.where(
-                    tt == 0.0, 1.0, tt
-                )
-                x[:, a] += alpha[a] * p_hat[:, a] + omega[a] * s_hat
+                omega[a] = _dots(t, s_a) / np.where(tt == 0.0, 1.0, tt)
+                _add_columns(x_out, cols[a], omega[a], s_hat)
+                del s_hat
                 r[:, a] -= omega[a] * t
                 rnorm[a] = np.linalg.norm(r[:, a], axis=0)
 
@@ -469,32 +567,33 @@ class CornerBlockSolver:
             rho_old = rho_new
 
             if done.any() or bad.any():
-                # Columns leave the working set: publish their state and
-                # compact every live array once.
+                # Columns leave the working set: record them and compact
+                # every live array once.
                 converged[cols[done]] = True
                 failed[cols[bad]] = True
-                x_out[:, cols[done]] = x[:, done]
                 live = ~(done | bad)
-                if not live.any():
-                    break
                 cols = cols[live]
-                x = x[:, live]
                 r = r[:, live]
                 r_hat = r_hat[:, live]
                 p = p[:, live]
                 v = v[:, live]
-                diag_cols = diag_cols[:, live]
+                coef = coef[:, live]
                 thresh = thresh[live]
                 rho_old = rho_old[live]
                 alpha = alpha[live]
                 omega = omega[live]
 
-        # Unconverged stragglers: publish whatever they reached (unused —
-        # the caller routes them to the direct fallback).
-        still = np.flatnonzero(~(converged | failed))
-        if still.size:
-            live = np.isin(cols, still)
-            x_out[:, cols[live]] = x[:, live]
+        # The recurrences' residuals are only as good as M's exactness
+        # and their own rounding: certify every converged column once
+        # against the true operator of its own system.
+        for j in np.flatnonzero(converged & ~zero_rhs):
+            xj = x_out[:, j]
+            resid = self._laplacian @ xj
+            resid += self.diags[:, systems[j]] * xj
+            np.subtract(b[j], resid, out=resid)
+            if weight is not None:
+                resid *= weight
+            converged[j] = np.linalg.norm(resid) <= thresh_full[j]
         return x_out, converged, iters, sweeps, refinement
 
 
@@ -524,6 +623,8 @@ class BlockedKrylovSolver(PreconditionedKrylovSolver):
         config: SolverConfig,
         stats: SolveStats | None = None,
         on_fallback=None,
+        *,
+        anchor_eps: np.ndarray,
     ) -> CornerBlockSolver:
         """Build the block operator for one iteration's corner family."""
         return CornerBlockSolver(
@@ -535,4 +636,5 @@ class BlockedKrylovSolver(PreconditionedKrylovSolver):
             config,
             stats,
             on_fallback,
+            anchor_eps=anchor_eps,
         )

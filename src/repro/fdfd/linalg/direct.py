@@ -30,9 +30,8 @@ class SinglePrecisionLU:
     """A complex64 twin of an anchor LU, for preconditioner sweeps.
 
     Triangular sweeps are bandwidth-bound, so halving the factor
-    precision roughly halves the memory traffic per sweep — the same
-    argument that makes the blocked ``L @ X`` win.  The twin is only
-    ever used as a *preconditioner*: outer Krylov recurrences and
+    precision roughly halves the memory traffic per sweep.  The twin is
+    only ever used as a *preconditioner*: outer Krylov recurrences and
     residuals stay float64 (inputs are upcast back to complex128 on
     return), so the achieved tolerance is governed by the float64
     residual, not by the float32 factors.  Duck-types the
@@ -52,9 +51,7 @@ class SinglePrecisionLU:
         return cls(factor_options.splu(matrix.astype(np.complex64)))
 
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-        out = self._lu.solve(
-            np.ascontiguousarray(rhs, dtype=np.complex64), trans=trans
-        )
+        out = self._lu.solve(np.asarray(rhs, dtype=np.complex64), trans=trans)
         return np.asarray(out, dtype=np.complex128)
 
 

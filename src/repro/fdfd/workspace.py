@@ -68,7 +68,7 @@ from repro.fdfd.linalg import (
 )
 from repro.fdfd.modes import SlabModeSolver, WaveguideMode
 from repro.fdfd.operators import build_derivative_ops, laplacian_from_ops
-from repro.fdfd.pml import PMLSpec
+from repro.fdfd.pml import PMLSpec, stretch_factors
 from repro.obs.trace import span
 
 __all__ = [
@@ -163,6 +163,7 @@ class FdfdAssembly:
         self._laplacian_csc = self.laplacian.tocsc()
         self._laplacian_csc.sort_indices()
         self._diag_positions = self._locate_diagonal(self._laplacian_csc)
+        self._symmetrizer = None
 
     @staticmethod
     def _locate_diagonal(mat: sp.csc_matrix) -> np.ndarray | None:
@@ -183,11 +184,29 @@ class FdfdAssembly:
     def laplacian_csc(self) -> sp.csc_matrix:
         """The cached CSC Laplacian (shared; callers must not mutate it).
 
-        Block-corner solvers apply it to whole right-hand-side blocks
-        (``L @ X``) so every corner of an iteration shares one sparse
-        mat-mat product per sweep.
+        Block-corner solvers apply it once per converged column, to
+        certify that column against its corner's true operator.
         """
         return self._laplacian_csc
+
+    @property
+    def symmetrizer(self) -> np.ndarray:
+        """Flat diagonal ``S`` with ``A^T = S A S^-1`` for every ``A``.
+
+        Each stretched second difference is ``s_b^-1 B s_f^-1 F`` with
+        ``B = -F^T``, so it is symmetrized by the integer-point (backward)
+        stretch ``s_b``; on the 2-D grid ``S = outer(s_x, s_y)``, and the
+        ``omega^2 eps`` diagonal commutes with it.  Block solvers use it
+        to run adjoint solves as forward ones.  Built on first use.
+        """
+        if self._symmetrizer is None:
+            grid = self.grid
+            sx, sy = (
+                stretch_factors(n, grid.npml, grid.dl, self.omega, self.pml)[0]
+                for n in grid.shape
+            )
+            self._symmetrizer = np.outer(sx, sy).ravel()
+        return self._symmetrizer
 
     # ------------------------------------------------------------------ #
     def system_matrix(self, eps_r: np.ndarray) -> sp.csc_matrix:
@@ -619,6 +638,7 @@ class SimulationWorkspace:
             config=self.solver_config,
             stats=self.solver_stats,
             on_fallback=reanchor,
+            anchor_eps=nearest.eps,
         )
 
     @property

@@ -34,6 +34,7 @@ from repro.fdfd.linalg import (
     make_linear_solver,
 )
 from repro.fdfd.workspace import default_factor_options
+from repro.obs.trace import disable_tracing, enable_tracing
 from repro.params import rasterize_segments
 from repro.utils.constants import omega_from_wavelength
 
@@ -284,6 +285,74 @@ class TestCornerBlockSolver:
         x = block.solve_block(b)
         np.testing.assert_array_equal(x[:, 1], 0.0)
 
+    def test_transposed_pml_corner_rhs_meets_tol_unscaled(self, grid, eps):
+        """Adjoint columns converge on ``A^T``'s own residual, not ``S``'s.
+
+        The block solves ``A^T x = b`` as ``S A^-1 S^-1 b``; a right-hand
+        side deep in a PML corner, where ``|S|`` is largest, is where a
+        convergence test in the scaled system would be furthest off.
+        """
+        family = corner_family(eps)
+        ws, block = self._block(grid, family, maxiter=30)
+        s = ws.assembly(grid, OMEGA).symmetrizer.reshape(grid.shape)
+        npml = grid.npml
+        assert np.abs(s[:npml, :npml]).max() > 500.0
+        rng = np.random.default_rng(11)
+        b = np.zeros((grid.n_cells, len(family)), dtype=complex)
+        corner = np.zeros(grid.shape, dtype=bool)
+        corner[:npml, :npml] = True
+        for j in range(len(family)):
+            b[corner.ravel(), j] = rng.standard_normal(corner.sum()) + 1j
+        x = block.solve_block(b, trans="T")
+        assert ws.stats()["solver"]["fallbacks"] == 0
+        assembly = ws.assembly(grid, OMEGA)
+        for j, corner_eps in enumerate(family):
+            matrix = assembly.system_matrix(corner_eps)
+            resid = np.linalg.norm(b[:, j] - matrix.T @ x[:, j])
+            assert resid <= block.config.tol * np.linalg.norm(b[:, j])
+
+    def test_mismatched_anchor_falls_back_instead_of_lying(self, grid, eps):
+        """Only the true-residual check stands between a wrong anchor and
+        a wrong answer: the recurrences trust ``M = L + diag(anchor)``.
+
+        Claiming the LU of ``eps`` factorizes the first corner makes that
+        corner's residual vanish on Omega at the seed and steers the
+        other column's recurrences towards the wrong system.
+        """
+        assembly = SimulationWorkspace().assembly(grid, OMEGA)
+        options = default_factor_options()
+        family = corner_family(eps, bumps=(0.3, 0.6))[1:]
+        block = CornerBlockSolver(
+            assembly, family, options.splu(assembly.system_matrix(eps)),
+            {}, options, SolverConfig(backend="krylov-block"),
+            anchor_eps=family[0],
+        )
+        b = rhs_block(grid, k=2, seed=12)
+        x = block.solve_block(b)
+        for j, corner in enumerate(family):
+            resid = np.linalg.norm(
+                assembly.system_matrix(corner) @ x[:, j] - b[:, j]
+            )
+            assert resid <= block.config.tol * np.linalg.norm(b[:, j])
+        assert block.stats.fallbacks > 0
+
+    def test_precond_spans_nest_under_sweeps(self, grid, eps):
+        """One ``solver.precond`` span per preconditioner application."""
+        assembly, family, block, calls = self._counted_block(
+            grid, eps, bumps=(0.3, 0.6, -0.2)
+        )
+        tracer = enable_tracing()
+        try:
+            block.solve_block(rhs_block(grid, k=3, seed=13), trans="T")
+            records = tracer.drain()
+        finally:
+            disable_tracing()
+        (sweeps,) = [r for r in records if r["name"] == "solver.block_sweeps"]
+        precond = [r for r in records if r["name"] == "solver.precond"]
+        assert len(precond) == len(calls) > 1
+        assert sum(r["args"]["columns"] for r in precond) == sum(calls)
+        assert all(r["parent"] == sweeps["id"] for r in precond)
+
     def _counted_block(self, grid, eps, bumps):
         """A block preconditioned by ``eps``'s LU, counting sweep columns."""
         ws = SimulationWorkspace()
@@ -292,14 +361,14 @@ class TestCornerBlockSolver:
         family = corner_family(eps, bumps=bumps)[1:]
         block = CornerBlockSolver(
             assembly, family, options.splu(assembly.system_matrix(eps)),
-            {}, options, SolverConfig(backend="krylov-block"),
+            {}, options, SolverConfig(backend="krylov-block"), anchor_eps=eps,
         )
         calls = []
         apply = block._apply_preconditioner
 
-        def counted(columns, trans):
+        def counted(columns):
             calls.append(columns.shape[1])
-            return apply(columns, trans)
+            return apply(columns)
 
         block._apply_preconditioner = counted
         return assembly, family, block, calls
@@ -495,7 +564,7 @@ class TestEngineAndEvalAgreement:
 class TestBlockGradientFiniteDifference:
     """FD probing needs the objective far tighter than the default tol."""
 
-    def _fd_check(self, device_name, pattern, cells):
+    def _fd_check(self, device_name, pattern, cells, alphas=(1.0, 1.0)):
         device = device_with_backend(
             device_name, SolverConfig(backend="krylov-block", tol=1e-10, maxiter=40)
         )
@@ -509,7 +578,7 @@ class TestBlockGradientFiniteDifference:
         }
         patterns = [pattern, np.clip(pattern * 0.97, 0.0, 1.0)]
         tensors = [Tensor(p.copy(), requires_grad=True) for p in patterns]
-        powers_list = device.port_powers_corners(tensors, [1.0, 1.0])
+        powers_list = device.port_powers_corners(tensors, list(alphas))
         assert powers_list is not None
         total = None
         for powers in powers_list:
@@ -522,7 +591,7 @@ class TestBlockGradientFiniteDifference:
 
         def objective(p0):
             values = device.port_powers_array_corners(
-                [p0, patterns[1]], [1.0, 1.0]
+                [p0, patterns[1]], list(alphas)
             )
             return sum(
                 values[c][d][n] * weights[d][n]
@@ -542,6 +611,12 @@ class TestBlockGradientFiniteDifference:
 
     def test_bending_fd(self, bend_pattern):
         self._fd_check("bending", bend_pattern, [(10, 12), (22, 9)])
+
+    def test_bending_fd_across_temperatures(self, bend_pattern):
+        """A rescaled background puts the waveguides, PML included, in Omega."""
+        self._fd_check(
+            "bending", bend_pattern, [(10, 12), (22, 9)], alphas=(1.0, 1.0127)
+        )
 
     @pytest.mark.slow
     def test_isolator_fd(self):

@@ -8,9 +8,10 @@ silently change optimization trajectories.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.autodiff import Tensor
-from repro.devices import make_device
+from repro.devices import DEVICE_REGISTRY, make_device
 from repro.fdfd import (
     FactorOptions,
     HelmholtzSolver,
@@ -94,6 +95,29 @@ class TestAssemblyIdentity:
         HelmholtzSolver(grid, eps, OMEGA, workspace=ws)
         HelmholtzSolver(grid, eps, OMEGA * 1.01, workspace=ws)
         assert ws.stats()["assemblies"]["misses"] == 2
+
+    @pytest.mark.parametrize(
+        "name, kwargs, wavelength",
+        [
+            *((name, {}, None) for name in sorted(DEVICE_REGISTRY)),
+            ("bending", {"dl": 0.025}, None),
+            ("bending", {}, 1.50),
+        ],
+    )
+    def test_symmetrizer_transposes_the_laplacian(
+        self, name, kwargs, wavelength
+    ):
+        """``S L S^-1 == L^T``: adjoint solves may run as forward ones."""
+        device = make_device(name, **kwargs)
+        if wavelength is not None:
+            device = device.at_wavelength(wavelength)
+        assembly = SimulationWorkspace().assembly(device.grid, device.omega)
+        lap = assembly.laplacian_csc
+        s = assembly.symmetrizer
+        assert np.abs(s).max() > 10.0  # the PML stretch is in play
+        conjugated = sp.diags(s) @ lap @ sp.diags(1.0 / s)
+        err = abs(conjugated - lap.T).max()
+        assert err <= 1e-14 * abs(lap).max()
 
     def test_lru_eviction_bounded(self, grid, eps):
         ws = SimulationWorkspace(max_factorizations=2)
