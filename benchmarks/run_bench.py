@@ -9,13 +9,13 @@ backend against the seed-equivalent cold pipeline and writes
 * ``iteration``  — end-to-end per-iteration wall time of
   ``Boson1Optimizer`` on the bending device with fabrication corners on
   (the paper's dominant cost), seed-equivalent vs. each backend
-  (``direct`` = the warm path, ``krylov`` with the
-  nominal-corner LU recycled across corners, ``krylov-block`` with the
-  whole corner family solved through shared matrix-RHS block sweeps),
-  with per-run workspace cache hit rates and convergence statistics.
+  (``direct`` = the warm path, ``krylov-block`` with the nominal-corner
+  LU recycled across corners and the whole corner family solved through
+  shared matrix-RHS block sweeps), with per-run workspace cache hit
+  rates and convergence statistics.
 * ``block``      — the headline PR 3 evidence: blocked sweeps per
-  corner block vs. the scalar path's per-column sweeps, factorizations
-  per run, and the per-iteration speedup over scalar krylov.
+  corner block vs. the per-column iterations they amortize,
+  factorizations per run, and the per-iteration speedup over direct.
 * ``montecarlo`` — ``evaluate_post_fab`` wall time, seed-equivalent
   vs. cached vs. blocked.
 * ``process``    — the PR 4 evidence: the taped corner fan-out through
@@ -48,11 +48,11 @@ backend against the seed-equivalent cold pipeline and writes
   the physics.
 * ``scenario``   — the PR 8 evidence: a 4-wavelength x 2-temperature x
   axial-corner scenario family on bending under ``--aggregate worst``,
-  scalar ``krylov`` vs. ``krylov-block`` in the same session.  Gated on
+  ``direct`` vs. ``krylov-block`` in the same session.  Gated on
   omega-group amortization: exactly one blocked forward + adjoint solve
   per wavelength group per iteration (the temperature axis must not add
-  solves), fewer total block sweeps than scalar per-column iterations,
-  and trajectory agreement to solver precision.
+  solves), fewer total block sweeps than per-column iterations, and
+  trajectory agreement with ``direct`` to solver precision.
 * ``serve``      — the PR 10 evidence: the same design run submitted
   through an in-process ``repro serve`` daemon (framed submit + coarse
   status polls + per-iteration progress appends + job-state
@@ -62,11 +62,12 @@ backend against the seed-equivalent cold pipeline and writes
   overhead, with the served job's trajectory required to match the
   direct run bit for bit.
 
-The backends are also cross-checked: ``krylov`` and ``krylov-block``
-must reproduce the direct FoM trajectory to solver precision.  Finally the numbers are compared against
-``BENCH_PR9.json`` (if present): a slower warm-direct, scalar-krylov
-or krylov-block path, a block path that loses to scalar krylov or that
-stops amortizing sweeps, a process/remote fan-out with runaway
+The backends are also cross-checked: ``krylov-block`` must reproduce
+the direct FoM trajectory to solver precision.  Finally the numbers are
+compared against ``BENCH_PR9.json`` (if present): a slower warm-direct
+or krylov-block path, a block path that loses to the same-run direct
+path or that stops amortizing sweeps, a process/remote fan-out with
+runaway
 overhead, checkpointing, tracing or daemon scheduling that taxes the
 loop beyond its gate is reported as a REGRESSION and the run exits
 non-zero.
@@ -115,7 +116,7 @@ from repro.fdfd.workspace import (  # noqa: E402
 from repro.utils.constants import omega_from_wavelength  # noqa: E402
 from repro.utils.io import atomic_write_json  # noqa: E402
 
-BACKENDS = ("direct", "krylov", "krylov-block")
+BACKENDS = ("direct", "krylov-block")
 
 
 def _time_repeat(fn, repeats: int) -> float:
@@ -162,7 +163,7 @@ def bench_solver(repeats: int = 5) -> dict:
 
     # One Krylov corner solve against a recycled nominal anchor, for the
     # headline "sweeps vs. factorization" comparison.
-    kry_ws = SimulationWorkspace(solver_config="krylov")
+    kry_ws = SimulationWorkspace(solver_config="krylov-block")
     HelmholtzSolver(grid, eps, omega, workspace=kry_ws)  # anchor
     corner = eps.copy()
     corner[30:50, 30:50] += 0.5
@@ -242,11 +243,8 @@ def bench_iteration(iterations: int, rounds: int = 2) -> tuple[dict, np.ndarray]
     t_direct, r_direct, _ = runs["direct"]
 
     # Same physics across the board: seed vs. cached to factorization
-    # roundoff, krylov and krylov-block to solver precision.
+    # roundoff, krylov-block to solver precision.
     assert np.allclose(r_seed.fom_trace(), r_direct.fom_trace(), atol=1e-6)
-    assert np.allclose(
-        runs["krylov"][1].fom_trace(), r_direct.fom_trace(), rtol=1e-5, atol=1e-7
-    )
     assert np.allclose(
         runs["krylov-block"][1].fom_trace(),
         r_direct.fom_trace(),
@@ -264,14 +262,14 @@ def bench_iteration(iterations: int, rounds: int = 2) -> tuple[dict, np.ndarray]
         }
         solver_stats = stats["solver"]
         entry["factorizations"] = solver_stats["factorizations"]
-        if backend in ("krylov", "krylov-block"):
+        if backend == "krylov-block":
             entry["krylov_solves"] = solver_stats["krylov_solves"]
+            entry["krylov_iterations"] = solver_stats["iterations"]
             entry["mean_krylov_iterations"] = round(
                 solver_stats["iterations"] / max(1, solver_stats["krylov_solves"]),
                 2,
             )
             entry["fallbacks"] = solver_stats["fallbacks"]
-        if backend == "krylov-block":
             entry["block_solves"] = solver_stats["block_solves"]
             entry["block_sweeps"] = solver_stats["block_sweeps"]
             entry["block_columns"] = solver_stats["block_columns"]
@@ -283,40 +281,35 @@ def bench_iteration(iterations: int, rounds: int = 2) -> tuple[dict, np.ndarray]
         "corners_per_iteration": r_direct.history[0].n_corners,
         "seed_equivalent_s_per_iter": t_seed / iterations,
         "backends": backends,
-        "krylov_speedup_vs_direct": t_direct / runs["krylov"][0],
-        "block_speedup_vs_krylov": runs["krylov"][0] / runs["krylov-block"][0],
+        "block_speedup_vs_direct": t_direct / runs["krylov-block"][0],
     }
     return report, r_direct.pattern
 
 
 def block_evidence(iteration: dict) -> dict:
-    """The PR 3 headline numbers: blocked sweeps vs. scalar sweeps.
+    """The PR 3 headline numbers: blocked sweeps vs. per-column sweeps.
 
-    The scalar ``krylov`` path pays one preconditioner application pair
-    per column iteration; the block path pays one *matrix-RHS* pair per
-    blocked sweep covering the whole active corner family.  Fewer block
-    sweeps per iteration than scalar per-column iterations is the
-    amortization the ROADMAP item asked for.
+    Solving each column on its own pays one preconditioner application
+    pair per column iteration; the block path pays one *matrix-RHS* pair
+    per blocked sweep covering the whole active corner family.  Fewer
+    block sweeps per iteration than the same run's per-column iterations
+    is the amortization the ROADMAP item asked for.
     """
     iters = iteration["iterations"]
-    scalar = iteration["backends"]["krylov"]
     block = iteration["backends"]["krylov-block"]
     block_sweeps_per_iter = block["block_sweeps"] / iters
-    scalar_sweeps_per_iter = (
-        scalar["krylov_solves"] * scalar["mean_krylov_iterations"] / iters
-    )
+    column_iterations_per_iter = block["krylov_iterations"] / iters
     return {
         "s_per_iter": block["s_per_iter"],
-        "speedup_vs_scalar_krylov": iteration["block_speedup_vs_krylov"],
         "speedup_vs_direct": block["speedup_vs_direct"],
         "block_solves_per_iter": block["block_solves"] / iters,
         "sweeps_per_corner_block": round(
             block["block_sweeps"] / max(1, block["block_solves"]), 2
         ),
         "block_sweeps_per_iter": round(block_sweeps_per_iter, 2),
-        "scalar_sweeps_per_iter": round(scalar_sweeps_per_iter, 2),
+        "column_iterations_per_iter": round(column_iterations_per_iter, 2),
         "sweep_amortization": round(
-            scalar_sweeps_per_iter / max(1e-9, block_sweeps_per_iter), 2
+            column_iterations_per_iter / max(1e-9, block_sweeps_per_iter), 2
         ),
         "factorizations_per_run": block["factorizations"],
         "fallbacks": block["fallbacks"],
@@ -894,15 +887,16 @@ def bench_scenario(iterations: int, rounds: int = 2) -> tuple[dict, list[str]]:
     omega-grouped blocked solves.
 
     Bending under a 4-wavelength x 2-temperature x axial-corner family
-    (``--aggregate worst``), scalar ``krylov`` vs. ``krylov-block`` in
-    the same session.  Machine-independent gates:
+    (``--aggregate worst``), ``direct`` vs. ``krylov-block`` in the same
+    session.  Machine-independent gates:
 
     * each omega group must ride exactly one blocked forward + one
       blocked adjoint solve per iteration (the temperature axis shares
       its wavelength's Laplacian and must not add solves);
     * the blocked path's matrix-RHS sweeps must amortize — fewer total
-      block sweeps than the scalar path's per-column iterations;
-    * both trajectories must agree to solver precision.
+      block sweeps than the same run's per-column iterations;
+    * the blocked trajectory must agree with ``direct`` to solver
+      precision.
 
     The wall-clock speedup is recorded but not gated across machines.
     """
@@ -922,7 +916,7 @@ def bench_scenario(iterations: int, rounds: int = 2) -> tuple[dict, list[str]]:
         )
 
     runs: dict = {}
-    for backend in ("krylov", "krylov-block"):
+    for backend in ("direct", "krylov-block"):
         best = float("inf")
         for _ in range(rounds):
             elapsed, result, stats = _timed_run(config(backend), iterations)
@@ -930,7 +924,7 @@ def bench_scenario(iterations: int, rounds: int = 2) -> tuple[dict, list[str]]:
                 best = elapsed
                 runs[backend] = (elapsed, result, stats["solver"])
 
-    t_scalar, r_scalar, s_scalar = runs["krylov"]
+    t_direct, r_direct, _ = runs["direct"]
     t_block, r_block, s_block = runs["krylov-block"]
     n_scenarios = r_block.history[0].n_corners
     expected_block_solves = len(lams) * 2 * iterations
@@ -943,31 +937,29 @@ def bench_scenario(iterations: int, rounds: int = 2) -> tuple[dict, list[str]]:
             f"{expected_block_solves} ({len(lams)} groups x fwd+adjoint "
             f"x {iterations} iterations)"
         )
-    if s_block["block_sweeps"] >= s_scalar["iterations"]:
+    if s_block["block_sweeps"] >= s_block["iterations"]:
         failures.append(
             "scenario: block sweeps stopped amortizing — "
             f"{s_block['block_sweeps']} blocked sweeps vs. "
-            f"{s_scalar['iterations']} scalar per-column iterations"
+            f"{s_block['iterations']} per-column iterations"
         )
     if not np.allclose(
-        r_block.fom_trace(), r_scalar.fom_trace(), rtol=1e-4, atol=1e-8
+        r_block.fom_trace(), r_direct.fom_trace(), rtol=1e-4, atol=1e-8
     ):
-        failures.append(
-            "scenario: blocked trajectory diverged from scalar krylov"
-        )
+        failures.append("scenario: blocked trajectory diverged from direct")
 
     return {
         "n_scenarios": n_scenarios,
         "n_omega_groups": len(lams),
         "aggregate": "worst",
-        "scalar_s_per_iter": t_scalar / iterations,
+        "direct_s_per_iter": t_direct / iterations,
         "block_s_per_iter": t_block / iterations,
-        "speedup_vs_scalar_krylov": t_scalar / t_block,
+        "speedup_vs_direct": t_direct / t_block,
         "block_solves_per_iter": s_block["block_solves"] / iterations,
         "block_sweeps": s_block["block_sweeps"],
-        "scalar_krylov_iterations": s_scalar["iterations"],
+        "column_iterations": s_block["iterations"],
         "sweep_amortization": round(
-            s_scalar["iterations"] / max(1, s_block["block_sweeps"]), 2
+            s_block["iterations"] / max(1, s_block["block_sweeps"]), 2
         ),
     }, failures
 
@@ -985,25 +977,20 @@ def compare_with_baseline(
     """
     failures: list[str] = []
     direct = iteration["backends"]["direct"]["s_per_iter"]
-    krylov = iteration["backends"]["krylov"]["s_per_iter"]
     blocked = iteration["backends"]["krylov-block"]["s_per_iter"]
     # Same-run comparisons are jitter-resistant (both runs see the same
     # ambient load); 5% head-room covers scheduling noise.
-    if krylov >= 1.05 * direct:
-        failures.append(
-            f"krylov ({krylov:.4f} s/iter) regressed against the same-run "
-            f"warm direct path ({direct:.4f} s/iter, 5% head-room)"
-        )
-    if blocked >= 1.05 * krylov:
+    if blocked >= 1.05 * direct:
         failures.append(
             f"krylov-block ({blocked:.4f} s/iter) loses to the same-run "
-            f"scalar krylov path ({krylov:.4f} s/iter, 5% head-room)"
+            f"warm direct path ({direct:.4f} s/iter, 5% head-room)"
         )
-    if block["block_sweeps_per_iter"] >= block["scalar_sweeps_per_iter"]:
+    if block["block_sweeps_per_iter"] >= block["column_iterations_per_iter"]:
         failures.append(
             f"block path stopped amortizing sweeps: "
             f"{block['block_sweeps_per_iter']} blocked sweeps/iter vs. "
-            f"{block['scalar_sweeps_per_iter']} scalar sweeps/iter"
+            f"{block['column_iterations_per_iter']} per-column "
+            "iterations/iter"
         )
     if not baseline_path.exists():
         print(
@@ -1014,17 +1001,11 @@ def compare_with_baseline(
     baseline = json.loads(baseline_path.read_text())
     base_backends = baseline["iteration"]["backends"]
     base_direct = base_backends["direct"]["s_per_iter"]
-    base_krylov = base_backends["krylov"]["s_per_iter"]
     # Cross-run absolute comparisons get 25% head-room.
     if direct > 1.25 * base_direct:
         failures.append(
             f"warm direct path regressed: {direct:.4f} s/iter vs. "
             f"baseline's {base_direct:.4f} s/iter (25% head-room)"
-        )
-    if krylov > 1.25 * base_krylov:
-        failures.append(
-            f"scalar krylov regressed: {krylov:.4f} s/iter vs. "
-            f"baseline's {base_krylov:.4f} s/iter (25% head-room)"
         )
     base_block = base_backends.get("krylov-block")
     if base_block is not None and blocked > 1.25 * base_block["s_per_iter"]:
@@ -1052,13 +1033,12 @@ def _print_iteration_report(iteration: dict) -> None:
             for name in ("assemblies", "factorizations", "modes")
         )
         print(f"            cache hit rates: {rates}")
-        if backend in ("krylov", "krylov-block"):
+        if backend == "krylov-block":
             print(
                 f"            krylov: {entry['krylov_solves']} solves, "
                 f"{entry['mean_krylov_iterations']} sweeps/solve, "
                 f"{entry['fallbacks']} fallbacks"
             )
-        if backend == "krylov-block":
             print(
                 f"            block: {entry['block_solves']} block solves, "
                 f"{entry['block_sweeps']} blocked sweeps over "

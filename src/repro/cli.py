@@ -52,27 +52,27 @@ executors (corner / sample fan-out):
 without an explicit :n, process and remote auto-tune to
 min(corner count, available workers); on a 1-core box an auto process
 spec runs inline, making `--executor process` safe everywhere.
-solvers (every FDFD solve), spelled --solver BACKEND[:MOD...]:
+solvers (every FDFD solve), spelled --solver BACKEND[:MOD]:
   direct       one SuperLU per corner, multi-column blocks (e.g. the
                isolator's forward and backward sources) in one
                matrix-RHS call; the bitwise reference.
-  krylov       nominal-corner LU recycled across an iteration's corners
-               via preconditioned BiCGStab/GMRES; accurate to the
-               solver tolerance.
-  krylov-block krylov + one *blocked* solve for the whole corner family
-               (serial executor only; process and remote workers solve
-               each corner on its own).  not a universal win on 1 core:
-               1.19x faster than direct on bending, but slower on the
-               isolator (0.41-0.45 vs 0.35-0.39 s/iter at dl=0.05).
-modifiers (krylov backends):
-  :gmres       GMRES instead of BiCGStab for scalar krylov solves.
+  krylov-block nominal-corner LU recycled across an iteration's corners
+               as the preconditioner of a BiCGStab that solves the
+               whole corner family in one *blocked* solve; accurate to
+               the solver tolerance.  on the serial executor only;
+               process and remote workers, and calibration runs, solve
+               each system on its own with the same kernel.  not a
+               universal win on 1 core: 1.19x faster than direct on
+               bending, but slower on the isolator (0.41-0.45 vs
+               0.35-0.39 s/iter at dl=0.05).
+modifier (krylov-block):
   :float32     factor the preconditioner anchor in single precision
                (e.g. krylov-block:float32); outer recurrences stay
                float64 and iterative refinement re-certifies every
                corner to the full solver tolerance.  a memory knob, not
                a speed-up: measured 1.12-1.20x slower than float64.
 determinism contract: direct is bitwise stable across executors;
-krylov variants (including float32 preconditioning) agree with it to
+krylov-block (including float32 preconditioning) agrees with it to
 the solver tolerance — trajectories match to ~1e-8, not bit-for-bit.
 rule of thumb: keep `--solver direct` unless a timed comparison on
 your device and grid favours `krylov-block`; add `--executor
@@ -101,8 +101,8 @@ the direct backend on the serial executor, and a
 checkpoint written before the scenario axes existed refuses to resume
 with a descriptive digest error (the config digest covers the axes).
 with axes set, omega grouping never changes results: LU-backed
-backends stay bitwise across executors and worker counts; krylov
-backends agree to solver tolerance per omega group.
+backends stay bitwise across executors and worker counts; krylov-block
+agrees to solver tolerance per omega group.
 evaluation: `repro evaluate ... --wavelengths 1.5,1.6` re-evaluates
 each Monte-Carlo fabrication draw at every wavelength (the same draws
 per stratum — a paired comparison) and reports per-wavelength
@@ -124,7 +124,7 @@ once per epoch per worker; items are round-robined with work stealing,
 and workers keep warm solver caches across iterations.
 determinism: ordered reduction makes results independent of worker
 count and scheduling — bitwise equal to serial for the direct solver,
-solver precision for krylov backends (each worker
+solver precision for krylov-block (each worker
 anchors its own preconditioner).
 failures: a worker that dies mid-run (connection loss, or silence
 longer than --remote-timeout; busy workers emit heartbeats) has its
@@ -150,7 +150,7 @@ checkpoints then default into that file's directory.  a checkpoint
 records theta, the Adam moments and step count, the RNG stream, sampler
 state, the relaxation-schedule position and the full iteration history,
 so a resumed run with the direct solver reproduces
-the uninterrupted trajectory bit-for-bit; krylov backends agree to
+the uninterrupted trajectory bit-for-bit; krylov-block agrees to
 solver precision.  mismatches are refused loudly: truncated or
 corrupted files, checkpoints from another format version, and any
 difference in a trajectory-shaping setting (sampling, seed, solver,
@@ -173,7 +173,7 @@ observing a run
 ---------------
 tracing: `repro design ... --trace-dir DIR` (also on `evaluate`) spans
 every hot layer — engine iterations, loss, dispatch, factorizations,
-krylov/blocked sweeps, remote frames, checkpoint writes — at
+blocked Krylov sweeps, remote frames, checkpoint writes — at
 near-zero overhead (a disabled span is one thread-local read).  DIR
 receives trace.jsonl (one record per iteration: spans + a metrics
 snapshot folding solver counters and cache hit rates) and summary.txt
@@ -320,21 +320,19 @@ def _add_job_args(p: argparse.ArgumentParser) -> None:
         metavar="BACKEND[:MOD]",
         help=(
             "linear-solver backend: direct (one LU per corner; "
-            "multi-column blocks in one matrix-RHS call), krylov "
-            "(BiCGStab preconditioned by the nominal corner's LU, "
-            "recycled across the iteration's fabrication corners; a "
-            "non-converging solve falls back to a direct factorization "
-            "automatically), or krylov-block (krylov whose corner "
-            "fan-out is one blocked BiCGStab: the preconditioner and "
-            "operator are applied to the whole corner block in single "
-            "matrix-RHS sweeps, columns converge independently, and "
-            "non-converging corners fall back to their own direct "
-            "factorizations; process and remote workers fall back to "
-            "scalar krylov behaviour).  Modifiers: :gmres selects GMRES "
-            "for the scalar solves (the block algorithm is always "
-            "BiCGStab); :float32 factors the preconditioner in single "
-            "precision, e.g. krylov-block:float32 (saves memory, not "
-            "time; see 'choosing an executor / solver' below)"
+            "multi-column blocks in one matrix-RHS call) or "
+            "krylov-block (BiCGStab preconditioned by the nominal "
+            "corner's LU, recycled across the iteration's fabrication "
+            "corners, whose corner fan-out is one blocked solve: the "
+            "preconditioner is applied to the whole corner block in "
+            "single matrix-RHS sweeps and columns converge "
+            "independently; a non-converging solve falls back to a "
+            "direct factorization automatically; process and remote "
+            "workers solve each corner as a one-system block).  "
+            "Modifier: :float32 factors "
+            "the preconditioner in single precision, e.g. "
+            "krylov-block:float32 (saves memory, not time; see "
+            "'choosing an executor / solver' below)"
         ),
     )
 
@@ -501,11 +499,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BACKEND[:MOD]",
         help=(
             "linear-solver backend for the evaluation solves: direct | "
-            "krylov[:gmres] | krylov-block, each krylov backend "
-            "optionally :float32 (see `design --help`; krylov "
-            "falls back to direct factorization on non-convergence, and "
-            "krylov-block additionally batches all Monte-Carlo samples "
-            "of a serial evaluation into one blocked solve)"
+            "krylov-block, optionally :float32 (see `design --help`; "
+            "krylov-block falls back to direct factorization on "
+            "non-convergence and batches all Monte-Carlo samples of a "
+            "serial evaluation into one blocked solve)"
         ),
     )
     p_eval.add_argument(

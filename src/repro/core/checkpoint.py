@@ -70,7 +70,18 @@ log = logging.getLogger("repro.checkpoint")
 #: Bumped whenever the on-disk payload schema changes; a checkpoint
 #: written by another version is refused with a descriptive error.
 #: v2: the solver config lost ``recycle_dim`` and the ``batched`` backend.
-CHECKPOINT_VERSION = 2
+#: v3: the solver config lost ``krylov_method``, ``gmres_restart``,
+#: ``max_anchors`` and the ``krylov`` backend.
+CHECKPOINT_VERSION = 3
+
+#: Why each retired format cannot resume (its config digest covers
+#: solver fields or backends this build no longer has).
+_RETIRED_FORMATS = {
+    1: "Krylov subspace recycling (recycle_dim, 'krylov-block:recycle') "
+    "and the 'batched' backend were removed",
+    2: "the scalar 'krylov' backend and the krylov_method, gmres_restart "
+    "and max_anchors solver fields were removed",
+}
 
 #: File header: 4-byte magic, format version, payload length, BLAKE2b-128
 #: payload digest.  Self-validating — a truncated or bit-flipped file is
@@ -217,11 +228,10 @@ class DesignCheckpoint:
                 f"{source} is not a repro design checkpoint (bad magic "
                 f"{magic!r})"
             )
-        if version == 1:
+        if version in _RETIRED_FORMATS:
             raise CheckpointError(
-                f"checkpoint {source} uses format v1, written before Krylov "
-                "subspace recycling (recycle_dim, 'krylov-block:recycle') "
-                "and the 'batched' backend were removed; it cannot resume "
+                f"checkpoint {source} uses format v{version}, written "
+                f"before {_RETIRED_FORMATS[version]}; it cannot resume "
                 "— start a fresh run with 'krylov-block' or 'direct'"
             )
         if version != CHECKPOINT_VERSION:

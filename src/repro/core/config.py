@@ -152,18 +152,16 @@ class OptimizerConfig:
     solver:
         Linear-solver backend: a
         :class:`~repro.fdfd.linalg.SolverConfig` or a
-        ``BACKEND[:MOD...]`` string —
+        ``BACKEND[:MOD]`` string —
         ``"direct"`` (one LU per permittivity, multi-column blocks in
-        one matrix-RHS call; the reference), ``"krylov"``
-        (nominal-LU-preconditioned
-        BiCGStab/GMRES across corners, with automatic direct fallback;
-        ``"krylov:gmres"`` selects GMRES) or ``"krylov-block"``
-        (krylov whose serial corner fan-out is one *blocked* BiCGStab —
-        preconditioner and operator applied to the whole corner block
-        in single matrix-RHS sweeps, per-column convergence masking,
-        per-corner direct fallback; process and remote workers solve
-        each corner on the scalar path; slower than ``direct`` on the
-        isolator: 0.41-0.45 vs 0.35-0.39 s/iter).
+        one matrix-RHS call; the reference) or ``"krylov-block"``
+        (nominal-LU-preconditioned BiCGStab whose serial corner fan-out
+        is one *blocked* solve — preconditioner applied to the whole
+        corner block in single matrix-RHS sweeps, per-column
+        convergence masking, per-corner direct fallback; process and
+        remote workers, and calibration runs, solve each system as a
+        one-system block; slower than ``direct`` on the isolator:
+        0.41-0.45 vs 0.35-0.39 s/iter).
         ``"krylov-block:float32"`` (``precond_dtype="float32"``) factors
         the preconditioner anchor's complex64 twin, with float64
         iterative refinement preserving the solver tolerance; it is not
@@ -174,7 +172,7 @@ class OptimizerConfig:
         inherits whatever backend the device's workspace is already
         configured with — so a device set up via
         ``configure_simulation_cache(True, SimulationWorkspace(
-        solver_config="krylov"))`` keeps its backend under a default
+        solver_config="krylov-block"))`` keeps its backend under a default
         config.  Non-direct backends require ``simulation_cache=True``.
     """
 

@@ -2,11 +2,12 @@
 
 See :mod:`repro.fdfd.linalg.base` for the interface and registry,
 :mod:`repro.fdfd.linalg.direct` for the SuperLU backend,
-:mod:`repro.fdfd.linalg.krylov` for the preconditioned iterative
-backend, and :mod:`repro.fdfd.linalg.blocked` for the corner-block
-variant.  Backend selection is a string key (``direct`` / ``krylov`` /
-``krylov-block``) carried by :class:`SolverConfig` from the optimizer
-config and the CLI down to
+:mod:`repro.fdfd.linalg.blocked` for the blocked BiCGStab kernel that
+solves an iteration's corner family, and
+:mod:`repro.fdfd.linalg.krylov` for the per-matrix solver that runs the
+same kernel on one system.  Backend selection is a string key
+(``direct`` / ``krylov-block``) carried by :class:`SolverConfig` from
+the optimizer config and the CLI down to
 :class:`repro.fdfd.workspace.SimulationWorkspace`.
 """
 
@@ -19,13 +20,9 @@ from repro.fdfd.linalg.base import (
     make_linear_solver,
     register_solver,
 )
-from repro.fdfd.linalg.blocked import (
-    BlockDiagnostics,
-    BlockedKrylovSolver,
-    CornerBlockSolver,
-)
+from repro.fdfd.linalg.blocked import BlockDiagnostics, CornerBlockSolver
 from repro.fdfd.linalg.direct import DirectSolver, SinglePrecisionLU
-from repro.fdfd.linalg.krylov import KrylovDiagnostics, PreconditionedKrylovSolver
+from repro.fdfd.linalg.krylov import PreconditionedKrylovSolver
 
 __all__ = [
     "LinearSolver",
@@ -38,8 +35,6 @@ __all__ = [
     "DirectSolver",
     "SinglePrecisionLU",
     "PreconditionedKrylovSolver",
-    "KrylovDiagnostics",
-    "BlockedKrylovSolver",
     "CornerBlockSolver",
     "BlockDiagnostics",
 ]

@@ -12,14 +12,14 @@ directly:
     solves.
 
 ``SolverConfig``
-    Which backend to use and its knobs (Krylov method, tolerance,
-    fallback policy).  Threaded from
+    Which backend to use and its knobs (tolerance, iteration budget,
+    fallback policy, preconditioner precision).  Threaded from
     :class:`repro.core.config.OptimizerConfig` and the CLI ``--solver``
     flag down to the workspace.
 
 ``SOLVER_REGISTRY``
-    String-keyed backend registry (``direct`` / ``krylov`` /
-    ``krylov-block``); :func:`register_solver` adds new backends.
+    String-keyed backend registry (``direct`` / ``krylov-block``);
+    :func:`register_solver` adds new backends.
 """
 
 from __future__ import annotations
@@ -49,11 +49,19 @@ __all__ = [
 _RETIRED_BACKENDS = {
     "batched": "use 'direct', which now hands every multi-column block "
     "to SuperLU in one matrix-RHS call",
+    "krylov": "use 'krylov-block', whose per-matrix solves run the same "
+    "anchor-preconditioned BiCGStab as a one-system block",
 }
 _PRECOND_DTYPES = ("float64", "float32")
+_KRYLOV_METHOD_RETIRED = (
+    "the Krylov method is always blocked BiCGStab; drop it "
+    "(e.g. 'krylov-block')"
+)
 _RETIRED_MODIFIERS = {
     "recycle": "Krylov subspace recycling never beat the plain backend "
     "on wall time; drop ':recycle' (e.g. 'krylov-block')",
+    "gmres": _KRYLOV_METHOD_RETIRED,
+    "bicgstab": _KRYLOV_METHOD_RETIRED,
 }
 
 
@@ -65,12 +73,11 @@ class SolverConfig:
     ----------
     backend:
         Registry key: ``"direct"`` (one SuperLU per permittivity, every
-        multi-column block in one matrix-RHS call), ``"krylov"``
-        (BiCGStab/GMRES preconditioned by a recycled nominal-corner LU,
-        with automatic fallback to direct) or ``"krylov-block"``
-        (krylov whose corner family rides one blocked BiCGStab).
-    krylov_method:
-        ``"bicgstab"`` (default) or ``"gmres"``.
+        multi-column block in one matrix-RHS call) or ``"krylov-block"``
+        (BiCGStab preconditioned by a recycled nominal-corner LU, with
+        automatic fallback to direct; an iteration's corner family
+        rides one blocked solve, and every other solve is a one-system
+        block).
     tol:
         Relative residual target of the iterative solve.  The ``1e-5``
         default converges in ~3 BiCGStab sweeps when the preconditioner
@@ -91,18 +98,12 @@ class SolverConfig:
         converge (the fallback LU also becomes a new preconditioner
         anchor).  Disabling turns non-convergence into a RuntimeError —
         used by convergence tests.
-    max_anchors:
-        Preconditioner LUs the workspace keeps per operator set
-        (nominal corner, calibration environments, ...).  Each solve
-        picks the nearest anchor in permittivity distance.
-    gmres_restart:
-        GMRES restart length (ignored by BiCGStab).
     precond_dtype:
         Precision of the preconditioner sweeps: ``"float64"`` (default)
         applies the anchor LU as factorized; ``"float32"`` gives each
         anchor a single-precision (complex64) twin — outer Krylov
-        recurrences and residuals stay float64, and the blocked path
-        runs iterative refinement against the float64 residual first,
+        recurrences and residuals stay float64, and the kernel runs
+        iterative refinement against the float64 residual first,
         so the achieved tolerance is unchanged (trajectories agree with
         float64 to ``tol``, not bitwise).  Not a speed-up: measured
         float32 runs were 1.12-1.20x *slower* than float64.  LU-backed
@@ -112,12 +113,9 @@ class SolverConfig:
     """
 
     backend: str = "direct"
-    krylov_method: str = "bicgstab"
     tol: float = 1e-5
     maxiter: int = 12
     fallback: bool = True
-    max_anchors: int = 4
-    gmres_restart: int = 30
     precond_dtype: str = "float64"
 
     def __post_init__(self):
@@ -131,22 +129,10 @@ class SolverConfig:
                 f"unknown solver backend {self.backend!r}; "
                 f"available: {available_backends()}"
             )
-        if self.krylov_method not in ("bicgstab", "gmres"):
-            raise ValueError(
-                "krylov_method must be 'bicgstab' or 'gmres', "
-                f"got {self.krylov_method!r}"
-            )
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.maxiter < 1:
             raise ValueError("maxiter must be >= 1")
-        if self.max_anchors < 1:
-            raise ValueError("max_anchors must be >= 1")
-        if self.gmres_restart < 1:
-            raise ValueError(
-                f"gmres_restart must be >= 1, got {self.gmres_restart} "
-                "(the GMRES outer-cycle count divides maxiter by it)"
-            )
         if self.precond_dtype not in _PRECOND_DTYPES:
             raise ValueError(
                 "precond_dtype must be 'float64' or 'float32', "
@@ -155,11 +141,10 @@ class SolverConfig:
 
     @classmethod
     def coerce(cls, spec: "SolverConfig | str | None") -> "SolverConfig":
-        """Accept a config, a ``BACKEND[:MOD...]`` string, or ``None``.
+        """Accept a config, a ``BACKEND[:MOD]`` string, or ``None``.
 
-        ``None`` means ``direct``.  Each colon-separated modifier is a
-        Krylov method (``"krylov:gmres"``) or a preconditioner precision
-        (``"krylov-block:float32"``) — the grammar of the CLI
+        ``None`` means ``direct``.  The one modifier is a preconditioner
+        precision (``"krylov-block:float32"``) — the grammar of the CLI
         ``--solver`` flag, so every solver spec is one JSON-plain string.
         """
         if spec is None:
@@ -175,11 +160,12 @@ class SolverConfig:
                         f"solver modifier {modifier!r} in {spec!r} was "
                         f"removed: {_RETIRED_MODIFIERS[modifier]}"
                     )
-                # Unknown tokens fail through krylov_method validation.
-                if modifier in _PRECOND_DTYPES:
-                    kwargs["precond_dtype"] = modifier
-                else:
-                    kwargs["krylov_method"] = modifier
+                if modifier not in _PRECOND_DTYPES:
+                    raise ValueError(
+                        f"unknown solver modifier {modifier!r} in {spec!r}; "
+                        f"available: {list(_PRECOND_DTYPES)}"
+                    )
+                kwargs["precond_dtype"] = modifier
             return cls(backend=backend, **kwargs)
         raise TypeError(f"cannot coerce {type(spec).__name__} to SolverConfig")
 
@@ -190,19 +176,20 @@ class SolverConfig:
 class SolveStats:
     """Thread-safe counters describing the work a workspace's solvers did.
 
-    ``iterations`` counts Krylov sweeps only; a direct (or fallback)
-    solve contributes to ``factorizations`` and ``solves`` but not to
-    ``iterations``.  The ``block_*`` counters describe corner-block
-    solves (the ``krylov-block`` backend): ``block_sweeps`` counts
-    *blocked* BiCGStab sweeps — each applies the preconditioner and the
-    operator to the whole active corner block in single matrix-RHS
-    calls, so one block sweep amortizes what the scalar path pays once
-    per column — while the per-column convergence work still lands in
-    ``krylov_solves`` / ``iterations`` for like-for-like means.
-    ``batched_calls`` counts multi-column blocks a :class:`DirectSolver`
-    handed to SuperLU in one matrix-RHS call, and ``refinement_sweeps``
-    counts blocked float64-residual iterative-refinement sweeps (the
-    mixed-precision pre-phase, zero unless ``precond_dtype=float32``).
+    ``iterations`` counts per-column Krylov sweeps only; a direct (or
+    fallback) solve contributes to ``factorizations`` and ``solves`` but
+    not to ``iterations``.  The ``block_*`` counters describe corner-block
+    solves (:meth:`CornerBlockSolver.solve_block`): ``block_sweeps``
+    counts *blocked* BiCGStab sweeps — each applies the preconditioner
+    and the operator to the whole active corner block in single
+    matrix-RHS calls, so one block sweep amortizes what a per-matrix
+    solve pays once per column — while the per-column convergence work
+    lands in ``krylov_solves`` / ``iterations`` for like-for-like means.
+    Per-matrix Krylov solves count only the per-column counters.
+    ``batched_calls`` counts multi-column blocks handed to an exact LU
+    in one SuperLU matrix-RHS call, and ``refinement_sweeps`` counts
+    float64-residual iterative-refinement sweeps (the mixed-precision
+    pre-phase, zero unless ``precond_dtype=float32``).
     """
 
     _FIELDS = (
@@ -224,21 +211,11 @@ class SolveStats:
         self._lock = threading.Lock()
         for name in self._FIELDS:
             setattr(self, name, 0)
-        # Per-block sweep counts in completion order.  Kept outside
-        # ``_FIELDS`` (and therefore out of ``as_dict``/``merge``): it
-        # is local evidence for benchmarks and tests — warm-block sweep
-        # trajectories — not a mergeable counter.
-        self.block_sweep_trace: list[int] = []
 
     def add(self, **counts: int) -> None:
         with self._lock:
             for name, value in counts.items():
                 setattr(self, name, getattr(self, name) + int(value))
-
-    def record_block_sweeps(self, sweeps: int) -> None:
-        """Append one corner-block solve's sweep count to the trace."""
-        with self._lock:
-            self.block_sweep_trace.append(int(sweeps))
 
     def as_dict(self) -> dict[str, int]:
         with self._lock:
@@ -346,9 +323,10 @@ def make_linear_solver(
 ) -> LinearSolver:
     """Instantiate a registered backend for one system matrix.
 
-    Direct backends factorize immediately; the Krylov backend expects a
-    ``preconditioner`` LU in ``kwargs`` (the workspace supplies its
-    nearest anchor) and factorizes nothing up front.
+    Direct backends factorize immediately; the Krylov backend expects
+    the ``assembly``, the system's ``eps``, a ``preconditioner`` LU and
+    its ``anchor_eps`` in ``kwargs`` (the workspace supplies its nearest
+    anchor) and factorizes nothing up front.
     """
     try:
         cls = SOLVER_REGISTRY[backend]

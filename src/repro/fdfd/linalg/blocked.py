@@ -1,21 +1,17 @@
-"""Block-corner Krylov backend: one blocked BiCGStab across all corners.
+"""The blocked BiCGStab kernel behind every ``krylov-block`` solve.
 
 Every fabrication corner of an optimizer iteration shares the
 PML-stretched Laplacian ``L`` and differs only on the diagonal
-``omega^2 eps_c``.  The scalar ``krylov`` backend already recycles the
-nominal corner's LU as a preconditioner across those corners, but still
-pays its ~3 preconditioner sweeps *per corner, one right-hand side at a
-time*.
-
-This module restructures the corner fan-out around a single block
-solve, in the spirit of block Krylov methods for parameterized systems:
+``omega^2 eps_c``, so the nominal corner's LU is an excellent
+preconditioner for all of its siblings: ``M^{-1} A`` clusters near
+identity and BiCGStab converges in a handful of sweeps.
 
 ``CornerBlockSolver``
-    Holds one diagonal per corner plus the anchor's.  Its blocked
-    BiCGStab stacks every corner's residual into an ``(n, k)`` block, so
-    each sweep applies the recycled anchor LU to the whole block in a
-    *single* SuperLU matrix-RHS call.  Its cost model rests on two exact
-    identities of the FDFD operator:
+    Holds one diagonal per corner *system* plus the anchor's.  Its
+    blocked BiCGStab stacks every column's residual into an ``(n, k)``
+    block, so each sweep applies the recycled anchor LU to the whole
+    block in a *single* SuperLU matrix-RHS call.  Its cost model rests
+    on two exact identities of the FDFD operator:
 
     * *Symmetrized adjoints.*  The SC-PML operator is diagonally
       symmetrizable, ``A^T = S A S^-1`` with ``S`` the integer-point
@@ -35,20 +31,18 @@ solve, in the spirit of block Krylov methods for parameterized systems:
 
     Each column the recurrences report converged is checked once
     against the real operator of the caller's (trans-aware) system —
-    one sparse matvec per column per block — and a miss, like a column
+    one sparse matvec per column per solve — and a miss, like a column
     that exhausts the iteration budget, falls back to a direct
-    factorization of *its* corner, which re-anchors the workspace
-    exactly like the scalar path's fallback.  A float32 twin
-    preconditioner is not an exact inverse, so that mode runs the same
-    loop on every cell against the true operator.
+    factorization of *its* system, which the workspace recycles as a
+    new preconditioner anchor.  A float32 twin preconditioner is not an
+    exact inverse, so that mode runs the same loop on every cell against
+    the true operator.
 
-``BlockedKrylovSolver``
-    The registry entry (``"krylov-block"``).  Per-matrix behaviour is
-    inherited from :class:`PreconditionedKrylovSolver` (calibration
-    runs and the forward solves of process/remote workers keep working
-    unchanged); its :meth:`corner_block` classmethod is the
-    seam :meth:`SimulationWorkspace.begin_corner_block` uses to build
-    the block operator for one iteration's corner family.
+    Two entry points share the kernel: :meth:`~CornerBlockSolver.solve_block`
+    serves a corner family (it counts ``block_*`` work), and
+    :meth:`~CornerBlockSolver.solve_columns` serves
+    :class:`~repro.fdfd.linalg.krylov.PreconditionedKrylovSolver`, the
+    per-matrix solver, whose solves are a one-system block.
 """
 
 from __future__ import annotations
@@ -58,17 +52,11 @@ from typing import Callable, Mapping
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from repro.fdfd.linalg.base import (
-    LinearSolver,
-    SolveStats,
-    SolverConfig,
-    register_solver,
-)
+from repro.fdfd.linalg.base import LinearSolver, SolveStats, SolverConfig
 from repro.fdfd.linalg.direct import DirectSolver
-from repro.fdfd.linalg.krylov import PreconditionedKrylovSolver
 from repro.obs.trace import span
 
-__all__ = ["BlockedKrylovSolver", "CornerBlockSolver", "BlockDiagnostics"]
+__all__ = ["CornerBlockSolver", "BlockDiagnostics"]
 
 
 class BlockDiagnostics:
@@ -106,7 +94,7 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class CornerBlockSolver:
-    """Blocked BiCGStab over one iteration's corner family.
+    """Blocked BiCGStab over a family of systems sharing one anchor LU.
 
     Cost per sweep: at most two blocked preconditioner applications
     (``trans="N"`` for adjoint blocks too, through the symmetrizer), two
@@ -130,11 +118,15 @@ class CornerBlockSolver:
         corner's factorization under the optimizer's epoch policy).
     exact_lus:
         ``{system index: SuperLU}`` for systems whose permittivity *is*
-        an existing anchor — those columns are solved exactly, matching
-        the scalar path where the anchor corner gets a
-        :class:`DirectSolver`.
-    factor_options / config / stats:
-        As for the scalar Krylov backend.
+        an existing anchor — those columns are solved exactly, as the
+        per-matrix path gives the anchor corner a :class:`DirectSolver`.
+    factor_options:
+        Configuration for the fallback factorizations.
+    config:
+        Tolerance / iteration budget / fallback policy / preconditioner
+        precision.
+    stats:
+        Workspace-wide counters.
     on_fallback:
         ``on_fallback(system_index, direct_solver)`` — called when a
         column's system had to be factorized directly so the owner can
@@ -214,7 +206,8 @@ class CornerBlockSolver:
                 return np.array(block, order="F")
             return np.asarray(self._precond.solve(block))
 
-    def _lu_for_system(self, system: int) -> spla.SuperLU | None:
+    def system_lu(self, system: int) -> spla.SuperLU | None:
+        """The exact LU of one system (anchor or fallback), if any."""
         canonical = self._canonical[system]
         if canonical in self._direct:
             return self._direct[canonical].lu
@@ -235,7 +228,7 @@ class CornerBlockSolver:
         return solver
 
     # ------------------------------------------------------------------ #
-    # Public entry point                                                 #
+    # Public entry points                                                #
     # ------------------------------------------------------------------ #
     def solve_block(
         self,
@@ -284,13 +277,29 @@ class CornerBlockSolver:
         self.stats.add(solves=1, rhs_columns=k, block_solves=1, block_columns=k)
         self.diagnostics.block_solves += 1
         self.diagnostics.columns += k
+        out, sweeps = self.solve_columns(block, systems, trans)
+        self.stats.add(block_sweeps=sweeps)
+        self.diagnostics.sweeps += sweeps
+        return out
+
+    def solve_columns(
+        self, block: np.ndarray, systems: np.ndarray, trans: str
+    ) -> tuple[np.ndarray, int]:
+        """The kernel under :meth:`solve_block`, without its block counters.
+
+        ``block`` is an ``(n, k)`` complex128 array and ``systems`` a
+        valid column-to-system mapping.  Counts per-column work only
+        (``krylov_solves``, ``iterations``, ``wasted_iterations``,
+        ``fallbacks``, ``refinement_sweeps``) and returns the solution
+        with the number of blocked sweeps it took.
+        """
         if trans == "N":
             return self._solve(block, systems, None, np.empty_like(block))
         s = self.assembly.symmetrizer
         scaled = block / s[:, None]
-        out = self._solve(scaled, systems, np.abs(s), scaled)
+        out, sweeps = self._solve(scaled, systems, np.abs(s), scaled)
         out *= s[:, None]
-        return out
+        return out, sweeps
 
     def _solve(
         self,
@@ -298,29 +307,29 @@ class CornerBlockSolver:
         systems: np.ndarray,
         weight: np.ndarray | None,
         out: np.ndarray,
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, int]:
         """Forward solves, converged in the ``weight``-scaled residual norm.
 
         ``out`` may be ``block`` itself: every column is read before it
         is written.
         """
         # Columns whose system already owns an exact factorization (an
-        # anchor, or an earlier fallback of this block) are solved
-        # directly — the scalar path gives the anchor corner a
-        # DirectSolver; this is its block equivalent.
+        # anchor, or an earlier fallback of this solver) are solved
+        # directly, one SuperLU matrix-RHS call per system.
         exact_mask = np.array(
-            [self._lu_for_system(int(s)) is not None for s in systems]
+            [self.system_lu(int(s)) is not None for s in systems]
         )
         for system in np.unique(systems[exact_mask]):
             cols = np.flatnonzero(exact_mask & (systems == system))
-            lu = self._lu_for_system(int(system))
+            lu = self.system_lu(int(system))
             with span("solver.block_exact", "solver", columns=len(cols)):
                 out[:, cols] = lu.solve(np.asfortranarray(block[:, cols]))
+            self.stats.add(batched_calls=int(len(cols) > 1))
             self.diagnostics.exact_columns += len(cols)
 
         iter_cols = np.flatnonzero(~exact_mask)
         if iter_cols.size == 0:
-            return out
+            return out, 0
 
         with span("solver.block_sweeps", "solver",
                   columns=int(iter_cols.size)) as sweep_span:
@@ -330,9 +339,7 @@ class CornerBlockSolver:
                 weight,
             )
             sweep_span.set(sweeps=sweeps, refinement_sweeps=refined)
-        self.stats.add(block_sweeps=sweeps, refinement_sweeps=refined)
-        self.stats.record_block_sweeps(sweeps)
-        self.diagnostics.sweeps += sweeps
+        self.stats.add(refinement_sweeps=refined)
         # Convergence record: converged columns only — a fallback column's
         # burnt budget lands in stats.wasted_iterations, not in the mean.
         self.diagnostics.column_iterations.extend(
@@ -364,8 +371,9 @@ class CornerBlockSolver:
                     out[:, cols] = solver.lu.solve(
                         np.asfortranarray(block[:, cols])
                     )
+                self.stats.add(batched_calls=int(len(cols) > 1))
                 self.diagnostics.fallback_columns += len(cols)
-        return out
+        return out, sweeps
 
     # ------------------------------------------------------------------ #
     # Blocked BiCGStab with per-column convergence masking               #
@@ -410,7 +418,8 @@ class CornerBlockSolver:
         )
         zero_rhs = thresh_full == 0.0
 
-        # Seed with the anchor's solution M^{-1} b, like the scalar path.
+        # Seed with the anchor's solution M^{-1} b: exact when a system
+        # *is* the anchor, and far better than zero for FDFD's sources.
         # The scratch block carries b for the seed, then every later
         # preconditioner input.
         scratch = np.empty((n, m), dtype=np.complex128, order="F")
@@ -595,46 +604,3 @@ class CornerBlockSolver:
                 resid *= weight
             converged[j] = np.linalg.norm(resid) <= thresh_full[j]
         return x_out, converged, iters, sweeps, refinement
-
-
-@register_solver("krylov-block")
-class BlockedKrylovSolver(PreconditionedKrylovSolver):
-    """Corner-block-capable Krylov backend.
-
-    Per-matrix solves (calibration environments, the forward solves of
-    process/remote workers) behave exactly like the scalar
-    ``krylov`` backend — this class only *adds* the corner-block seam
-    that :meth:`SimulationWorkspace.begin_corner_block` drives.  The
-    block algorithm is always blocked BiCGStab;
-    ``SolverConfig.krylov_method`` still selects the method used by the
-    scalar per-matrix fallback path.
-    """
-
-    supports_corner_block = True
-
-    @classmethod
-    def corner_block(
-        cls,
-        assembly,
-        eps_list,
-        preconditioner: spla.SuperLU | None,
-        exact_lus: Mapping[int, spla.SuperLU] | None,
-        factor_options,
-        config: SolverConfig,
-        stats: SolveStats | None = None,
-        on_fallback=None,
-        *,
-        anchor_eps: np.ndarray,
-    ) -> CornerBlockSolver:
-        """Build the block operator for one iteration's corner family."""
-        return CornerBlockSolver(
-            assembly,
-            eps_list,
-            preconditioner,
-            exact_lus,
-            factor_options,
-            config,
-            stats,
-            on_fallback,
-            anchor_eps=anchor_eps,
-        )

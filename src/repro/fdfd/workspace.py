@@ -30,10 +30,10 @@ module caches the invariants:
 
 Solves themselves go through the pluggable backends of
 :mod:`repro.fdfd.linalg` (:meth:`SimulationWorkspace.linear_solver`):
-``direct`` caches one SuperLU per permittivity, while ``krylov`` and
-``krylov-block`` keep a small pool of *preconditioner anchors* per
-operator set — LUs of recently factorized permittivities, nearest of
-which preconditions a BiCGStab/GMRES solve for every other corner.
+``direct`` caches one SuperLU per permittivity, while ``krylov-block``
+keeps a small pool of *preconditioner anchors* per operator set — LUs of
+recently factorized permittivities, nearest of which preconditions a
+BiCGStab solve for every other corner.
 :meth:`SimulationWorkspace.begin_solver_epoch` (called by the optimizer
 once per iteration) drops the anchors so the first permittivity of each
 iteration — the nominal corner — becomes the anchor its siblings recycle.
@@ -59,6 +59,7 @@ import scipy.sparse.linalg as spla
 from repro.fdfd.grid import SimGrid
 from repro.fdfd.linalg import (
     SOLVER_REGISTRY,
+    CornerBlockSolver,
     DirectSolver,
     LinearSolver,
     SinglePrecisionLU,
@@ -124,6 +125,10 @@ class FactorOptions:
 
 
 _DEFAULT_FACTOR_OPTIONS = FactorOptions()
+
+#: Preconditioner LUs a workspace keeps per operator set (nominal corner,
+#: calibration environments, fallbacks); each solve picks the nearest.
+_MAX_ANCHORS = 4
 
 
 def default_factor_options() -> FactorOptions:
@@ -290,16 +295,15 @@ class _PrecondAnchor:
         self.design = design
 
     def preconditioner(self, factor_options: FactorOptions, stats: SolveStats):
+        if self._lu32 is not None:
+            return self._lu32
         if self._matrix is None:
             return self.lu
-        if self._lu32 is None:
-            # Benign race when worker threads share a workspace: two may
-            # both factorize the twin; last assignment wins, both valid.
-            self._lu32 = SinglePrecisionLU.factorize(
-                self._matrix, factor_options
-            )
-            stats.add(factorizations=1)
-            self._matrix = None
+        # Benign race when worker threads share a workspace: two may both
+        # factorize the twin; last assignment wins, both valid.
+        self._lu32 = SinglePrecisionLU.factorize(self._matrix, factor_options)
+        stats.add(factorizations=1)
+        self._matrix = None
         return self._lu32
 
 
@@ -324,7 +328,7 @@ class SimulationWorkspace:
     solver_config:
         Linear-solver backend selection (a
         :class:`~repro.fdfd.linalg.SolverConfig`, a backend name such as
-        ``"krylov"``, or ``None`` for the direct default).
+        ``"krylov-block"``, or ``None`` for the direct default).
 
     Notes
     -----
@@ -395,7 +399,7 @@ class SimulationWorkspace:
         key = (assembly.grid, round(assembly.omega, 12), assembly.pml, eps_hash)
         cached = self._factorizations.get(key)
         if cached is not None:
-            if cached.lu is not None and self.solver_uses_preconditioner:
+            if cached.lu is not None and self.supports_corner_block:
                 # A cached LU that survived an epoch reset is still a
                 # perfectly good anchor: re-register it so the epoch's
                 # sibling corners precondition against it instead of
@@ -413,11 +417,10 @@ class SimulationWorkspace:
                     )
             return cached
 
-        backend = self.solver_config.backend
         matrix = assembly.system_matrix(eps)
-        if not getattr(SOLVER_REGISTRY[backend], "uses_preconditioner", False):
+        if not self.supports_corner_block:
             solver = make_linear_solver(
-                backend,
+                self.solver_config.backend,
                 matrix,
                 self.factor_options,
                 config=self.solver_config,
@@ -425,7 +428,7 @@ class SimulationWorkspace:
             )
         else:
             solver = self._preconditioned_solver(
-                assembly, matrix, eps, eps_hash, backend
+                assembly, matrix, eps, eps_hash
             )
         self._factorizations.put(key, solver)
         return solver
@@ -445,7 +448,7 @@ class SimulationWorkspace:
         return anchors
 
     def _preconditioned_solver(
-        self, assembly, matrix, eps, eps_hash, backend
+        self, assembly, matrix, eps, eps_hash
     ) -> LinearSolver:
         akey = (assembly.grid, round(assembly.omega, 12), assembly.pml)
         eps_flat = eps.ravel().copy()
@@ -469,15 +472,18 @@ class SimulationWorkspace:
                 key=lambda a: float(np.linalg.norm(a.eps - eps_flat)),
             )
         return make_linear_solver(
-            backend,
+            self.solver_config.backend,
             matrix,
             self.factor_options,
             config=self.solver_config,
             stats=self.solver_stats,
+            assembly=assembly,
+            eps=eps,
             preconditioner=nearest.preconditioner(
                 self.factor_options, self.solver_stats
             ),
-            on_fallback=lambda direct: self._add_anchor(
+            anchor_eps=nearest.eps,
+            on_fallback=lambda _system, direct: self._add_anchor(
                 akey, eps_hash, eps_flat, direct.lu, matrix=direct.matrix
             ),
         )
@@ -496,7 +502,7 @@ class SimulationWorkspace:
         with self._anchor_lock:
             anchors = self._anchor_pool(akey)
             anchors[eps_hash] = self._new_anchor(eps_flat, lu, matrix, design)
-            while len(anchors) > self.solver_config.max_anchors:
+            while len(anchors) > _MAX_ANCHORS:
                 anchors.popitem(last=False)
 
     @property
@@ -507,7 +513,9 @@ class SimulationWorkspace:
         returns a block operator that solves every corner of an
         iteration through shared matrix-RHS sweeps.  Devices and the
         optimizer use this to route the corner fan-out through the
-        blocked path instead of per-corner solves.
+        blocked path instead of per-corner solves.  The same backend
+        is the one whose per-matrix solves recycle anchor
+        factorizations as preconditioners (:meth:`linear_solver`).
         """
         backend = SOLVER_REGISTRY[self.solver_config.backend]
         return bool(getattr(backend, "supports_corner_block", False))
@@ -524,21 +532,20 @@ class SimulationWorkspace:
         corner.  Anchors that per-matrix solves registered (calibration
         environments) never precondition a block.  Systems whose
         permittivity *is* an existing anchor are solved exactly with
-        that LU (like the scalar path's ``DirectSolver`` for the anchor
+        that LU (like the per-matrix path's ``DirectSolver`` for the anchor
         corner), and per-column direct fallbacks re-anchor through
-        :meth:`_add_anchor` exactly like the scalar fallback.
+        :meth:`_add_anchor` exactly like the per-matrix fallback.
 
         Returns ``None`` when the configured backend is not
         block-capable.
         """
-        backend_cls = SOLVER_REGISTRY[self.solver_config.backend]
-        if not getattr(backend_cls, "supports_corner_block", False):
+        if not self.supports_corner_block:
             return None
         with span("workspace.begin_corner_block", "solver",
                   corners=len(eps_list)):
-            return self._begin_corner_block(backend_cls, assembly, eps_list)
+            return self._begin_corner_block(assembly, eps_list)
 
-    def _begin_corner_block(self, backend_cls, assembly, eps_list):
+    def _begin_corner_block(self, assembly, eps_list):
         eps_arrs = [np.asarray(e, dtype=np.float64) for e in eps_list]
         if not eps_arrs:
             raise ValueError("begin_corner_block needs at least one corner")
@@ -549,7 +556,7 @@ class SimulationWorkspace:
             anchors = self._anchor_pool(akey)
             # One preconditioner serves the whole block, so an
             # off-family anchor would sink every column at once — the
-            # scalar path self-heals via its first fallback, the block
+            # per-matrix path self-heals via its first fallback, the block
             # must decide up front.  A calibration environment (a plain
             # anchor) is off-family for every design system: as the
             # epoch's first factorization it would otherwise cost the
@@ -585,7 +592,7 @@ class SimulationWorkspace:
                 # an LU for the nominal permittivity (repeated-theta
                 # workloads: FD probing, line searches), and register a
                 # fresh factorization back into it — the same recycling
-                # contract the scalar path gets from linear_solver().
+                # contract the per-matrix path gets from linear_solver().
                 fkey = (*akey, hashes[0])
                 cached = self._factorizations.get(fkey)
                 lu = None if cached is None else cached.lu
@@ -600,7 +607,7 @@ class SimulationWorkspace:
                 anchors[hashes[0]] = self._new_anchor(
                     nominal_flat.copy(), lu, matrix, design=True
                 )
-                while len(anchors) > self.solver_config.max_anchors:
+                while len(anchors) > _MAX_ANCHORS:
                     anchors.popitem(last=False)
                 nearest = anchors[hashes[0]]
             exact = {
@@ -610,7 +617,7 @@ class SimulationWorkspace:
             # Corners whose LU survives in the factorization LRU (e.g.
             # fallbacks of a previous block over the same theta) are
             # solved exactly instead of re-iterated or re-factorized —
-            # the block analogue of the scalar path's cache hit.
+            # the block analogue of the per-matrix path's cache hit.
             if i in exact:
                 continue
             cached = self._factorizations.get((*akey, h))
@@ -622,12 +629,12 @@ class SimulationWorkspace:
                 akey, hashes[system], eps_arrs[system].ravel().copy(),
                 direct.lu, matrix=direct.matrix, design=True,
             )
-            # Mirror the scalar path: the fallback solver joins the
+            # Mirror the per-matrix path: the fallback solver joins the
             # factorization LRU so re-solving this permittivity (same
             # theta, next epoch) is a cache hit, not a refactorization.
             self._factorizations.put((*akey, hashes[system]), direct)
 
-        return backend_cls.corner_block(
+        return CornerBlockSolver(
             assembly,
             eps_arrs,
             preconditioner=nearest.preconditioner(
@@ -640,17 +647,6 @@ class SimulationWorkspace:
             on_fallback=reanchor,
             anchor_eps=nearest.eps,
         )
-
-    @property
-    def solver_uses_preconditioner(self) -> bool:
-        """Whether the configured backend recycles anchor factorizations.
-
-        The optimizer uses this to decide if the first corner of an
-        iteration must be solved before the executor fan-out (so the
-        anchor is established deterministically).
-        """
-        backend = SOLVER_REGISTRY[self.solver_config.backend]
-        return bool(getattr(backend, "uses_preconditioner", False))
 
     def with_solver_config(
         self, solver_config: SolverConfig | str | None

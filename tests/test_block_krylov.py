@@ -1,18 +1,15 @@
-"""Block-corner Krylov solves + the PR 3 solver-path bugfixes.
+"""Block-corner Krylov solves + the solver-path bugfixes.
 
 Covers
 
-* the ``gmres_restart`` validation bug (``gmres_restart=0`` used to
-  survive construction and crash with ``ZeroDivisionError`` inside the
-  GMRES outer-cycle sizing),
 * the ``PreconditionedKrylovSolver.solve_many`` post-fallback
-  short-circuit (blocks used to pay k per-column round-trips after a
-  fallback factorization was already paid for),
+  short-circuit (a block after a paid-for fallback factorization is one
+  matrix-RHS call, not k per-column round-trips),
 * the descriptive zero-corner error in ``Boson1Optimizer.loss``,
 * the ``krylov-block`` backend: :class:`CornerBlockSolver` accuracy /
-  masking / fallback re-anchoring, corner-batched device power ops, and
-  block-vs-scalar agreement of optimizer trajectories and gradients on
-  the bending and isolator devices.
+  masking / fallback re-anchoring, its per-matrix solves, corner-batched
+  device power ops, and block-vs-direct agreement of optimizer
+  trajectories and gradients on the bending and isolator devices.
 """
 
 import numpy as np
@@ -27,11 +24,9 @@ from repro.fab.process import FabricationProcess
 from repro.fdfd import HelmholtzSolver, SimGrid, SimulationWorkspace
 from repro.fdfd.linalg import (
     SOLVER_REGISTRY,
-    BlockedKrylovSolver,
     CornerBlockSolver,
     PreconditionedKrylovSolver,
     SolverConfig,
-    make_linear_solver,
 )
 from repro.fdfd.workspace import default_factor_options
 from repro.obs.trace import disable_tracing, enable_tracing
@@ -72,36 +67,10 @@ def rhs_block(grid, k=3, seed=0):
 # --------------------------------------------------------------------- #
 # Satellite bugfixes                                                    #
 # --------------------------------------------------------------------- #
-class TestGmresRestartValidation:
-    def test_zero_restart_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="gmres_restart"):
-            SolverConfig(gmres_restart=0)
-
-    def test_negative_restart_rejected(self):
-        with pytest.raises(ValueError, match="gmres_restart"):
-            SolverConfig(backend="krylov", gmres_restart=-3)
-
-    def test_restart_of_one_is_valid_and_solvable(self, grid, eps):
-        # The smallest legal restart must actually run (outer cycles =
-        # maxiter), not just pass validation.
-        cfg = SolverConfig(
-            backend="krylov", krylov_method="gmres", gmres_restart=1,
-            tol=1e-9, maxiter=40,
-        )
-        ws = SimulationWorkspace(solver_config=cfg)
-        HelmholtzSolver(grid, eps, OMEGA, workspace=ws)  # anchor
-        corner = corner_family(eps)[1]
-        solver = HelmholtzSolver(grid, corner, OMEGA, workspace=ws)
-        b = rhs_block(grid)[:, 0]
-        x = solver.solve_raw(b)
-        resid = np.linalg.norm(solver.system_matrix @ x - b) / np.linalg.norm(b)
-        assert resid < 1e-6
-
-
 class TestSolveManyPostFallback:
     def _fallen_back_solver(self, grid, eps):
-        """A krylov solver that already paid for its direct fallback."""
-        cfg = SolverConfig(backend="krylov", maxiter=1)
+        """A per-matrix solver that already paid for its direct fallback."""
+        cfg = SolverConfig(backend="krylov-block", maxiter=1)
         ws = SimulationWorkspace(solver_config=cfg)
         HelmholtzSolver(grid, eps, OMEGA, workspace=ws)  # anchor
         far = np.full(grid.shape, 6.0)
@@ -167,11 +136,10 @@ class TestCornerBlockSolver:
         return ws, ws.begin_corner_block(assembly, eps_list)
 
     def test_registered_and_block_capable(self):
-        assert SOLVER_REGISTRY["krylov-block"] is BlockedKrylovSolver
-        assert BlockedKrylovSolver.supports_corner_block
-        assert BlockedKrylovSolver.uses_preconditioner
+        assert SOLVER_REGISTRY["krylov-block"] is PreconditionedKrylovSolver
+        assert PreconditionedKrylovSolver.supports_corner_block
         assert not SimulationWorkspace(
-            solver_config="krylov"
+            solver_config="direct"
         ).supports_corner_block
         assert SimulationWorkspace(
             solver_config="krylov-block"
@@ -183,7 +151,7 @@ class TestCornerBlockSolver:
         assert ws.begin_corner_block(assembly, [eps]) is None
 
     def test_scalar_path_matches_krylov_backend(self, grid, eps):
-        """Per-matrix behaviour is inherited from the scalar backend."""
+        """Per-matrix solves run the kernel as a one-system block."""
         ws = SimulationWorkspace(
             solver_config=SolverConfig(backend="krylov-block", tol=1e-10)
         )
@@ -196,6 +164,30 @@ class TestCornerBlockSolver:
         x = solver.solve_raw(b)
         y = ref.solve_raw(b)
         assert np.linalg.norm(x - y) / np.linalg.norm(y) < 1e-8
+        stats = ws.stats()["solver"]
+        assert stats["krylov_solves"] == 1
+        assert stats["block_solves"] == stats["block_sweeps"] == 0
+
+        # A calibration-like system: the straight guide of the anchor at
+        # a rescaled temperature, so it differs from the anchor exactly
+        # on the waveguide rows — Omega spans the guide, PML included.
+        guide = np.zeros(grid.shape)
+        guide[:, 15:21] = 1.0
+        anchor_eps = 1.0 + 11.0 * guide
+        calib_eps = 1.0 + 11.0 * guide * 1.0127
+        cfg = SolverConfig(backend="krylov-block", tol=1e-8, maxiter=30)
+        ws = SimulationWorkspace(solver_config=cfg)
+        HelmholtzSolver(grid, anchor_eps, OMEGA, workspace=ws)  # anchor
+        calib = HelmholtzSolver(grid, calib_eps, OMEGA, workspace=ws)
+        assert isinstance(calib.linsolver, PreconditionedKrylovSolver)
+        matrix = ws.assembly(grid, OMEGA).system_matrix(calib_eps)
+        for solve, op in (
+            (calib.solve_raw, matrix), (calib.solve_transposed, matrix.T)
+        ):
+            x = solve(b)
+            assert np.linalg.norm(b - op @ x) <= cfg.tol * np.linalg.norm(b)
+        stats = ws.stats()["solver"]
+        assert (stats["krylov_solves"], stats["fallbacks"]) == (2, 0)
 
     def test_block_solves_match_direct_reference(self, grid, eps):
         family = corner_family(eps)
@@ -220,7 +212,7 @@ class TestCornerBlockSolver:
         assert diag.exact_columns == 1
         assert len(diag.column_iterations) == len(family) - 1
         # The whole point: blocked sweeps number far fewer than the sum
-        # of per-column iterations the scalar path would pay.
+        # of per-column iterations that per-matrix solves would pay.
         assert diag.sweeps == max(diag.column_iterations)
         assert diag.sweeps < sum(diag.column_iterations)
         stats = ws.stats()["solver"]
@@ -499,19 +491,17 @@ class TestEngineAndEvalAgreement:
         stats = device.workspace.stats()["solver"]
         return result.fom_trace(), stats
 
-    def test_bending_block_matches_scalar_and_direct(self):
+    def test_bending_block_matches_direct(self):
         direct, _ = self._trace("bending", "direct", 3)
-        krylov, scalar_stats = self._trace("bending", "krylov", 3)
         block, block_stats = self._trace("bending", "krylov-block", 3)
         np.testing.assert_allclose(block, direct, rtol=1e-5, atol=1e-8)
-        np.testing.assert_allclose(block, krylov, rtol=1e-5, atol=1e-8)
         # The engine actually used the blocked path: per iteration a
         # forward + adjoint block for the corner family and another pair
         # for the one-system worst-corner probe, and far fewer blocked
-        # sweeps than the scalar path's per-column iterations.
+        # sweeps than the per-column iterations they amortize.
         assert block_stats["block_solves"] == 4 * 3
         assert block_stats["block_sweeps"] > 0
-        assert block_stats["block_sweeps"] < scalar_stats["iterations"]
+        assert block_stats["block_sweeps"] < block_stats["iterations"]
 
     @pytest.mark.parametrize(
         "device_name, wasted, fallbacks",

@@ -6,7 +6,7 @@ Contracts under test (ISSUE PR 6):
    SIGKILL of a real subprocess, or graceful SIGINT) resumes from its
    newest checkpoint to a final ``fom_trace`` and theta bitwise-equal to
    the uninterrupted run for LU-backed solver backends
-   (direct), and solver-precision-equal for krylov.
+   (direct), and solver-precision-equal for krylov-block.
 2. **Refusal semantics** — truncated/corrupted files, foreign format
    versions, and config/device digest mismatches are refused with
    descriptive errors; ``--resume auto`` skips invalid files instead of
@@ -158,7 +158,7 @@ class TestConfigDigest:
             dict(sampling="axial"),
             dict(lr=0.123),
             dict(relax_epochs=0),
-            dict(solver="krylov"),
+            dict(solver="krylov-block"),
         ):
             assert config_digest(OptimizerConfig(**override), "bending") != base, (
                 f"trajectory-shaping override {override} left the digest "
@@ -391,9 +391,9 @@ class TestBitwiseResume:
     def test_resume_matches_to_solver_precision_for_krylov(
         self, bend, reference
     ):
-        ref, ckpt_dir = reference("krylov")
+        ref, ckpt_dir = reference("krylov-block")
         mid = ckpt_dir / "ckpt_000002.ckpt"
-        resumed = _make_opt(bend, "krylov").run(resume=mid)
+        resumed = _make_opt(bend, "krylov-block").run(resume=mid)
         assert np.allclose(resumed.fom_trace(), ref.fom_trace(), **KRYLOV_TOL)
         assert np.allclose(resumed.theta, ref.theta, **KRYLOV_TOL)
 

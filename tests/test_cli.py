@@ -22,9 +22,9 @@ class TestParser:
 
     def test_design_solver_flag(self):
         args = build_parser().parse_args(
-            ["design", "bending", "--solver", "krylov"]
+            ["design", "bending", "--solver", "krylov-block"]
         )
-        assert args.solver == "krylov"
+        assert args.solver == "krylov-block"
         assert build_parser().parse_args(["design", "bending"]).solver == "direct"
 
     @pytest.mark.parametrize(
@@ -38,7 +38,13 @@ class TestParser:
     )
     @pytest.mark.parametrize(
         "spec, replacement",
-        [("batched", "'direct'"), ("krylov-block:recycle", "'krylov-block'")],
+        [
+            ("batched", "'direct'"),
+            ("krylov-block:recycle", "'krylov-block'"),
+            ("krylov", "'krylov-block'"),
+            ("krylov:gmres", "'krylov-block'"),
+            ("krylov-block:bicgstab", "'krylov-block'"),
+        ],
     )
     def test_retired_solver_exits_2_naming_replacement(
         self, capsys, argv, spec, replacement
@@ -155,7 +161,7 @@ class TestCommands:
                 "--sampling",
                 "nominal",
                 "--solver",
-                "krylov",
+                "krylov-block",
                 "--quiet",
                 "--output",
                 str(out_path),

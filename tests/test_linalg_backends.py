@@ -6,10 +6,10 @@ The contract, per backend:
   right-hand sides goes to SuperLU in one matrix-RHS call that is
   bit-identical to per-column solves, and multi-direction devices stack
   their forward and adjoint systems into such blocks.
-* ``krylov`` — solves preconditioned by a recycled nominal LU, accurate
-  to the configured tolerance, with automatic direct fallback; gradients
-  must agree with finite differences and trajectories with the direct
-  backend to tight tolerance.
+* ``krylov-block`` — per-matrix solves preconditioned by a recycled
+  nominal LU, accurate to the configured tolerance, with automatic
+  direct fallback; gradients must agree with finite differences and
+  trajectories with the direct backend to tight tolerance.
 """
 
 import numpy as np
@@ -38,6 +38,7 @@ from repro.params import rasterize_segments
 from repro.utils.constants import omega_from_wavelength
 
 OMEGA = omega_from_wavelength(1.55)
+#: Solver families of the cross-backend checks (keys of FD_BACKENDS).
 BACKENDS = ("direct", "krylov")
 
 
@@ -68,7 +69,7 @@ def rhs_block(grid, k=3, seed=0):
 
 class TestRegistryAndConfig:
     def test_builtin_backends_registered(self):
-        assert available_backends() == ["direct", "krylov", "krylov-block"]
+        assert available_backends() == ["direct", "krylov-block"]
         # The retired backend's class name survives only as an alias.
         assert direct_module.BatchedDirectSolver is DirectSolver
 
@@ -84,17 +85,14 @@ class TestRegistryAndConfig:
 
     def test_coerce(self):
         assert SolverConfig.coerce(None) == SolverConfig()
-        assert SolverConfig.coerce("krylov").backend == "krylov"
-        cfg = SolverConfig.coerce("krylov:gmres")
-        assert (cfg.backend, cfg.krylov_method) == ("krylov", "gmres")
+        cfg = SolverConfig.coerce("krylov-block")
+        assert cfg == SolverConfig(backend="krylov-block")
         assert SolverConfig.coerce(cfg) is cfg
         assert SolverConfig.coerce("krylov-block:float32") == SolverConfig(
             backend="krylov-block", precond_dtype="float32"
         )
-        cfg = SolverConfig.coerce("krylov:gmres:float32")
-        assert (cfg.krylov_method, cfg.precond_dtype) == ("gmres", "float32")
         with pytest.raises(ValueError, match="float16"):
-            SolverConfig.coerce("krylov:float16")
+            SolverConfig.coerce("krylov-block:float16")
         with pytest.raises(ValueError):
             SolverConfig.coerce("spectral")
         with pytest.raises(TypeError):
@@ -105,13 +103,24 @@ class TestRegistryAndConfig:
             SolverConfig.coerce("batched")
         with pytest.raises(ValueError, match="'batched' was removed"):
             OptimizerConfig(solver="batched")
-        for spec in ("krylov-block:recycle", "krylov:gmres:recycle"):
-            with pytest.raises(ValueError, match="'recycle'.*'krylov-block'"):
+        for spec, retired in (
+            ("krylov-block:recycle", "'recycle'"),
+            ("krylov-block:float32:recycle", "'recycle'"),
+            ("krylov", "'krylov'"),
+            ("krylov:gmres", "'gmres'"),
+            ("krylov-block:bicgstab", "'bicgstab'"),
+        ):
+            with pytest.raises(ValueError, match=f"{retired}.*'krylov-block'"):
                 SolverConfig.coerce(spec)
+        with pytest.raises(ValueError, match="'krylov' was removed"):
+            OptimizerConfig(solver="krylov")
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SolverConfig(krylov_method="jacobi")
+            SolverConfig(precond_dtype="float16")
+        for retired in ("krylov_method", "gmres_restart", "max_anchors"):
+            with pytest.raises(TypeError, match=retired):
+                SolverConfig(**{retired: 1})
         with pytest.raises(ValueError):
             SolverConfig(tol=0.0)
         with pytest.raises(ValueError):
@@ -122,7 +131,7 @@ class TestRegistryAndConfig:
         assert isinstance(cfg.solver, SolverConfig)
         assert cfg.solver.backend == "krylov-block"
         with pytest.raises(ValueError, match="simulation"):
-            OptimizerConfig(solver="krylov", simulation_cache=False)
+            OptimizerConfig(solver="krylov-block", simulation_cache=False)
 
 
 class TestDirectAndBatched:
@@ -184,7 +193,7 @@ class TestDirectAndBatched:
 @pytest.mark.krylov
 class TestKrylovBackend:
     def _workspace_pair(self, grid, eps, **overrides):
-        cfg = SolverConfig(backend="krylov", **overrides)
+        cfg = SolverConfig(backend="krylov-block", **overrides)
         ws = SimulationWorkspace(solver_config=cfg)
         nominal = HelmholtzSolver(grid, eps, OMEGA, workspace=ws)
         return ws, nominal
@@ -208,17 +217,7 @@ class TestKrylovBackend:
         # No second factorization happened: the anchor was recycled.
         assert ws.stats()["solver"]["factorizations"] == 1
         assert ws.stats()["solver"]["krylov_solves"] == 2
-        assert warm.linsolver.diagnostics.mean_iterations > 0
-
-    def test_gmres_variant_converges(self, grid, eps):
-        ws, _ = self._workspace_pair(grid, eps, krylov_method="gmres", tol=1e-9)
-        corner = corner_of(eps)
-        warm = HelmholtzSolver(grid, corner, OMEGA, workspace=ws)
-        b = rhs_block(grid)[:, 0]
-        x = warm.solve_raw(b)
-        resid = np.linalg.norm(warm.system_matrix @ x - b) / np.linalg.norm(b)
-        assert resid < 1e-7
-        assert ws.stats()["solver"]["fallbacks"] == 0
+        assert warm.linsolver.diagnostics.mean_column_iterations > 0
 
     def test_fallback_on_nonconvergence_is_exact_and_anchored(self, grid, eps):
         ws, _ = self._workspace_pair(grid, eps, maxiter=1)
@@ -259,7 +258,7 @@ class TestKrylovBackend:
         assert ws.stats()["solver"]["factorizations"] == 2
 
     def test_anchor_operator_sets_bounded(self, grid, eps):
-        ws = SimulationWorkspace(max_assemblies=2, solver_config="krylov")
+        ws = SimulationWorkspace(max_assemblies=2, solver_config="krylov-block")
         for i in range(4):
             # Each omega is a new operator set and hence a new anchor key.
             HelmholtzSolver(grid, eps, OMEGA * (1.0 + 0.01 * i), workspace=ws)
@@ -267,7 +266,7 @@ class TestKrylovBackend:
 
     def test_default_optimizer_config_inherits_workspace_backend(self):
         device = make_device("bending")
-        ws = SimulationWorkspace(solver_config="krylov")
+        ws = SimulationWorkspace(solver_config="krylov-block")
         device.configure_simulation_cache(True, ws)
         assert OptimizerConfig().solver is None
         Boson1Optimizer(device, OptimizerConfig(iterations=1, seed=0))
@@ -335,7 +334,7 @@ def device_with_backend(name, backend):
 #: tolerance — FD checks run the iterative backend near direct precision.
 FD_BACKENDS = {
     "direct": "direct",
-    "krylov": SolverConfig(backend="krylov", tol=1e-10),
+    "krylov": SolverConfig(backend="krylov-block", tol=1e-10),
 }
 
 
@@ -430,7 +429,7 @@ class TestGradientConsistency:
             device_with_backend("bending", "direct"), bend_pattern
         )
         g_krylov = adjoint_grad(
-            device_with_backend("bending", "krylov"), bend_pattern
+            device_with_backend("bending", "krylov-block"), bend_pattern
         )
         rel = np.linalg.norm(g_krylov - g_direct) / np.linalg.norm(g_direct)
         assert rel < 1e-3
@@ -500,14 +499,14 @@ class TestTrajectoryConsistency:
     @pytest.mark.krylov
     def test_bending_krylov_matches_direct(self):
         direct = self._trace("bending", "direct", 3)
-        krylov = self._trace("bending", "krylov", 3)
+        krylov = self._trace("bending", "krylov-block", 3)
         np.testing.assert_allclose(krylov, direct, rtol=1e-6, atol=1e-9)
 
     @pytest.mark.krylov
     @pytest.mark.slow
     def test_isolator_backends_agree(self):
         direct = self._trace("isolator", "direct", 2)
-        krylov = self._trace("isolator", "krylov", 2)
+        krylov = self._trace("isolator", "krylov-block", 2)
         np.testing.assert_allclose(krylov, direct, rtol=1e-5, atol=1e-8)
 
 
@@ -521,7 +520,9 @@ class TestLargeGridConvergence:
         rng = np.random.default_rng(1)
         eps = 1.0 + 11.0 * rng.uniform(size=grid.shape)
         ws = SimulationWorkspace(
-            solver_config=SolverConfig(backend="krylov", tol=1e-8, maxiter=40)
+            solver_config=SolverConfig(
+                backend="krylov-block", tol=1e-8, maxiter=40
+            )
         )
         HelmholtzSolver(grid, eps, OMEGA, workspace=ws)  # anchor
         b = rng.standard_normal(grid.n_cells) + 0j

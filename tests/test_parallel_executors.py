@@ -357,14 +357,13 @@ class TestMonteCarloExecutors:
 # --------------------------------------------------------------------- #
 # Process-pool taped corner fan-out (forward replay + VJP assembly)     #
 # --------------------------------------------------------------------- #
-ALL_BACKENDS = ("direct", "krylov", "krylov-block")
+ALL_BACKENDS = ("direct", "krylov-block")
 #: Tolerance of process-vs-serial comparisons per backend: LU-backed
 #: backends differ only in adjoint recombination (per-port basis solves
 #: instead of one aggregated solve — machine-epsilon territory);
 #: preconditioned backends additionally anchor per worker chunk.
 PROCESS_TOL = {
     "direct": dict(rtol=1e-9, atol=1e-12),
-    "krylov": dict(rtol=1e-5, atol=1e-7),
     "krylov-block": dict(rtol=1e-5, atol=1e-7),
 }
 
@@ -628,7 +627,7 @@ class TestCrossExecutorDeterminism:
             proc.loss_trace(), serial.loss_trace(), **PROCESS_TOL[backend]
         )
 
-    @pytest.mark.parametrize("backend", ["direct", "krylov"])
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_process_worker_count_consistent(self, backend):
         two = _trace("bending", "process:2", backend)
         three = _trace("bending", "process:3", backend)

@@ -7,10 +7,11 @@ for its sibling corners.  Covers
   retired subspace-recycling knobs (``recycle_dim``, format-v1
   checkpoints whose config digest carries it),
 * the mixed-precision preconditioner (:class:`SinglePrecisionLU` twin,
-  refinement engagement, full-tolerance results),
-* regressions on the recycled-anchor paths: the GMRES iteration-budget
-  overshoot, the ``solve_many`` mid-block fallback short-circuit, and
-  the ``solver.block_exact`` / ``solver.block_fallback`` trace spans.
+  refinement engagement, full-tolerance results, one twin serving every
+  block of an epoch),
+* regressions on the recycled-anchor paths: the ``solve_many`` mid-block
+  fallback short-circuit, and the ``solver.block_exact`` /
+  ``solver.block_fallback`` trace spans.
 """
 
 import hashlib
@@ -88,8 +89,8 @@ def synthetic_system(n=120, seed=0):
 # --------------------------------------------------------------------- #
 # Configuration surface                                                 #
 # --------------------------------------------------------------------- #
-def v1_checkpoint_bytes():
-    """A checkpoint framed as format v1, the last to carry ``recycle_dim``."""
+def retired_checkpoint_bytes(version=1):
+    """A checkpoint framed as a retired format (v1 carried ``recycle_dim``)."""
     ckpt = DesignCheckpoint(
         config_digest=config_digest(OptimizerConfig(), "bending"),
         device_name="bending",
@@ -100,7 +101,7 @@ def v1_checkpoint_bytes():
     )
     payload = pickle.dumps(ckpt)
     digest = hashlib.blake2b(payload, digest_size=16).digest()
-    return _HEADER.pack(_MAGIC, 1, len(payload), digest) + payload
+    return _HEADER.pack(_MAGIC, version, len(payload), digest) + payload
 
 
 class TestConfigSurface:
@@ -133,7 +134,14 @@ class TestConfigSurface:
             match=r"format v1.*recycle_dim.*'batched'.*'krylov-block' or "
             r"'direct'",
         ):
-            DesignCheckpoint.from_bytes(v1_checkpoint_bytes())
+            DesignCheckpoint.from_bytes(retired_checkpoint_bytes())
+        # v2 digests carry krylov_method / gmres_restart / max_anchors.
+        with pytest.raises(
+            CheckpointError,
+            match=r"format v2.*'krylov' backend.*krylov_method, gmres_restart "
+            r"and max_anchors.*'krylov-block' or 'direct'",
+        ):
+            DesignCheckpoint.from_bytes(retired_checkpoint_bytes(2))
 
 
 # --------------------------------------------------------------------- #
@@ -173,6 +181,36 @@ class TestMixedPrecision:
             res = np.linalg.norm(matrix @ out[:, j] - rhs[:, j])
             assert res <= 10 * cfg.tol * np.linalg.norm(rhs[:, j])
 
+    def test_float32_twin_serves_every_block_of_an_epoch(
+        self, grid, eps, monkeypatch
+    ):
+        """An anchor's twin, once cut, keeps preconditioning its blocks.
+
+        Releasing the anchor's matrix after the twin factorization must
+        not hand later blocks the float64 LU in its place.
+        """
+        family = corner_family(eps)
+        cfg = SolverConfig(backend="krylov-block", precond_dtype="float32")
+        ws = SimulationWorkspace(solver_config=cfg)
+        assembly = ws.assembly(grid, OMEGA)
+        twin_sweeps = []
+        solve32 = SinglePrecisionLU.solve
+
+        def counted(self, rhs, trans="N"):
+            twin_sweeps.append(rhs.shape)
+            return solve32(self, rhs, trans)
+
+        monkeypatch.setattr(SinglePrecisionLU, "solve", counted)
+        for seed in (3, 4):
+            refined, swept = ws.solver_stats.refinement_sweeps, len(twin_sweeps)
+            block = ws.begin_corner_block(assembly, family)
+            block.solve_block(rhs_block(grid, len(family), seed=seed))
+            assert ws.solver_stats.refinement_sweeps > refined
+            assert len(twin_sweeps) > swept
+        # The nominal anchor's LU and its one float32 twin.
+        assert ws.solver_stats.factorizations == 2
+        assert ws.solver_stats.fallbacks == 0
+
     def test_float64_config_keeps_matrixless_anchors(self, grid, eps):
         ws = SimulationWorkspace(solver_config="krylov-block")
         assembly = ws.assembly(grid, OMEGA)
@@ -186,44 +224,33 @@ class TestMixedPrecision:
 # Recycled-anchor path regressions                                      #
 # --------------------------------------------------------------------- #
 class TestSatelliteRegressions:
-    def _hard_solver(self, **overrides):
-        """An unpreconditioned Helmholtz-like system: will not converge."""
-        lap, d0 = synthetic_system(n=200, seed=17)
-        matrix = (lap + sp.diags(d0)).tocsc()
-        cfg = SolverConfig(backend="krylov", fallback=False, **overrides)
-        return PreconditionedKrylovSolver(
-            matrix, None, default_factor_options(), cfg
+    def _hard_solver(self, grid, eps, **overrides):
+        """An unpreconditioned Helmholtz system: will not converge."""
+        assembly = SimulationWorkspace().assembly(grid, OMEGA)
+        cfg = SolverConfig(
+            **{"backend": "krylov-block", "fallback": False, **overrides}
+        )
+        return PreconditionedKrylovSolver.build(
+            assembly.system_matrix(eps), default_factor_options(), cfg,
+            assembly=assembly, eps=eps, preconditioner=None, anchor_eps=eps,
         )
 
-    def test_gmres_budget_is_exact(self):
-        """maxiter must cap *inner* iterations, not restart cycles.
-
-        The old sizing ran ceil(maxiter/restart) full cycles — up to
-        restart-1 iterations over budget (10 budgeted, 12 burnt).
-        """
-        solver = self._hard_solver(
-            krylov_method="gmres", maxiter=10, gmres_restart=4
-        )
-        b = np.ones(200, dtype=complex)
-        with pytest.raises(RuntimeError, match="did not converge"):
-            solver.solve(b)
-        assert solver.stats.wasted_iterations <= 10
-
-    def test_solve_many_batches_after_midblock_fallback(self):
-        lap, d0 = synthetic_system(n=200, seed=17)
-        matrix = (lap + sp.diags(d0)).tocsc()
-        cfg = SolverConfig(backend="krylov", maxiter=3)
-        solver = PreconditionedKrylovSolver(
-            matrix, None, default_factor_options(), cfg
-        )
+    def test_solve_many_batches_after_midblock_fallback(self, grid, eps):
         rng = np.random.default_rng(0)
-        rhs = rng.standard_normal((200, 5)) + 0j
+        rhs = rng.standard_normal((grid.n_cells, 5)) + 0j
+        strict = self._hard_solver(grid, eps, maxiter=3)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            strict.solve_many(rhs)
+        # The budget caps every column's iterations.
+        assert 0 < strict.stats.wasted_iterations <= 3 * 5
+        solver = self._hard_solver(grid, eps, maxiter=3, fallback=True)
         out = solver.solve_many(rhs)
-        # Column 0 falls back mid-block; the remaining 4 columns must
-        # ride ONE batched matrix-RHS sweep, not 4 scalar round-trips.
+        # The columns miss the budget together; the one fallback
+        # factorization then solves them in ONE batched matrix-RHS
+        # sweep, not 5 per-column round-trips.
         assert solver.stats.fallbacks == 1
         assert solver.stats.batched_calls == 1
-        np.testing.assert_allclose(matrix @ out, rhs, atol=1e-8)
+        np.testing.assert_allclose(solver.matrix @ out, rhs, atol=1e-8)
 
     def test_block_exact_and_fallback_spans(self, grid, eps):
         family = corner_family(eps)

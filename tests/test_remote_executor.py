@@ -60,12 +60,12 @@ from repro.params import rasterize_segments
 
 pytestmark = pytest.mark.remote
 
-ALL_BACKENDS = ("direct", "krylov", "krylov-block")
+ALL_BACKENDS = ("direct", "krylov-block")
 #: Remote workers run the same forward-replay arithmetic as forked
 #: process workers; preconditioned backends anchor per worker, so they
 #: agree with serial to solver precision only.
 KRYLOV_TOL = dict(rtol=1e-5, atol=1e-7)
-#: Monte-Carlo krylov yardstick (matches the benchmark's): the serial
+#: Monte-Carlo krylov-block yardstick (matches the benchmark's): the serial
 #: reference takes the *blocked* path while workers anchor per worker,
 #: so sample FoMs agree to the looser evaluation tolerance.
 MC_KRYLOV_TOL = dict(rtol=1e-4, atol=1e-6)
