@@ -98,15 +98,12 @@ _META_SUFFIX = ".meta.json"
 #: so a run checkpointed on a remote fleet can be resumed serially on
 #: another box (the fleet-loss degradation path relies on exactly this),
 #: and a horizon extension (more ``iterations``) is a legal resume.
-#: ``simulation_cache`` is excluded because the cold path is documented
-#: (and tested) bit-identical to the cached one.
 RUNTIME_ONLY_FIELDS = frozenset(
     {
         "corner_executor",
         "executor_workers",
         "remote_timeout",
         "remote_connect_retries",
-        "simulation_cache",
         "iterations",
         "checkpoint_dir",
         "checkpoint_every",

@@ -144,11 +144,6 @@ class OptimizerConfig:
     metrics_every:
         Log a metrics-registry snapshot every N iterations (0, the
         default, disables periodic metrics logging).
-    simulation_cache:
-        Route solves through the shared
-        :class:`~repro.fdfd.workspace.SimulationWorkspace` (cached
-        operators, modes, factorizations).  Off reproduces the cold
-        seed path bit-for-bit; only wall time differs.
     solver:
         Linear-solver backend: a
         :class:`~repro.fdfd.linalg.SolverConfig` or a
@@ -173,7 +168,12 @@ class OptimizerConfig:
         configured with — so a device set up via
         ``configure_simulation_cache(True, SimulationWorkspace(
         solver_config="krylov-block"))`` keeps its backend under a default
-        config.  Non-direct backends require ``simulation_cache=True``.
+        config.
+
+    Simulation caching is set on the device
+    (``PhotonicDevice.configure_simulation_cache``): the optimizer runs
+    the device as configured and refuses a non-direct ``solver`` on a
+    device without a workspace.
     """
 
     parameterization: str = "levelset"
@@ -208,17 +208,11 @@ class OptimizerConfig:
     trace_dir: str | None = None
     trace_format: str = "jsonl"
     metrics_every: int = 0
-    simulation_cache: bool = True
     solver: SolverConfig | str | None = None
 
     def __post_init__(self):
         if self.solver is not None:
             self.solver = SolverConfig.coerce(self.solver)
-            if self.solver.backend != "direct" and not self.simulation_cache:
-                raise ValueError(
-                    f"solver backend {self.solver.backend!r} needs the "
-                    "simulation workspace; set simulation_cache=True"
-                )
         if self.parameterization not in ("levelset", "density"):
             raise ValueError(
                 "parameterization must be 'levelset' or 'density', "

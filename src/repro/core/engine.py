@@ -212,14 +212,14 @@ class Boson1Optimizer:
         self.device = device
         self.config = config or OptimizerConfig()
         self.rng = rng_from_seed(self.config.seed)
-        if device.simulation_cache != self.config.simulation_cache:
-            device.configure_simulation_cache(self.config.simulation_cache)
-        if (
-            self.config.solver is not None
-            and self.config.simulation_cache
-            and device.workspace is not None
-            and device.workspace.solver_config != self.config.solver
-        ):
+        solver = self.config.solver
+        if solver is not None and device.workspace is None:
+            if solver.backend != "direct":
+                raise ValueError(
+                    f"solver backend {solver.backend!r} needs the "
+                    "simulation workspace; set simulation_cache=True"
+                )
+        elif solver is not None and device.workspace.solver_config != solver:
             # An explicitly requested backend gets its own workspace
             # rather than mutating the process-shared one under other
             # devices; the replacement inherits the old workspace's
@@ -227,8 +227,7 @@ class Boson1Optimizer:
             # changes.  config.solver=None leaves a pre-configured
             # workspace (and its backend) untouched.
             device.configure_simulation_cache(
-                True,
-                device.workspace.with_solver_config(self.config.solver),
+                True, device.workspace.with_solver_config(solver)
             )
         self.executor = make_executor(
             self.config.corner_executor,

@@ -393,10 +393,14 @@ EXECUTOR_BACKENDS: dict[str, "type[CornerExecutor] | Callable"] = {
 
 
 def executor_backend(spec: str) -> "tuple[str, str]":
-    """Split an executor spec into ``(backend, remainder)``.
+    """Split and validate an executor spec into ``(backend, remainder)``.
 
-    Refuses unknown backends; the retired ``thread`` backend's message
-    names its replacements.
+    The one spec parser behind ``OptimizerConfig``, the CLI's
+    ``--executor`` and :func:`make_executor`.  Refuses unknown backends
+    (the retired ``thread`` backend's message names its replacements),
+    a suffix on ``serial``, and a ``process`` worker count that is not
+    a positive integer.  A ``remote`` remainder is the address list
+    that :func:`repro.core.remote.parse_worker_addresses` checks.
     """
     name, _, rest = str(spec).partition(":")
     if name == "thread":
@@ -409,6 +413,22 @@ def executor_backend(spec: str) -> "tuple[str, str]":
             f"unknown executor backend {name!r}; "
             f"have {sorted(EXECUTOR_BACKENDS)}"
         )
+    if name == "serial" and rest:
+        raise ValueError(
+            f"executor {spec!r}: serial takes no worker count; use "
+            "'process:n' for a worker pool"
+        )
+    if name == "process" and rest:
+        try:
+            workers = int(rest)
+        except ValueError:
+            raise ValueError(
+                f"invalid worker count in executor spec {spec!r}"
+            ) from None
+        if workers < 1:
+            raise ValueError(
+                f"executor {spec!r}: workers must be >= 1, got {workers}"
+            )
     return name, rest
 
 
@@ -447,11 +467,6 @@ def make_executor(
         return spec
     name, rest = executor_backend(spec)
     if name == "remote":
-        if not rest:
-            raise ValueError(
-                "remote executor spec needs worker addresses: "
-                "remote:host:port[,host:port...]"
-            )
         return _remote_factory(
             rest,
             max_workers=max_workers,
@@ -459,14 +474,7 @@ def make_executor(
             remote_connect_retries=remote_connect_retries,
         )
     if rest:
-        try:
-            max_workers = int(rest)
-        except ValueError:
-            raise ValueError(
-                f"invalid worker count in executor spec {spec!r}"
-            ) from None
-        if max_workers < 1:
-            raise ValueError(f"executor workers must be >= 1, got {max_workers}")
+        max_workers = int(rest)
     cls = EXECUTOR_BACKENDS[name]
     if cls is SerialExecutor:
         return cls()

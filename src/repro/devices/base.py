@@ -184,8 +184,9 @@ class PhotonicDevice:
             :class:`~repro.fdfd.workspace.SimulationWorkspace` and
             memoizes the per-direction port infrastructure.  When False
             every solve rebuilds operators, modes and monitors — the
-            seed behaviour, kept for cold-path benchmarks and cache
-            correctness tests.
+            seed behaviour, kept as the cold reference of the cache
+            correctness tests.  The optimizer runs the device as
+            configured and refuses an iterative backend on a cold one.
         workspace:
             Explicit workspace to use when ``enabled``; defaults to the
             process-shared one.  Ignored when ``enabled`` is False.

@@ -30,7 +30,6 @@ from repro.fdfd.pml import PMLSpec
 from repro.fdfd.workspace import (
     FactorOptions,
     SimulationWorkspace,
-    default_factor_options,
     shared_workspace,
 )
 
@@ -105,9 +104,9 @@ class HelmholtzSolver:
         caching, or ``None`` to rebuild everything per solver (the seed
         behaviour, used by cold-path benchmarks and identity tests).
     factor_options:
-        SuperLU configuration for the *cold* path; a workspace applies
-        its own ``factor_options`` so that cached factorizations are
-        consistent.
+        SuperLU configuration for the *cold* path (``None`` means the
+        tuned ``FactorOptions()``); a workspace applies its own
+        ``factor_options`` so that cached factorizations are consistent.
 
     Notes
     -----
@@ -154,7 +153,7 @@ class HelmholtzSolver:
                 laplacian
                 + sp.diags(self.omega**2 * eps_r.ravel(), format="csr")
             ).tocsc()
-            options = factor_options or default_factor_options()
+            options = factor_options or FactorOptions()
             self.linsolver = DirectSolver(
                 self.system_matrix, options.splu(self.system_matrix), SolveStats()
             )

@@ -26,7 +26,8 @@ module caches the invariants:
     the Helmholtz operator (``MMD_AT_PLUS_A`` ordering + symmetric mode
     + relaxed diagonal pivoting), which roughly halves factorization
     time at machine-precision residuals; ``FactorOptions.reference()``
-    restores SciPy's COLAMD default.
+    is SciPy's COLAMD default, passed explicitly to a workspace or a
+    cold :class:`~repro.fdfd.solver.HelmholtzSolver` where wanted.
 
 Solves themselves go through the pluggable backends of
 :mod:`repro.fdfd.linalg` (:meth:`SimulationWorkspace.linear_solver`):
@@ -78,8 +79,6 @@ __all__ = [
     "SimulationWorkspace",
     "shared_workspace",
     "reset_shared_workspace",
-    "default_factor_options",
-    "set_default_factor_options",
 ]
 
 
@@ -124,28 +123,9 @@ class FactorOptions:
             )
 
 
-_DEFAULT_FACTOR_OPTIONS = FactorOptions()
-
 #: Preconditioner LUs a workspace keeps per operator set (nominal corner,
 #: calibration environments, fallbacks); each solve picks the nearest.
 _MAX_ANCHORS = 4
-
-
-def default_factor_options() -> FactorOptions:
-    """The process-wide factorization configuration."""
-    return _DEFAULT_FACTOR_OPTIONS
-
-
-def set_default_factor_options(options: FactorOptions) -> FactorOptions:
-    """Replace the process-wide default; returns the previous value.
-
-    Used by benchmarks to time the seed-reference configuration
-    (``FactorOptions.reference()``) against the tuned default.
-    """
-    global _DEFAULT_FACTOR_OPTIONS
-    previous = _DEFAULT_FACTOR_OPTIONS
-    _DEFAULT_FACTOR_OPTIONS = options
-    return previous
 
 
 class FdfdAssembly:
@@ -324,7 +304,8 @@ class SimulationWorkspace:
         Slab-mode solutions retained, keyed by cross-section content.
     factor_options:
         SuperLU configuration used for every factorization created
-        through this workspace.
+        through this workspace; ``None`` means the tuned
+        ``FactorOptions()``.
     solver_config:
         Linear-solver backend selection (a
         :class:`~repro.fdfd.linalg.SolverConfig`, a backend name such as
@@ -345,7 +326,7 @@ class SimulationWorkspace:
         factor_options: FactorOptions | None = None,
         solver_config: SolverConfig | str | None = None,
     ):
-        self.factor_options = factor_options or default_factor_options()
+        self.factor_options = factor_options or FactorOptions()
         self.solver_config = SolverConfig.coerce(solver_config)
         self.solver_stats = SolveStats()
         self._assemblies = _LRUCache(max_assemblies)

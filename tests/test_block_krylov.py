@@ -21,14 +21,18 @@ from repro.core.sampling import SamplingStrategy
 from repro.devices import make_device
 from repro.eval import evaluate_post_fab
 from repro.fab.process import FabricationProcess
-from repro.fdfd import HelmholtzSolver, SimGrid, SimulationWorkspace
+from repro.fdfd import (
+    FactorOptions,
+    HelmholtzSolver,
+    SimGrid,
+    SimulationWorkspace,
+)
 from repro.fdfd.linalg import (
     SOLVER_REGISTRY,
     CornerBlockSolver,
     PreconditionedKrylovSolver,
     SolverConfig,
 )
-from repro.fdfd.workspace import default_factor_options
 from repro.obs.trace import disable_tracing, enable_tracing
 from repro.params import rasterize_segments
 from repro.utils.constants import omega_from_wavelength
@@ -312,7 +316,7 @@ class TestCornerBlockSolver:
         other column's recurrences towards the wrong system.
         """
         assembly = SimulationWorkspace().assembly(grid, OMEGA)
-        options = default_factor_options()
+        options = FactorOptions()
         family = corner_family(eps, bumps=(0.3, 0.6))[1:]
         block = CornerBlockSolver(
             assembly, family, options.splu(assembly.system_matrix(eps)),
@@ -349,7 +353,7 @@ class TestCornerBlockSolver:
         """A block preconditioned by ``eps``'s LU, counting sweep columns."""
         ws = SimulationWorkspace()
         assembly = ws.assembly(grid, OMEGA)
-        options = default_factor_options()
+        options = FactorOptions()
         family = corner_family(eps, bumps=bumps)[1:]
         block = CornerBlockSolver(
             assembly, family, options.splu(assembly.system_matrix(eps)),

@@ -141,7 +141,6 @@ class TestConfigDigest:
             dict(executor_workers=3),
             dict(remote_timeout=5.0),
             dict(remote_connect_retries=7),
-            dict(simulation_cache=False),
             dict(iterations=7),
             dict(checkpoint_dir="somewhere"),
             dict(checkpoint_every=2),

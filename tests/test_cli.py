@@ -65,7 +65,11 @@ class TestParser:
         ],
         ids=["design", "evaluate", "submit"],
     )
-    @pytest.mark.parametrize("spec", ["thread", "thread:2"])
+    # Bad worker counts die in argparse too, not in make_executor (a
+    # traceback) or, for submit, on the daemon.
+    @pytest.mark.parametrize(
+        "spec", ["thread", "thread:2", "process:0", "process:abc", "serial:7"]
+    )
     def test_thread_executor_exits_2_naming_process(self, capsys, argv, spec):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--executor", spec])

@@ -23,10 +23,6 @@ from repro.fdfd import (
     reset_shared_workspace,
 )
 from repro.fdfd.sources import point_source
-from repro.fdfd.workspace import (
-    default_factor_options,
-    set_default_factor_options,
-)
 from repro.params import rasterize_segments
 from repro.utils.constants import omega_from_wavelength
 
@@ -140,14 +136,6 @@ class TestFactorOptions:
             factor_options=FactorOptions.reference(),
         ).solve(src)
         np.testing.assert_allclose(tuned.ez, reference.ez, atol=1e-9, rtol=1e-9)
-
-    def test_default_factor_options_roundtrip(self):
-        previous = set_default_factor_options(FactorOptions.reference())
-        try:
-            assert default_factor_options() == FactorOptions.reference()
-        finally:
-            set_default_factor_options(previous)
-        assert default_factor_options() == previous
 
     def test_residual_small(self, grid, eps):
         solver = HelmholtzSolver(grid, eps, OMEGA, workspace=None)

@@ -19,6 +19,7 @@ from repro.autodiff import Tensor
 from repro.core import Boson1Optimizer, OptimizerConfig
 from repro.devices import make_device
 from repro.fdfd import (
+    FactorOptions,
     HelmholtzSolver,
     SimGrid,
     SimulationWorkspace,
@@ -33,7 +34,6 @@ from repro.fdfd.linalg import (
     register_solver,
 )
 from repro.fdfd.linalg import direct as direct_module
-from repro.fdfd.workspace import default_factor_options
 from repro.params import rasterize_segments
 from repro.utils.constants import omega_from_wavelength
 
@@ -76,7 +76,7 @@ class TestRegistryAndConfig:
     def test_unknown_backend_raises(self, grid, eps):
         matrix = HelmholtzSolver(grid, eps, OMEGA, workspace=None).system_matrix
         with pytest.raises(ValueError, match="unknown solver backend"):
-            make_linear_solver("cusolver", matrix, default_factor_options())
+            make_linear_solver("cusolver", matrix, FactorOptions())
 
     def test_duplicate_registration_raises(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -130,8 +130,16 @@ class TestRegistryAndConfig:
         cfg = OptimizerConfig(solver="krylov-block")
         assert isinstance(cfg.solver, SolverConfig)
         assert cfg.solver.backend == "krylov-block"
+        # Caching is the device's switch: the optimizer refuses an
+        # iterative backend on a cold device and leaves a direct one cold.
+        with pytest.raises(TypeError, match="simulation_cache"):
+            OptimizerConfig(simulation_cache=False)
+        cold = make_device("bending")
+        cold.configure_simulation_cache(False)
         with pytest.raises(ValueError, match="simulation"):
-            OptimizerConfig(solver="krylov-block", simulation_cache=False)
+            Boson1Optimizer(cold, cfg)
+        Boson1Optimizer(cold, OptimizerConfig(solver="direct")).close()
+        assert cold.workspace is None
 
 
 class TestDirectAndBatched:
@@ -153,7 +161,7 @@ class TestDirectAndBatched:
                 workspace=None,
             ).system_matrix
             solver = make_linear_solver(
-                "direct", matrix, default_factor_options()
+                "direct", matrix, FactorOptions()
             )
             block = rhs_block(device.grid, k=4, seed=3)
             for trans in ("N", "T"):
@@ -168,7 +176,7 @@ class TestDirectAndBatched:
 
     def test_solve_many_matches_column_solves(self, grid, eps):
         matrix = HelmholtzSolver(grid, eps, OMEGA, workspace=None).system_matrix
-        solver = make_linear_solver("direct", matrix, default_factor_options())
+        solver = make_linear_solver("direct", matrix, FactorOptions())
         block = rhs_block(grid, k=4)
         stacked = np.stack([solver.solve(block[:, j]) for j in range(4)], axis=1)
         assert np.array_equal(solver.solve_many(block), stacked)
@@ -183,7 +191,7 @@ class TestDirectAndBatched:
 
     def test_bad_trans_and_shape_raise(self, grid, eps):
         matrix = HelmholtzSolver(grid, eps, OMEGA, workspace=None).system_matrix
-        solver = make_linear_solver("direct", matrix, default_factor_options())
+        solver = make_linear_solver("direct", matrix, FactorOptions())
         with pytest.raises(ValueError):
             solver.solve(rhs_block(grid)[:, 0], trans="H")
         with pytest.raises(ValueError):

@@ -380,6 +380,22 @@ class TestConfigWiring:
         assert config_digest(plain, "bending") == config_digest(
             traced, "bending"
         )
+        # Nor does it perturb the physics: the serial traced run is
+        # bitwise the untraced one.  Its span count is pinned, so a span
+        # site added to or dropped from the loop shows up here as a
+        # count, not as wall-clock noise.
+        runs = []
+        for config in (plain, traced):
+            device = make_device("bending")
+            device.configure_simulation_cache(True, SimulationWorkspace())
+            optimizer = Boson1Optimizer(device, config)
+            runs.append(optimizer.run())
+            optimizer.close()
+        untraced, with_trace = runs
+        assert np.array_equal(with_trace.fom_trace(), untraced.fom_trace())
+        assert np.array_equal(with_trace.theta, untraced.theta)
+        records = load_trace_records(tmp_path / "tr" / "trace.jsonl")
+        assert len(records) == 99
 
 
 # --------------------------------------------------------------------- #

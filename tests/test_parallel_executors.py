@@ -89,6 +89,8 @@ class TestMakeExecutor:
             make_executor("process:zero")
         with pytest.raises(ValueError):
             make_executor("process:0")
+        with pytest.raises(ValueError, match="no worker count"):
+            make_executor("serial:7")
 
     def test_registry_names(self):
         assert set(EXECUTOR_BACKENDS) == {"serial", "process", "remote"}
@@ -229,6 +231,9 @@ class TestConfigValidation:
     def test_rejects_bad_workers(self):
         with pytest.raises(ValueError):
             OptimizerConfig(executor_workers=0)
+        for spec in ("process:0", "process:abc", "serial:7"):
+            with pytest.raises(ValueError, match="'process"):
+                OptimizerConfig(corner_executor=spec)
 
 
 @pytest.fixture(scope="module")
@@ -273,13 +278,11 @@ class TestTrajectoryCacheIdentity:
             device = make_device("bending")
             device.configure_simulation_cache(cached, SimulationWorkspace())
             cfg = OptimizerConfig(
-                iterations=2,
-                seed=5,
-                parameterization=parameterization,
-                simulation_cache=cached,
+                iterations=2, seed=5, parameterization=parameterization
             )
             opt = Boson1Optimizer(device, cfg)
             results.append(opt.run())
+            assert (device.workspace is None) == (not cached)
         warm, cold = results
         assert np.array_equal(warm.fom_trace(), cold.fom_trace())
         assert np.array_equal(warm.loss_trace(), cold.loss_trace())
@@ -293,11 +296,7 @@ class TestTrajectoryCacheIdentity:
             device = make_device("bending")
             device.configure_simulation_cache(cached, SimulationWorkspace())
             cfg = OptimizerConfig(
-                iterations=2,
-                seed=3,
-                sampling="axial",
-                t_delta=30.0,
-                simulation_cache=cached,
+                iterations=2, seed=3, sampling="axial", t_delta=30.0
             )
             results.append(Boson1Optimizer(device, cfg).run())
         assert np.array_equal(results[0].loss_trace(), results[1].loss_trace())

@@ -30,13 +30,12 @@ from repro.core.checkpoint import (
     DesignCheckpoint,
     config_digest,
 )
-from repro.fdfd import SimGrid, SimulationWorkspace
+from repro.fdfd import FactorOptions, SimGrid, SimulationWorkspace
 from repro.fdfd.linalg import (
     PreconditionedKrylovSolver,
     SinglePrecisionLU,
     SolverConfig,
 )
-from repro.fdfd.workspace import default_factor_options
 from repro.obs.trace import disable_tracing, enable_tracing
 from repro.utils.constants import omega_from_wavelength
 
@@ -152,7 +151,7 @@ class TestMixedPrecision:
         lap, d0 = synthetic_system(seed=13)
         matrix = (lap + sp.diags(d0)).tocsc()
         lu64 = spla.splu(matrix)
-        lu32 = SinglePrecisionLU.factorize(matrix, default_factor_options())
+        lu32 = SinglePrecisionLU.factorize(matrix, FactorOptions())
         rng = np.random.default_rng(0)
         b = rng.standard_normal(d0.size) + 1j * rng.standard_normal(d0.size)
         x32 = lu32.solve(b)
@@ -231,7 +230,7 @@ class TestSatelliteRegressions:
             **{"backend": "krylov-block", "fallback": False, **overrides}
         )
         return PreconditionedKrylovSolver.build(
-            assembly.system_matrix(eps), default_factor_options(), cfg,
+            assembly.system_matrix(eps), FactorOptions(), cfg,
             assembly=assembly, eps=eps, preconditioner=None, anchor_eps=eps,
         )
 

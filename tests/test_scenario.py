@@ -296,6 +296,9 @@ class TestEngineScenarioRuns:
         # the temperature axis shares its wavelength's Laplacian and
         # must NOT add solves.
         assert stats["block_solves"] == 2 * 2 * cfg.iterations
+        # One matrix-RHS sweep serves every active column of a group, so
+        # blocked sweeps stay fewer than the per-column iterations.
+        assert stats["block_sweeps"] < stats["iterations"]
         assert np.all(np.isfinite(result.loss_trace()))
 
     @pytest.mark.krylov
