@@ -28,7 +28,6 @@ from repro.core.remote import PROTOCOL_VERSION, parse_worker_addresses
 from repro.core.sampling import SAMPLING_STRATEGIES
 from repro.devices import DEVICE_REGISTRY, make_device
 from repro.eval import evaluate_ideal, evaluate_post_fab
-from repro.eval.montecarlo import DEFAULT_BLOCK_CHUNK
 from repro.fab.process import FabricationProcess
 from repro.fdfd.linalg import SolverConfig
 from repro.utils.io import load_result, save_result
@@ -62,9 +61,9 @@ solvers (every FDFD solve), spelled --solver BACKEND[:MOD]:
                the solver tolerance.  on the serial executor only;
                process and remote workers, and calibration runs, solve
                each system on its own with the same kernel.  not a
-               universal win on 1 core: 1.19x faster than direct on
-               bending, but slower on the isolator (0.41-0.45 vs
-               0.35-0.39 s/iter at dl=0.05).
+               universal win: which backend is faster depends on the
+               device and grid (the perfbench workloads isolator-direct
+               and bending-block-fine measure each).
 modifier (krylov-block):
   :float32     factor the preconditioner anchor in single precision
                (e.g. krylov-block:float32); outer recurrences stay
@@ -249,6 +248,20 @@ def _spec_arg(validate):
 
 _solver_arg = _spec_arg(SolverConfig.coerce)
 _executor_arg = _spec_arg(executor_backend)
+_trace_format_arg = _spec_arg(lambda spec: OptimizerConfig(trace_format=spec))
+
+
+def _positive_int(text: str) -> int:
+    """argparse ``type`` for a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _axis_arg(spec: str) -> "list[float] | None":
@@ -365,8 +378,15 @@ def _add_remote_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_observability_args(p: argparse.ArgumentParser) -> None:
-    """Tracing/metrics flags shared by ``design`` and ``evaluate``."""
+def _add_observability_args(
+    p: argparse.ArgumentParser, format_type=str
+) -> None:
+    """Tracing/metrics flags shared by ``design`` and ``evaluate``.
+
+    ``design`` checks ``--trace-format`` with the rest of its config;
+    ``evaluate`` builds no config, so it passes a ``format_type`` that
+    refuses a bad value at parse time.
+    """
     p.add_argument(
         "--trace-dir",
         default=None,
@@ -381,6 +401,7 @@ def _add_observability_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--trace-format",
         default=_DEFAULTS.trace_format,
+        type=format_type,
         metavar="FMT[,FMT]",
         help=(
             "trace export formats (comma-separated): jsonl | chrome "
@@ -480,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="post-fab Monte-Carlo eval")
     p_eval.add_argument("result", help="JSON produced by `design`/`baseline`")
-    p_eval.add_argument("--samples", type=int, default=20)
+    p_eval.add_argument("--samples", type=_positive_int, default=20)
     p_eval.add_argument("--seed", type=int, default=1234)
     p_eval.add_argument(
         "--executor",
@@ -517,19 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
             "krylov-block (default: the device's centre wavelength only)"
         ),
     )
-    p_eval.add_argument(
-        "--block-chunk",
-        type=int,
-        default=DEFAULT_BLOCK_CHUNK,
-        metavar="N",
-        help=(
-            "samples per blocked solve on the krylov-block path (>= 1, "
-            "default %(default)s; small chunks re-anchor between cold "
-            "diverse samples, large chunks maximize sweep amortization "
-            "when warm)"
-        ),
-    )
-    _add_observability_args(p_eval)
+    _add_observability_args(p_eval, format_type=_trace_format_arg)
 
     p_worker = sub.add_parser(
         "worker",
@@ -837,15 +846,13 @@ def _cmd_evaluate(args) -> int:
     if args.trace_dir is not None:
         from repro.obs import TraceSession
 
-        formats = tuple(
-            tok.strip() for tok in args.trace_format.split(",") if tok.strip()
-        )
-        session = TraceSession(args.trace_dir, formats or ("jsonl",))
+        config = OptimizerConfig(trace_format=args.trace_format)
+        session = TraceSession(args.trace_dir, config.trace_formats())
     try:
         pre, _ = evaluate_ideal(device, pattern)
         report = evaluate_post_fab(
             device, process, pattern, n_samples=args.samples, seed=args.seed,
-            executor=args.executor, block_chunk=args.block_chunk,
+            executor=args.executor,
             remote_timeout=args.remote_timeout,
             remote_connect_retries=args.remote_connect_retries,
             wavelengths_um=args.wavelengths,

@@ -101,7 +101,6 @@ _META_SUFFIX = ".meta.json"
 RUNTIME_ONLY_FIELDS = frozenset(
     {
         "corner_executor",
-        "executor_workers",
         "remote_timeout",
         "remote_connect_retries",
         "iterations",

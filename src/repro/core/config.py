@@ -93,22 +93,22 @@ class OptimizerConfig:
         Backend for the per-iteration corner fan-out: ``"serial"``
         (default), ``"process"`` / ``"process:n"``, or
         ``"remote:host:port[,host:port...]"`` (worker hosts started with
-        ``repro worker --listen``).  Corner losses are independent and
-        reduced in a fixed order.  The serial executor evaluates them
-        in-process through the device's power op.  The process and remote
-        backends route through the forward-replay fan-out — workers run
-        only the forward FDFD solves on pickle-clean payloads and the
-        parent assembles the taped VJPs from the returned adjoint-basis
-        columns — so their losses and gradients match the serial path
-        to solver precision (the adjoint is recombined from per-port
-        solves) and they scale with cores / hosts.  The remote backend
-        additionally resubmits a dead worker's items to survivors (see
-        :mod:`repro.core.remote` for the failure semantics).
-    executor_workers:
-        Worker count for pooled backends.  ``None`` (the default)
-        auto-tunes ``process``/``remote`` to ``min(corner count,
-        available workers)`` per fan-out — on a single-core box an auto
-        process spec runs inline in the parent.
+        ``repro worker --listen``); ``"process"`` and ``"remote"``
+        auto-tune their worker count, ``"process:n"`` pins it.  Corner
+        losses are independent and reduced in a fixed order by one
+        loop, :meth:`~repro.core.engine.Boson1Optimizer._corner_losses`,
+        which differs per executor only in how an omega group gets its
+        powers.  The serial executor computes them in-process through
+        the device's power op.  The process and remote backends
+        dispatch through :func:`~repro.core.executors.fan_out` — workers
+        run only the forward FDFD solves on pickle-clean payloads and
+        the parent assembles the taped VJPs from the returned
+        adjoint-basis columns — so their losses and gradients match the
+        serial path to solver precision (the adjoint is recombined from
+        per-port solves) and they scale with cores / hosts.  The remote
+        backend additionally resubmits a dead worker's items to
+        survivors (see :mod:`repro.core.remote` for the failure
+        semantics).
     remote_timeout:
         Dead-worker detection bound (seconds) for the ``remote``
         executor: the longest a worker may stay silent — no result, no
@@ -155,8 +155,9 @@ class OptimizerConfig:
         corner block in single matrix-RHS sweeps, per-column
         convergence masking, per-corner direct fallback; process and
         remote workers, and calibration runs, solve each system as a
-        one-system block; slower than ``direct`` on the isolator:
-        0.41-0.45 vs 0.35-0.39 s/iter).
+        one-system block).  Which backend is faster depends on the
+        device and grid; the perfbench workloads ``isolator-direct``
+        and ``bending-block-fine`` measure each.
         ``"krylov-block:float32"`` (``precond_dtype="float32"``) factors
         the preconditioner anchor's complex64 twin, with float64
         iterative refinement preserving the solver tolerance; it is not
@@ -199,7 +200,6 @@ class OptimizerConfig:
     temperatures_k: tuple[float, ...] | None = None
     aggregate: str = "mean"
     corner_executor: str = "serial"
-    executor_workers: int | None = None
     remote_timeout: float = DEFAULT_REMOTE_TIMEOUT
     remote_connect_retries: int = DEFAULT_CONNECT_RETRIES
     checkpoint_dir: str | None = None
@@ -252,8 +252,6 @@ class OptimizerConfig:
             # socket is opened (parse_worker_addresses raises a
             # descriptive ValueError).
             parse_worker_addresses(rest)
-        if self.executor_workers is not None and self.executor_workers < 1:
-            raise ValueError("executor_workers must be >= 1")
         if self.remote_timeout <= 0:
             raise ValueError(
                 f"remote_timeout must be positive (seconds), got "

@@ -8,13 +8,19 @@
 
 All paper techniques are :class:`~repro.core.config.OptimizerConfig`
 switches; see that module for the ablation mapping.
+
+Corner losses come from one loop,
+:meth:`Boson1Optimizer._corner_losses`, over the omega groups of the
+iteration's scenario family.  Executors differ only in how a group gets
+its powers: in-process through the device's power op (serial), or
+through :func:`repro.core.executors.fan_out`, whose workers replay the
+forward solves while the parent keeps the tape (process, remote).
 """
 
 from __future__ import annotations
 
 import functools
 import logging
-import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,6 +38,7 @@ from repro.core.checkpoint import (
 from repro.core.config import OptimizerConfig
 from repro.core.executors import (
     SerialExecutor,
+    fan_out,
     make_executor,
     run_warm_task,
     stable_worker_token,
@@ -48,12 +55,13 @@ from repro.core.remote import RemoteFleetDead
 from repro.core.sampling import (
     ScenarioFamilySampling,
     make_sampling_strategy,
+    omega_groups,
 )
 from repro.devices.base import PhotonicDevice
 from repro.fab.corners import VariationCorner
 from repro.obs.export import TraceSession
 from repro.obs.metrics import get_metrics
-from repro.obs.trace import get_tracer, span, tracing_active
+from repro.obs.trace import span, tracing_active
 from repro.fab.litho import GaussianLithography
 from repro.fab.process import FabricationProcess
 from repro.fab.temperature import alpha_of_temperature
@@ -231,7 +239,6 @@ class Boson1Optimizer:
             )
         self.executor = make_executor(
             self.config.corner_executor,
-            self.config.executor_workers,
             remote_timeout=self.config.remote_timeout,
             remote_connect_retries=self.config.remote_connect_retries,
         )
@@ -359,179 +366,109 @@ class Boson1Optimizer:
             self._terms_by_omega[key] = terms
         return terms
 
-    def _omega_groups(self, corners) -> "dict[float, list[int]]":
-        """Order-preserving partition of a scenario family by omega.
-
-        Keyed like the workspace caches (``round(wavelength, 12)``) so
-        every member of a group shares its Laplacian, assembly, and —
-        under ``krylov-block`` — one blocked solve.  Corners without a
-        wavelength axis group under the device's centre wavelength,
-        which makes this the identity (one group) for plain fab-corner
-        runs.
-        """
-        groups: dict[float, list[int]] = {}
-        for i, corner in enumerate(corners):
-            lam = (
-                corner.wavelength_um
-                if corner.wavelength_um is not None
-                else self.device.wavelength_um
-            )
-            groups.setdefault(round(float(lam), 12), []).append(i)
-        return groups
-
     def _ideal_loss(self, rho: Tensor):
         powers = self.device.port_powers_all(rho, 1.0)
         loss = build_loss(self.terms, powers, self.config.dense_objectives)
         return loss, powers
 
-    def _corner_losses_local(self, rho: Tensor, corners, include_ideal: bool):
-        """All scenario losses in-process, through the one power op.
+    def _corner_losses(self, rho: Tensor, corners, include_ideal: bool):
+        """All scenario losses, one omega group at a time.
 
-        The family is partitioned by omega (:meth:`_omega_groups`); each
-        group fabricates every member (taped, per corner) and hands the
-        results to :meth:`PhotonicDevice.port_powers_corners`.  On a
-        block-capable backend (``krylov-block``) the whole group is one
-        call — one blocked forward solve with single matrix-RHS
-        preconditioner sweeps, and one adjoint block solve (run as a
-        forward one through the PML symmetrizer) on the backward pass.
-        Other backends make one call per corner, which keeps every
-        gradient bit of the ``direct`` backend.  While the Eq. (3)
-        relaxation ramp is active (``include_ideal``), the
-        ideal-condition system — which shares the centre-wavelength
-        Laplacian — rides the centre-omega group;
-        if no scenario sits at the centre wavelength the caller solves
-        it on its own.
+        The family is partitioned by omega
+        (:func:`~repro.core.sampling.omega_groups`); each group
+        fabricates every member (taped, per corner, in this process)
+        and gets its powers in one of two ways, the only point where
+        executors differ:
+
+        * **in-process** (serial executor): the device's power op.  On
+          a block-capable backend (``krylov-block``) the whole group is
+          one :meth:`PhotonicDevice.port_powers_corners` call — one
+          blocked forward solve and one blocked adjoint solve.  Other
+          backends make one call per corner, which keeps every gradient
+          bit of the ``direct`` backend.
+        * **forward replay** (process or remote executor): the tape
+          cannot cross process boundaries, so
+          :func:`~repro.core.executors.fan_out` ships pickle-clean
+          ``(alpha_bg, rho_fab array)`` items to workers, which run only
+          :meth:`PhotonicDevice.solve_forward_summary`; the summaries
+          re-enter the tape through
+          :meth:`PhotonicDevice.port_powers_precomputed`, whose VJP
+          needs no parent-side solve.  Each group ships its own device
+          clone under its own warm-pool token, so workers keep one warm
+          workspace per omega.  Every item is a pure function of its
+          payload, so dead-worker resubmission leaves LU-backed results
+          bitwise unchanged; gradients match the in-process path to
+          solver precision.
+
+        While the Eq. (3) relaxation ramp is active (``include_ideal``),
+        the ideal-condition system rides the centre-omega group as one
+        more system; if no scenario sits at the centre wavelength the
+        caller solves it on its own.
 
         Returns ``(corner_results, ideal_result)`` with ``ideal_result``
         being ``None`` unless requested and hosted.
         """
-        groups = self._omega_groups(corners)
-        center_key = round(float(self.device.wavelength_um), 12)
+        in_process = self.executor.supports_shared_memory
+        if not in_process:
+            self._solver_epoch += 1
+        centre = self.device.wavelength_um
         results: list = [None] * len(corners)
         ideal_result = None
-        for key, idxs in groups.items():
+        for key, idxs in omega_groups(corners, centre).items():
             device_g = self.device.for_corner(corners[idxs[0]])
+            rho_fabs = [self.process.apply(rho, corners[i]) for i in idxs]
             alphas = [
                 alpha_of_temperature(corners[i].temperature_k) for i in idxs
             ]
-            rho_fabs = [self.process.apply(rho, corners[i]) for i in idxs]
-            with_ideal = include_ideal and key == center_key
+            with_ideal = include_ideal and key == round(float(centre), 12)
             if with_ideal:
-                alphas.append(1.0)
                 rho_fabs.append(rho)
-            with span("engine.corners", "engine", corners=len(alphas)):
-                if device_g.supports_corner_block:
-                    powers_list = device_g.port_powers_corners(rho_fabs, alphas)
-                else:
-                    powers_list = [
-                        device_g.port_powers_all(rho_fab, alpha)
-                        for rho_fab, alpha in zip(rho_fabs, alphas)
-                    ]
+                alphas.append(1.0)
+            if in_process:
+                with span("engine.corners", "engine", corners=len(alphas)):
+                    if device_g.supports_corner_block:
+                        powers_list = device_g.port_powers_corners(
+                            rho_fabs, alphas
+                        )
+                    else:
+                        powers_list = [
+                            device_g.port_powers_all(rho_fab, alpha)
+                            for rho_fab, alpha in zip(rho_fabs, alphas)
+                        ]
+            else:
+                task = functools.partial(
+                    _corner_forward_task,
+                    stable_worker_token(device_g, ":design"),
+                    device_g,
+                    self._solver_epoch,
+                    tracing_active(),
+                )
+                summaries, workers = fan_out(
+                    self.executor,
+                    task,
+                    [
+                        (alpha, np.asarray(fab.data, dtype=np.float64))
+                        for alpha, fab in zip(alphas, rho_fabs)
+                    ],
+                    device_g.workspace,
+                    "engine.dispatch",
+                    corners=len(alphas),
+                )
+                self.observed_worker_pids |= workers
+                powers_list = [
+                    device_g.port_powers_precomputed(
+                        rho_fab, summary, alpha_bg=alpha
+                    )
+                    for summary, rho_fab, alpha in zip(
+                        summaries, rho_fabs, alphas
+                    )
+                ]
             terms = self._terms_for(device_g)
+            dense = self.config.dense_objectives
             group_results = [
-                (build_loss(terms, powers, self.config.dense_objectives), powers)
+                (build_loss(terms, powers, dense), powers)
                 for powers in powers_list
             ]
-            if with_ideal:
-                ideal_result = group_results.pop()
-            for i, result in zip(idxs, group_results):
-                results[i] = result
-        return results, ideal_result
-
-    def _corner_losses_process(self, rho: Tensor, corners, include_ideal: bool):
-        """All corner losses via the forward-replay fan-out (fork or TCP).
-
-        The taped fabrication chain runs per corner *in the parent*;
-        workers — forked process-pool workers or remote hosts behind a
-        :class:`~repro.core.remote.RemoteCornerExecutor` — receive
-        pickle-clean ``(alpha_bg, rho_fab bytes)`` payloads, replay only
-        the forward FDFD solves
-        (:meth:`PhotonicDevice.solve_forward_summary`), and the
-        summaries are injected back into the taped graph through
-        :meth:`PhotonicDevice.port_powers_precomputed` — the backward
-        pass assembles every VJP from the worker-returned adjoint-basis
-        columns without a single parent-side solve.  Reduction is
-        ordered, so results are reproducible for any worker count;
-        gradients match the in-process executors to solver precision.
-        While the relaxation ramp is active the ideal-condition system
-        ships as one extra work item instead of a parent-side solve.
-        Worker solve statistics are merged into the parent workspace.
-        The remote executor adds heartbeat-bounded dead-worker detection
-        and resubmits a dead worker's items to survivors inside
-        ``map_ordered`` — every item is a pure function of its payload,
-        so a mid-iteration worker death leaves the reduced result (and,
-        for LU-backed backends, every bit of the trajectory) unchanged.
-
-        Scenario families fan out *per omega group*: each group ships
-        its own device clone under its own warm-pool token, so per-omega
-        device digests cross the wire once per epoch per worker —
-        exactly like today's single device — and workers keep one warm
-        workspace per omega.  The ideal-condition system rides the
-        centre-omega group as one extra work item; a family with no
-        centre-wavelength member leaves it to the caller's scalar solve.
-        """
-        groups = self._omega_groups(corners)
-        center_key = round(float(self.device.wavelength_um), 12)
-        self._solver_epoch += 1
-        tracer = get_tracer()
-        metrics = get_metrics()
-        results: list = [None] * len(corners)
-        ideal_result = None
-        for key, idxs in groups.items():
-            device_g = self.device.for_corner(corners[idxs[0]])
-            rho_fabs = [self.process.apply(rho, corners[i]) for i in idxs]
-            alphas = [
-                alpha_of_temperature(corners[i].temperature_k) for i in idxs
-            ]
-            with_ideal = include_ideal and key == center_key
-            if with_ideal:
-                rho_fabs.append(rho)
-                alphas.append(1.0)
-            task = functools.partial(
-                _corner_forward_task,
-                stable_worker_token(device_g, ":design"),
-                device_g,
-                self._solver_epoch,
-                tracing_active(),
-            )
-            items = [
-                (alpha, np.asarray(fab.data, dtype=np.float64))
-                for alpha, fab in zip(alphas, rho_fabs)
-            ]
-            with span(
-                "engine.dispatch", "engine",
-                backend=self.executor.name, corners=len(items),
-            ) as dispatch:
-                outcomes = self.executor.map_ordered(task, items)
-            workspace = device_g.workspace
-            terms = self._terms_for(device_g)
-            group_results = []
-            for (summary, stats_delta, worker, obs), rho_fab, alpha in zip(
-                outcomes, rho_fabs, alphas
-            ):
-                if worker is not None:
-                    # Inline-in-parent runs report no identity
-                    # (run_warm_task); every reported one is a genuine
-                    # worker — the pid.nonce form stays distinct even
-                    # across hosts whose pids collide.
-                    self.observed_worker_pids.add(worker)
-                if obs is not None:
-                    # Worker span trees graft under this fan-out's
-                    # dispatch span — one connected timeline across the
-                    # fleet — and worker metric deltas merge like stats
-                    # deltas.
-                    if tracer is not None:
-                        tracer.adopt(obs.get("spans", []), dispatch.span_id)
-                    metrics.merge_delta(obs.get("metrics"))
-                if workspace is not None:
-                    workspace.merge_solver_stats(stats_delta)
-                powers = device_g.port_powers_precomputed(
-                    rho_fab, summary, alpha_bg=alpha
-                )
-                loss = build_loss(
-                    terms, powers, self.config.dense_objectives
-                )
-                group_results.append((loss, powers))
             if with_ideal:
                 ideal_result = group_results.pop()
             for i, result in zip(idxs, group_results):
@@ -551,19 +488,15 @@ class Boson1Optimizer:
         case, or CVaR tail expectation
         (:func:`repro.core.objective.aggregate_losses`).
 
-        Corner losses take one of two paths.  The serial executor
-        evaluates them in-process through the device's one power op
-        (:meth:`_corner_losses_local`): one blocked solve per omega
-        group on a block-capable backend (``krylov-block``), one op call
-        per corner otherwise.  A process or remote executor routes
-        through the forward-replay fan-out
-        (:meth:`_corner_losses_process`): workers carry the forward
-        solves, the parent assembles the VJPs, and results match the
-        serial path to solver precision.  Either way losses are reduced
-        serially in the sampler's corner order, so the result does not
-        depend on the worker count.  The returned corner count is the
-        number the loss actually averaged over (0 when ``use_fab`` is
-        off).
+        Corner losses come from one loop, :meth:`_corner_losses`: the
+        serial executor computes each omega group's powers through the
+        device's power op, a process or remote executor hands the
+        group's forward solves to workers through
+        :func:`~repro.core.executors.fan_out`.  Either way losses are
+        reduced serially in the sampler's corner order, so the result
+        does not depend on the worker count.  The returned corner count
+        is the number the loss actually averaged over (0 when
+        ``use_fab`` is off).
         """
         with span("engine.loss", "engine", iteration=iteration):
             return self._loss_impl(theta_t, iteration)
@@ -599,17 +532,9 @@ class Boson1Optimizer:
             )
 
         p = self.schedule.p(iteration)
-        if self.executor.supports_shared_memory:
-            corner_results, ideal_result = self._corner_losses_local(
-                rho, corners, include_ideal=p < 1.0
-            )
-        else:
-            # Process or remote executor: the tape cannot cross process
-            # boundaries, so workers replay only the forward solves and
-            # the parent assembles the VJPs (see _corner_losses_process).
-            corner_results, ideal_result = self._corner_losses_process(
-                rho, corners, include_ideal=p < 1.0
-            )
+        corner_results, ideal_result = self._corner_losses(
+            rho, corners, include_ideal=p < 1.0
+        )
         losses = []
         weights = []
         for corner, (loss_c, powers_c) in zip(corners, corner_results):

@@ -8,8 +8,9 @@ minimal executor abstraction over ``concurrent.futures`` so those sites
 can fan out without committing to a backend:
 
 * ``serial``  — in-process loop; zero overhead, always available.  The
-  optimizer and the Monte-Carlo evaluation run it through the device's
-  one in-process power op rather than per-item tasks.
+  optimizer (:meth:`~repro.core.engine.Boson1Optimizer._corner_losses`)
+  and the Monte-Carlo evaluation run it through the device's one
+  in-process power op rather than per-item tasks.
 * ``process`` — ``ProcessPoolExecutor``; for picklable task payloads.
   Tape-free workloads (Monte-Carlo evaluation) ship whole tasks; taped
   corner losses go through the *forward-replay* seam — workers run only
@@ -25,13 +26,18 @@ can fan out without committing to a backend:
   ``remote:host:port[,host:port...]``).  Same seams, same warm-pool
   protocol, plus dead-worker resubmission — see :mod:`repro.core.remote`.
 
+Both process and remote fan-outs run through one pair of helpers:
+:func:`run_warm_task` is the worker half, :func:`fan_out` the parent
+half (dispatch span, ordered map, worker span adoption, metric and
+solver-stats merges).
+
 ``process`` and ``remote`` specs without an explicit worker count
 auto-tune to ``min(n_items, available workers)``
 (:func:`resolve_worker_count`): corner counts per iteration bound how
 many workers can help, and on a single-core box an auto-tuned process
 spec resolves to one worker and runs inline in the parent — forking
 would be pure overhead — which makes ``--executor process`` a safe
-default everywhere.
+default everywhere.  ``process:n`` is the one way to pin a count.
 
 Determinism contract
 --------------------
@@ -53,13 +59,14 @@ from concurrent.futures import Executor, ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.obs.metrics import get_metrics
-from repro.obs.trace import SpanCapture, span
+from repro.obs.trace import SpanCapture, get_tracer, span
 
 __all__ = [
     "CornerExecutor",
     "SerialExecutor",
     "ProcessExecutor",
     "make_executor",
+    "fan_out",
     "executor_backend",
     "resolve_worker_count",
     "worker_warm",
@@ -216,6 +223,54 @@ def run_warm_task(
     return result, delta, _process_identity(), obs
 
 
+def fan_out(
+    executor: "CornerExecutor",
+    task: Callable,
+    items: Iterable,
+    workspace,
+    span_name: str,
+    **attrs,
+) -> "tuple[list, set[str]]":
+    """Map a :func:`run_warm_task` task over ``items`` and merge what
+    the workers send home.
+
+    The parent half of the warm-pool protocol, shared by the taped
+    corner fan-out and the Monte-Carlo fan-out.  The ordered map runs
+    under a ``span_name`` span (category: the name's dotted prefix;
+    attributes: the executor backend plus ``attrs``); each worker span
+    tree grafts under it, so a fan-out reads as one connected timeline
+    across the fleet.  Worker metric deltas merge into the parent
+    registry and solver-stats deltas into ``workspace`` (skipped when it
+    is ``None``).
+
+    Returns ``(results, workers)``: the task results in input order and
+    the distinct worker identities that reported — inline-in-parent
+    runs report none, so the parent never counts its own work as a
+    worker's.
+    """
+    items = list(items)
+    with span(
+        span_name, span_name.partition(".")[0],
+        backend=executor.name, **attrs,
+    ) as dispatch:
+        outcomes = executor.map_ordered(task, items)
+    tracer = get_tracer()
+    metrics = get_metrics()
+    results = []
+    workers: set[str] = set()
+    for result, stats_delta, worker, obs in outcomes:
+        if worker is not None:
+            workers.add(worker)
+        if obs is not None:
+            if tracer is not None:
+                tracer.adopt(obs.get("spans", []), dispatch.span_id)
+            metrics.merge_delta(obs.get("metrics"))
+        if workspace is not None:
+            workspace.merge_solver_stats(stats_delta)
+        results.append(result)
+    return results, workers
+
+
 class CornerExecutor:
     """Base executor: ordered map over independent work items."""
 
@@ -362,7 +417,6 @@ class ProcessExecutor(_PoolExecutor):
 
 def _remote_factory(
     address_spec: str,
-    max_workers: int | None = None,
     remote_timeout: float | None = None,
     remote_connect_retries: int | None = None,
 ) -> CornerExecutor:
@@ -377,7 +431,6 @@ def _remote_factory(
     return RemoteCornerExecutor(
         address_spec,
         timeout=remote_timeout,
-        max_workers=max_workers,
         connect_retries=remote_connect_retries,
     )
 
@@ -434,7 +487,6 @@ def executor_backend(spec: str) -> "tuple[str, str]":
 
 def make_executor(
     spec: "str | CornerExecutor | None",
-    max_workers: int | None = None,
     remote_timeout: float | None = None,
     remote_connect_retries: int | None = None,
 ) -> CornerExecutor:
@@ -444,14 +496,10 @@ def make_executor(
     ----------
     spec:
         ``None`` or ``"serial"``, ``"process"`` — optionally with a
-        worker count suffix (``"process:4"``) — or
+        worker count suffix (``"process:4"``; without one the pool
+        auto-tunes, see :func:`resolve_worker_count`) — or
         ``"remote:host:port[,host:port...]"``.  An existing
         :class:`CornerExecutor` passes through unchanged.
-    max_workers:
-        Worker count; overridden by a ``:n`` suffix in ``spec``.
-        ``None`` auto-tunes pooled backends (see
-        :func:`resolve_worker_count`); for ``remote`` it caps how many
-        of the listed workers a single fan-out uses.
     remote_timeout:
         Dead-worker detection bound in seconds for the ``remote``
         backend (CLI ``--remote-timeout``); ignored by the in-process
@@ -469,13 +517,10 @@ def make_executor(
     if name == "remote":
         return _remote_factory(
             rest,
-            max_workers=max_workers,
             remote_timeout=remote_timeout,
             remote_connect_retries=remote_connect_retries,
         )
-    if rest:
-        max_workers = int(rest)
     cls = EXECUTOR_BACKENDS[name]
     if cls is SerialExecutor:
         return cls()
-    return cls(max_workers=max_workers)
+    return cls(max_workers=int(rest) if rest else None)

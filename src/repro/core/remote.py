@@ -93,7 +93,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from repro.core.executors import CornerExecutor, resolve_worker_count
+from repro.core.executors import CornerExecutor
 from repro.obs.metrics import get_metrics, rss_bytes
 from repro.obs.trace import span
 
@@ -1088,7 +1088,6 @@ class RemoteCornerExecutor(CornerExecutor):
         self,
         addresses: "Sequence[tuple[str, int]] | str",
         timeout: float | None = None,
-        max_workers: int | None = None,
         connect_retries: int | None = None,
     ):
         if isinstance(addresses, str):
@@ -1116,7 +1115,6 @@ class RemoteCornerExecutor(CornerExecutor):
                 f"busy worker's heartbeat can land inside it, got "
                 f"{self.timeout}"
             )
-        self.max_workers = max_workers
         self.connect_retries = (
             DEFAULT_CONNECT_RETRIES
             if connect_retries is None
@@ -1205,15 +1203,8 @@ class RemoteCornerExecutor(CornerExecutor):
                 "closures can cross a socket"
             ) from exc
         key = seed_key(fn_bytes)
-        # An explicit max_workers is a *cap*, never a promise of more
-        # sockets than the spec names — and never more than the items.
-        n_workers = min(
-            resolve_worker_count(
-                self.max_workers, len(items), len(self.addresses)
-            ),
-            len(self.addresses),
-            len(items),
-        )
+        # One slot per listed worker, never more than the items.
+        n_workers = min(len(items), len(self.addresses))
         state = _MapState(len(items), n_workers)
         threads = []
         with span("remote.map", "remote", items=len(items),

@@ -27,6 +27,8 @@ fab corners), and :class:`ScenarioFamilySampling` wraps an existing
 strategy so the engine sees the family as an ordinary corner list.  With
 no wavelength/temperature axes configured both are exact identities, so
 single-``omega`` runs stay byte-identical to a pre-scenario build.
+:func:`omega_groups` is the one partition of such a family by omega,
+shared by the design loop and the Monte-Carlo evaluation.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ __all__ = [
     "AxialPlusWorstSampling",
     "ScenarioFamilySampling",
     "scenario_family",
+    "omega_groups",
     "make_sampling_strategy",
     "SAMPLING_STRATEGIES",
 ]
@@ -97,6 +100,28 @@ def scenario_family(
                 name = c.name + "@" + ",".join(parts)
                 family.append(dataclasses.replace(c, name=name, **kwargs))
     return family
+
+
+def omega_groups(
+    corners: Sequence[VariationCorner], centre_wavelength_um: float
+) -> "dict[float, list[int]]":
+    """Order-preserving partition of a scenario family by omega.
+
+    Keyed like the workspace caches (``round(wavelength, 12)``) so every
+    member of a group shares its Laplacian, assembly, and — under
+    ``krylov-block`` — one blocked solve.  Corners without a wavelength
+    axis group under ``centre_wavelength_um``, which makes this the
+    identity (one group) for plain fab-corner lists.
+    """
+    groups: dict[float, list[int]] = {}
+    for i, corner in enumerate(corners):
+        lam = (
+            corner.wavelength_um
+            if corner.wavelength_um is not None
+            else centre_wavelength_um
+        )
+        groups.setdefault(round(float(lam), 12), []).append(i)
+    return groups
 
 
 class WorstCornerFinder(Protocol):

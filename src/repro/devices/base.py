@@ -330,11 +330,6 @@ class PhotonicDevice:
             self._background = bg
         return self._background
 
-    def design_origin_um(self) -> tuple[float, float]:
-        """Bottom-left corner of the design region in window coordinates."""
-        sx, sy = self.design_slice
-        return (sx.start * self.dl, sy.start * self.dl)
-
     def litho_context(self, pad: int) -> np.ndarray:
         """Context tile for the fabrication model.
 
@@ -499,28 +494,16 @@ class PhotonicDevice:
         """
         return self.workspace is not None and self.workspace.supports_corner_block
 
-    def _power_op(
-        self, alpha_bgs: tuple[float, ...], directions: tuple[str, ...]
-    ) -> Callable[..., Tensor]:
-        """The in-process power op: ``k`` design occupancies -> powers.
+    def _columns(
+        self, alpha_bgs: Sequence[float], directions: Sequence[str]
+    ) -> "tuple[list[tuple], np.ndarray]":
+        """The right-hand-side columns of ``len(alpha_bgs)`` systems.
 
-        One custom op over ``k >= 1`` systems, one per entry of
-        ``alpha_bgs`` and one design-occupancy input each.  The forward
-        pass stacks every system's per-direction sources into one
-        ``(n, k * len(directions))`` block and the VJP stacks every
-        adjoint system into one transposed block:
-
-        * block-capable backends (``krylov-block``) solve the whole block
-          through :meth:`SimulationWorkspace.begin_corner_block` — single
-          matrix-RHS preconditioner sweeps for every corner at once;
-        * every other backend solves each system's stacked columns with
-          one :meth:`HelmholtzSolver.solve_many` — under ``direct`` one
-          SuperLU matrix-RHS call per system, bitwise equal to solving
-          each column alone.
-
-        Systems sharing a temperature share one calibration.  The output
-        is the system-major, direction-minor vector
-        :meth:`_split_powers` unflattens.
+        One column per ``(system, direction)``, system-major and
+        direction-minor; each entry is ``(system, problem, p_in,
+        incident, infra, port names)``.  Systems sharing a temperature
+        share one calibration.  Returns the entries and their stacked
+        ``(n, len(entries))`` source block.
         """
         calibrations = {}
         columns = []
@@ -542,13 +525,86 @@ class PhotonicDevice:
             ],
             axis=1,
         )
+        return columns, sources
+
+    def _solve_columns(self, eps_list: Sequence[np.ndarray], pml):
+        """Open one solve over the systems ``eps_list``.
+
+        Returns ``(solve, dxf, dyf)``, where ``solve(rhs, system_of,
+        trans="N")`` solves column ``j`` of an ``(n, k)`` block against
+        system ``system_of[j]`` (an explicit column-to-system map, so
+        the forward sources and the adjoint basis of one system can
+        carry different column counts):
+
+        * block-capable backends (``krylov-block``) solve the whole block
+          through :meth:`SimulationWorkspace.begin_corner_block` — single
+          matrix-RHS preconditioner sweeps for every system at once;
+        * every other backend solves each system's columns with one
+          :meth:`HelmholtzSolver.solve_many` — under ``direct`` one
+          SuperLU matrix-RHS call per system, bitwise equal to solving
+          each column alone.
+        """
+        grid, omega, workspace = self.grid, self.omega, self.workspace
+        if self.supports_corner_block:
+            assembly = workspace.assembly(grid, omega, pml)
+            block = workspace.begin_corner_block(assembly, eps_list)
+
+            def solve(rhs, system_of, trans="N"):
+                return block.solve_block(rhs, system_of, trans=trans)
+
+            return solve, assembly.ops["dxf"], assembly.ops["dyf"]
+        solvers = [
+            HelmholtzSolver(grid, eps, omega, pml, workspace=workspace)
+            for eps in eps_list
+        ]
+
+        def solve(rhs, system_of, trans="N"):
+            out = np.empty(rhs.shape, dtype=np.complex128)
+            for system, solver in enumerate(solvers):
+                cols = np.flatnonzero(system_of == system)
+                out[:, cols] = solver.solve_many(rhs[:, cols], trans=trans)
+            return out
+
+        return solve, solvers[0].dxf, solvers[0].dyf
+
+    def _measure(self, columns, ez_block, dxf, dyf) -> list:
+        """One :class:`PortPowerSolution` per solved column."""
+        shape, omega = self.grid.shape, self.omega
+        return [
+            problem.measure(
+                None,
+                FdfdFields(
+                    np.ascontiguousarray(ez).reshape(shape), dxf, dyf, omega
+                ),
+                incident,
+                infra,
+            )
+            for ez, (_, problem, _p_in, incident, infra, _names) in zip(
+                ez_block.T, columns
+            )
+        ]
+
+    def _power_op(
+        self, alpha_bgs: tuple[float, ...], directions: tuple[str, ...]
+    ) -> Callable[..., Tensor]:
+        """The in-process power op: ``k`` design occupancies -> powers.
+
+        One custom op over ``k >= 1`` systems, one per entry of
+        ``alpha_bgs`` and one design-occupancy input each.  The forward
+        pass stacks every system's per-direction sources into one
+        ``(n, k * len(directions))`` block (:meth:`_columns`) and the
+        VJP stacks every adjoint system into one transposed block; both
+        go through one :meth:`_solve_columns` solve.  The output is the
+        system-major, direction-minor vector :meth:`_split_powers`
+        unflattens.
+        """
+        columns, sources = self._columns(alpha_bgs, directions)
         system_of = np.array([col[0] for col in columns], dtype=np.intp)
-        width = len(directions)
         backgrounds = {
             alpha: self.cached_background() * alpha
             for alpha in dict.fromkeys(alpha_bgs)
         }
-        grid, omega, workspace = self.grid, self.omega, self.workspace
+        grid = self.grid
         dslice = self.design_slice
         contrast = self.eps_solid - EPS_VOID
         pml = columns[0][1].pml
@@ -559,44 +615,17 @@ class PhotonicDevice:
                 occ = backgrounds[alpha].copy()
                 occ[dslice] = occ_design
                 eps_list.append(self.eps_from_occupancy(occ))
-            if self.supports_corner_block:
-                assembly = workspace.assembly(grid, omega, pml)
-                block = workspace.begin_corner_block(assembly, eps_list)
-
-                def solve(rhs, trans="N"):
-                    return block.solve_block(rhs, system_of, trans=trans)
-
-                dxf, dyf = assembly.ops["dxf"], assembly.ops["dyf"]
-            else:
-                solvers = [
-                    HelmholtzSolver(grid, eps, omega, pml, workspace=workspace)
-                    for eps in eps_list
-                ]
-
-                def solve(rhs, trans="N"):
-                    return np.concatenate(
-                        [
-                            solver.solve_many(
-                                rhs[:, i * width : (i + 1) * width],
-                                trans=trans,
-                            )
-                            for i, solver in enumerate(solvers)
-                        ],
-                        axis=1,
-                    )
-
-                dxf, dyf = solvers[0].dxf, solvers[0].dyf
-            ez_block = solve(sources)
-            powers = []
-            solutions = []
-            for j, (_, problem, p_in, incident, infra, names) in enumerate(
-                columns
-            ):
-                ez = np.ascontiguousarray(ez_block[:, j]).reshape(grid.shape)
-                fields = FdfdFields(ez, dxf, dyf, omega)
-                sol = problem.measure(None, fields, incident, infra)
-                solutions.append(sol)
-                powers.extend(sol.raw_powers[n] / p_in for n in names)
+            solve, dxf, dyf = self._solve_columns(eps_list, pml)
+            solutions = self._measure(
+                columns, solve(sources, system_of), dxf, dyf
+            )
+            powers = [
+                sol.raw_powers[n] / p_in
+                for (_, _problem, p_in, _inc, _infra, names), sol in zip(
+                    columns, solutions
+                )
+                for n in names
+            ]
             return np.array(powers, dtype=np.float64), (solve, solutions)
 
         def vjp(g, out, residuals, *occ_designs):
@@ -613,7 +642,9 @@ class PhotonicDevice:
                 adjoint_cols.append(
                     problem.adjoint_source(sol, cotangents, input_power=p_in)
                 )
-            lam_block = solve(np.stack(adjoint_cols, axis=1), trans="T")
+            lam_block = solve(
+                np.stack(adjoint_cols, axis=1), system_of, trans="T"
+            )
             grads = [np.zeros(grid.shape) for _ in occ_designs]
             for j, ((system, problem, *_rest), sol) in enumerate(
                 zip(columns, solutions)
@@ -765,62 +796,76 @@ class PhotonicDevice:
         The worker half of the process-pool corner fan-out: run in a
         forked worker on a plain numpy ``rho_scaled`` (the fabrication
         chain's output — the chain itself stays taped in the parent),
-        it performs each direction's forward FDFD solve plus the
-        per-port adjoint-basis sweeps ``y_j = A^{-T} w_j`` against the
-        same factorization, and returns arrays and scalars only — no
-        tape, no LU objects, no workspace.  Feed the result to
-        :meth:`port_powers_precomputed` in the parent to rebuild the
-        differentiable port powers without re-solving anything.
+        it makes one stacked forward solve over every direction's source
+        and one stacked transposed solve for the adjoint basis
+        ``y_j = A^{-T} w_j`` of every port in every direction — both
+        through the power op's :meth:`_solve_columns` — and returns
+        arrays and scalars only: no tape, no LU objects, no workspace.
+        Feed the result to :meth:`port_powers_precomputed` in the parent
+        to rebuild the differentiable port powers without re-solving
+        anything.
         """
         rho = np.asarray(rho_scaled, dtype=np.float64)
         if rho.shape != self.design_shape:
             raise ValueError(
                 f"design shape {rho.shape} != {self.design_shape}"
             )
+        alpha_bg = float(alpha_bg)
+        columns, sources = self._columns((alpha_bg,), self.directions)
+        occ = self.cached_background() * alpha_bg
+        occ[self.design_slice] = rho
+        solve, dxf, dyf = self._solve_columns(
+            [self.eps_from_occupancy(occ)], columns[0][1].pml
+        )
+        solutions = self._measure(
+            columns,
+            solve(sources, np.zeros(len(columns), dtype=np.intp)),
+            dxf, dyf,
+        )
+        weights = np.stack(
+            [
+                np.asarray(
+                    sol.monitors[n].weight_vector(), dtype=np.complex128
+                )
+                for (*_head, names), sol in zip(columns, solutions)
+                for n in names
+            ],
+            axis=1,
+        )
+        basis = solve(
+            weights, np.zeros(weights.shape[1], dtype=np.intp), trans="T"
+        )
         summaries: list[DirectionSolveSummary] = []
-        for direction in self.directions:
-            problem, p_in, incident, infra = self._calibration_with_infra(
-                direction, alpha_bg
-            )
-            occ = self.cached_background() * alpha_bg
-            occ[self.design_slice] = rho
-            eps = self.eps_from_occupancy(occ)
-            sol = problem.solve(eps, incident_ez=incident, infra=infra)
-            names = self.port_names(direction)
-            powers = np.array(
-                [sol.raw_powers[n] / p_in for n in names], dtype=np.float64
-            )
-            weights = np.stack(
-                [
-                    np.asarray(
-                        sol.monitors[n].weight_vector(), dtype=np.complex128
-                    )
-                    for n in names
-                ],
-                axis=1,
-            )
-            basis = sol.solver.solve_many(weights, trans="T")
-            coeffs = np.array(
-                [
-                    sol.monitors[n].power_factor
-                    * np.conj(sol.amplitudes[n])
-                    / p_in
-                    for n in names
-                ],
-                dtype=np.complex128,
-            )
+        offset = 0
+        for direction, (_, _problem, p_in, _inc, _infra, names), sol in zip(
+            self.directions, columns, solutions
+        ):
             summaries.append(
                 DirectionSolveSummary(
                     direction=direction,
-                    powers=powers,
-                    adjoint_coeffs=coeffs,
+                    powers=np.array(
+                        [sol.raw_powers[n] / p_in for n in names],
+                        dtype=np.float64,
+                    ),
+                    adjoint_coeffs=np.array(
+                        [
+                            sol.monitors[n].power_factor
+                            * np.conj(sol.amplitudes[n])
+                            / p_in
+                            for n in names
+                        ],
+                        dtype=np.complex128,
+                    ),
                     ez=sol.fields.ez.ravel().copy(),
-                    adjoint_basis=np.ascontiguousarray(basis),
+                    adjoint_basis=np.ascontiguousarray(
+                        basis[:, offset : offset + len(names)]
+                    ),
                 )
             )
+            offset += len(names)
         return ForwardSolveSummary(
             directions=summaries,
-            alpha_bg=float(alpha_bg),
+            alpha_bg=alpha_bg,
             rho_digest=_pattern_digest(rho),
         )
 

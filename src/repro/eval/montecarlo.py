@@ -9,39 +9,36 @@ import numpy as np
 
 from repro.core.executors import (
     CornerExecutor,
+    fan_out,
     make_executor,
     run_warm_task,
     stable_worker_token,
 )
-from repro.core.sampling import scenario_family
+from repro.core.sampling import omega_groups, scenario_family
 from repro.devices.base import PhotonicDevice
 from repro.fab.corners import VariationCorner
 from repro.fab.litho import LITHO_CORNER_NAMES
 from repro.fab.process import FabricationProcess
 from repro.fab.temperature import alpha_of_temperature
-from repro.obs.metrics import get_metrics
-from repro.obs.trace import get_tracer, span, tracing_active
+from repro.obs.trace import tracing_active
 from repro.utils.seeding import rng_from_seed
 
 __all__ = [
     "RobustnessReport",
     "evaluate_post_fab",
     "evaluate_ideal",
-    "DEFAULT_BLOCK_CHUNK",
 ]
 
-#: Default samples per blocked solve in :func:`evaluate_post_fab`
-#: (overridable via its ``block_chunk`` parameter and the CLI
-#: ``evaluate --block-chunk`` flag, which uses this constant as its
-#: default).  Monte-Carlo
-#: draws are *diverse* (independent litho corners, temperatures, EOLE
-#: fields), so on a cold workspace most of a large block would burn its
-#: iteration budget against the single first-sample anchor and fall
-#: back.  Small chunks let each chunk's fallback factorizations re-anchor
-#: the workspace for the next one — measured on the bending device, 8
-#: cold samples: one 8-block pays 8 fallbacks, chunks of 2 pay 2 — while
-#: warm evaluations lose almost nothing to the smaller block width.
-DEFAULT_BLOCK_CHUNK = 2
+#: Samples per blocked solve on the in-process ``krylov-block`` path of
+#: :func:`evaluate_post_fab`.  Monte-Carlo draws are *diverse*
+#: (independent litho corners, temperatures, EOLE fields), so on a cold
+#: workspace most of a large block would burn its iteration budget
+#: against the single first-sample anchor and fall back.  Small chunks
+#: let each chunk's fallback factorizations re-anchor the workspace for
+#: the next one — measured on the bending device, 8 cold samples: one
+#: 8-block pays 8 fallbacks, chunks of 2 pay 2 — while warm evaluations
+#: lose almost nothing to the smaller block width.
+_SAMPLES_PER_BLOCK = 2
 
 
 @dataclass
@@ -175,19 +172,16 @@ def _evaluate_sample_task(
     warm-pool / stats-delta / inline-parent protocol): the device is
     parked in the worker's warm pool so its workspace and calibration
     caches survive across chunks and repeated evaluations, and the task
-    returns its solver-stats delta (merged into the parent workspace by
-    :func:`evaluate_post_fab`) plus the worker identity as fan-out
-    evidence and — when the parent dispatched with tracing active — the
-    worker's span tree and metric deltas.
+    returns ``((fom, powers), solver-stats delta, worker identity, obs
+    payload)`` for :func:`repro.core.executors.fan_out` to merge.
     """
-    (fom, powers), delta, worker, obs = run_warm_task(
+    return run_warm_task(
         token,
         device,
         lambda dev: _evaluate_sample(dev, process, pattern, corner),
         lambda dev: dev.workspace,
         capture_obs=capture,
     )
-    return fom, powers, delta, worker, obs
 
 
 def _evaluate_local(
@@ -195,30 +189,23 @@ def _evaluate_local(
     process: FabricationProcess,
     pattern: np.ndarray,
     corners: "list[VariationCorner]",
-    block_chunk: int,
 ) -> "list[tuple[float, dict[str, dict[str, float]]]]":
     """In-process FoMs + powers of every scenario, in corner order.
 
-    Samples are grouped by omega (order-preserving) so each wavelength's
-    samples share their Laplacian.  Each group is evaluated through the
-    device's power op: ``block_chunk`` samples per call on a
-    block-capable backend — one blocked solve each, the first sample of
-    a chunk anchoring it — and one sample per call otherwise.
+    Samples are grouped by omega
+    (:func:`~repro.core.sampling.omega_groups`, the partition the design
+    loop uses) so each wavelength's samples share their Laplacian.  Each
+    group is evaluated through the device's power op:
+    :data:`_SAMPLES_PER_BLOCK` samples per call on a block-capable
+    backend — one blocked solve each, the first sample of a chunk
+    anchoring it — and one sample per call otherwise.
     """
     fabbed = [process.apply_array(pattern, c) for c in corners]
     alphas = [alpha_of_temperature(c.temperature_k) for c in corners]
-    groups: dict = {}
-    for i, c in enumerate(corners):
-        lam = (
-            c.wavelength_um
-            if c.wavelength_um is not None
-            else device.wavelength_um
-        )
-        groups.setdefault(round(float(lam), 12), []).append(i)
     results: list = [None] * len(corners)
-    for idxs in groups.values():
+    for idxs in omega_groups(corners, device.wavelength_um).values():
         clone = device.for_corner(corners[idxs[0]])
-        step = block_chunk if clone.supports_corner_block else 1
+        step = _SAMPLES_PER_BLOCK if clone.supports_corner_block else 1
         for start in range(0, len(idxs), step):
             sel = idxs[start:start + step]
             chunk = clone.port_powers_array_corners(
@@ -237,7 +224,6 @@ def evaluate_post_fab(
     seed: int = 1234,
     t_delta: float = 30.0,
     executor: CornerExecutor | str | None = None,
-    block_chunk: int = DEFAULT_BLOCK_CHUNK,
     remote_timeout: float | None = None,
     remote_connect_retries: int | None = None,
     wavelengths_um=None,
@@ -264,24 +250,18 @@ def evaluate_post_fab(
         bit-identical for every backend and worker count — including the
         remote backend, whose dead-worker resubmission re-runs the same
         pure per-sample tasks on survivors.  The serial executor
-        evaluates samples in-process through the device's power op; with
-        a block-capable backend (``krylov-block``) every chunk of
-        samples joins one blocked solve
+        evaluates samples in-process through the device's power op;
+        with a block-capable backend (``krylov-block``) every
+        :data:`_SAMPLES_PER_BLOCK` samples join one blocked solve
         (:meth:`PhotonicDevice.port_powers_array_corners`) — the first
         sample anchors the block deterministically, and samples that
         don't converge against it fall back to their own direct
-        factorizations.  Process workers re-warm their own workspaces
-        and anchor per worker chunk, so preconditioned backends agree
-        with serial to the solver tolerance there.
-    block_chunk:
-        Samples per blocked solve on the ``krylov-block`` path (must be
-        >= 1; default 2).  Small chunks let fallback factorizations
-        re-anchor the workspace between chunks on cold, diverse sample
-        sets; large chunks maximize sweep amortization on warm ones.
-        Converged results are chunking-independent — when no sample
-        falls back mid-run the report is bitwise identical for every
-        chunk size (asserted by the test suite), and fallback anchoring
-        differences stay within the solver tolerance.
+        factorizations.  Process and remote executors dispatch one task
+        per sample through :func:`repro.core.executors.fan_out`, the
+        seam the design loop's forward replay uses; process workers
+        re-warm their own workspaces and anchor per worker chunk, so
+        preconditioned backends agree with serial to the solver
+        tolerance there.
     remote_timeout:
         Dead-worker detection bound (seconds) for ``remote`` executor
         specs; ignored otherwise.  ``None`` keeps the default
@@ -304,9 +284,6 @@ def evaluate_post_fab(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    block_chunk = int(block_chunk)
-    if block_chunk < 1:
-        raise ValueError(f"block_chunk must be >= 1, got {block_chunk}")
     pattern = np.asarray(pattern, dtype=np.float64)
     rng = rng_from_seed(seed)
     corners = [
@@ -323,18 +300,10 @@ def evaluate_post_fab(
         remote_timeout=remote_timeout,
         remote_connect_retries=remote_connect_retries,
     )
-    workspace = device.workspace
     try:
         if pool.supports_shared_memory:
-            results = _evaluate_local(
-                device, process, pattern, corners, block_chunk
-            )
+            results = _evaluate_local(device, process, pattern, corners)
         else:
-            # Process/remote fan-out: same warm-pool seam as the
-            # engine's taped corner fan-out — workers (forked or behind
-            # a socket) keep their re-warmed device across chunks and
-            # repeated evaluations, and their solve statistics merge
-            # back into the parent workspace.
             task = functools.partial(
                 _evaluate_sample_task,
                 stable_worker_token(device, ":eval"),
@@ -343,22 +312,10 @@ def evaluate_post_fab(
                 pattern,
                 tracing_active(),
             )
-            results = []
-            with span(
-                "eval.dispatch", "eval",
-                backend=pool.name, samples=len(corners),
-            ) as dispatch:
-                outcomes = pool.map_ordered(task, corners)
-            tracer = get_tracer()
-            metrics = get_metrics()
-            for fom, powers, delta, _worker, obs in outcomes:
-                if obs is not None:
-                    if tracer is not None:
-                        tracer.adopt(obs.get("spans", []), dispatch.span_id)
-                    metrics.merge_delta(obs.get("metrics"))
-                if workspace is not None:
-                    workspace.merge_solver_stats(delta)
-                results.append((fom, powers))
+            results, _workers = fan_out(
+                pool, task, corners, device.workspace, "eval.dispatch",
+                samples=len(corners),
+            )
     finally:
         if not isinstance(executor, CornerExecutor):
             pool.shutdown()

@@ -76,10 +76,6 @@ class BlockDiagnostics:
             return 0.0
         return float(np.mean(self.column_iterations))
 
-    @property
-    def sweeps_per_block(self) -> float:
-        return self.sweeps / self.block_solves if self.block_solves else 0.0
-
 
 def _add_columns(x: np.ndarray, cols, scale: np.ndarray, z: np.ndarray):
     """``x[:, cols[j]] += scale[j] * z[:, j]`` in place; scales ``z``."""

@@ -669,22 +669,6 @@ class SimulationWorkspace:
         with self._anchor_lock:
             self._anchors.clear()
 
-    def factorize(
-        self, assembly: FdfdAssembly, eps_r: np.ndarray
-    ) -> tuple[spla.SuperLU, sp.csc_matrix]:
-        """LU + matrix of the system (direct-backend compatibility shim).
-
-        Kept for callers predating :meth:`linear_solver`; requires a
-        backend that actually holds an LU.
-        """
-        solver = self.linear_solver(assembly, eps_r)
-        if solver.lu is None:
-            raise RuntimeError(
-                f"factorize() needs an LU-backed solver; backend "
-                f"{self.solver_config.backend!r} returned none"
-            )
-        return solver.lu, solver.matrix
-
     def slab_mode(
         self, eps_line: np.ndarray, dl: float, omega: float, order: int
     ) -> WaveguideMode:

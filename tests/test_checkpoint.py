@@ -138,7 +138,6 @@ class TestConfigDigest:
         base = config_digest(OptimizerConfig(), "bending")
         for override in (
             dict(corner_executor="process:2"),
-            dict(executor_workers=3),
             dict(remote_timeout=5.0),
             dict(remote_connect_retries=7),
             dict(iterations=7),
@@ -896,7 +895,6 @@ class TestConnectRetries:
     def test_make_executor_threads_retries_through(self):
         ex = make_executor(
             "remote:127.0.0.1:9",
-            1,
             remote_timeout=5.0,
             remote_connect_retries=7,
         )

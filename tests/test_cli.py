@@ -242,6 +242,33 @@ class TestRefusals:
         assert message in err
 
     @pytest.mark.parametrize(
+        "flags, flag",
+        [
+            (["--samples", "0"], "--samples"),
+            (["--samples", "-3"], "--samples"),
+            (["--trace-format", "bogus"], "--trace-format"),
+        ],
+    )
+    def test_invalid_evaluate_flag_exits_2_before_solving(
+        self, tmp_path, capsys, monkeypatch, flags, flag
+    ):
+        import repro.cli
+        from repro.devices import make_device
+        from repro.utils.io import save_result
+
+        def no_solve(*_args, **_kwargs):
+            raise AssertionError("evaluate solved before refusing a flag")
+
+        monkeypatch.setattr(repro.cli, "evaluate_ideal", no_solve)
+        path = tmp_path / "result.json"
+        shape = make_device("bending").design_shape
+        save_result({"device": "bending", "pattern": np.zeros(shape)}, path)
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", str(path)] + flags)
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "content, message",
         [
             (None, "No such file"),

@@ -96,7 +96,7 @@ def test_ordered_reduction_invariant_across_executors(fleet, items):
 @given(items=ITEMS, chunk=st.integers(min_value=1, max_value=9))
 def test_chunked_maps_concatenate_to_serial(fleet, items, chunk):
     """Splitting one fan-out into arbitrary chunked map calls (the
-    Monte-Carlo block_chunk pattern) never changes the reduction."""
+    Monte-Carlo blocked-solve pattern) never changes the reduction."""
     expected = [_affine(x) for x in items]
     for name, executor in _EXECUTORS.items():
         out = []
@@ -193,7 +193,7 @@ def test_aggregation_invariant_under_executor_chunking(
     family, chunk, mode_alpha
 ):
     """Fanning the family out in arbitrary chunked map calls (the
-    Monte-Carlo block_chunk pattern) and aggregating the reassembled
+    Monte-Carlo blocked-solve pattern) and aggregating the reassembled
     list is bitwise the direct serial reduction."""
     mode, alpha = mode_alpha
     weights = [c.weight for c in family]

@@ -100,7 +100,7 @@ class TestCornerConsistency:
         corner = VariationCorner(
             "c", litho="max", temperature_k=320.0, eta_shift=0.01
         )
-        [(loss_t, powers_t)], _ = opt._corner_losses_local(
+        [(loss_t, powers_t)], _ = opt._corner_losses(
             rho, [corner], include_ideal=False
         )
 
@@ -176,7 +176,7 @@ class TestLossComposition:
 
         # iteration >= relax_epochs -> p = 1 (pure fab)
         loss_p1, _, _ = opt.loss(theta_t, iteration=10)
-        [(fab, _)], _ = opt._corner_losses_local(
+        [(fab, _)], _ = opt._corner_losses(
             rho, [VariationCorner("nominal")], include_ideal=False
         )
         assert loss_p1.item() == pytest.approx(fab.item(), rel=1e-9)

@@ -43,7 +43,7 @@ from repro.devices import make_device
 from repro.eval import evaluate_post_fab
 from repro.fab.process import FabricationProcess
 from repro.fdfd import HelmholtzSolver, SimGrid, SimulationWorkspace
-from repro.fdfd.linalg import SolveStats, SolverConfig
+from repro.fdfd.linalg import SolveStats
 from repro.params import rasterize_segments
 from repro.utils.constants import omega_from_wavelength
 
@@ -76,7 +76,10 @@ class TestMakeExecutor:
         assert ex.max_workers == 3
 
     def test_explicit_worker_count(self):
-        assert make_executor("process", max_workers=2).max_workers == 2
+        # The `process:n` spec is the one way to pin a worker count,
+        # from the config as from the CLI.
+        spec = OptimizerConfig(corner_executor="process:2").corner_executor
+        assert make_executor(spec)._resolve_workers(9) == 2
 
     def test_passthrough_instance(self):
         ex = SerialExecutor()
@@ -229,8 +232,6 @@ class TestConfigValidation:
             OptimizerConfig(corner_executor="mpi")
 
     def test_rejects_bad_workers(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(executor_workers=0)
         for spec in ("process:0", "process:abc", "serial:7"):
             with pytest.raises(ValueError, match="'process"):
                 OptimizerConfig(corner_executor=spec)
@@ -479,9 +480,16 @@ class TestProcessTapedFanout:
                 alpha_bg=0.995,
             )
 
-    def test_precomputed_matches_taped_powers_and_grad(self):
-        """The seam itself: summary-injected op vs the in-process op."""
-        device = make_device("bending")
+    @pytest.mark.parametrize("device_name", ["bending", "isolator"])
+    def test_precomputed_matches_taped_powers_and_grad(self, device_name):
+        """The seam itself: summary-injected op vs the in-process op.
+
+        Forward powers are bitwise equal (the summary's stacked forward
+        solve is the power op's); gradients agree to solver precision
+        because the adjoint is recombined per port.  The isolator's two
+        directions share one stacked adjoint-basis solve.
+        """
+        device = make_device(device_name)
         pattern = rasterize_segments(
             device.design_shape, device.dl, device.init_segments()
         )
@@ -505,7 +513,7 @@ class TestProcessTapedFanout:
         )
         total_b.backward()
 
-        assert total_b.item() == pytest.approx(total_a.item(), rel=1e-12)
+        assert total_b.item() == total_a.item()
         np.testing.assert_allclose(
             rho_b.grad, rho_a.grad, rtol=1e-9, atol=1e-14
         )
@@ -807,60 +815,3 @@ class TestSolveStatsConcurrencyAndMerge:
         # Workers factorized and solved; the parent saw all of it.
         assert stats["factorizations"] > 0
         assert stats["solves"] > 0
-
-
-class TestMonteCarloBlockChunk:
-    @pytest.fixture(scope="class")
-    def mc_setup(self):
-        device = make_device("bending")
-        process = FabricationProcess(
-            device.design_shape,
-            device.dl,
-            context=device.litho_context(12),
-            pad=12,
-        )
-        pattern = rasterize_segments(
-            device.design_shape, device.dl, device.init_segments()
-        )
-        return device, process, pattern
-
-    def test_chunk_size_validated(self, mc_setup):
-        device, process, pattern = mc_setup
-        with pytest.raises(ValueError, match="block_chunk"):
-            evaluate_post_fab(device, process, pattern, 2, block_chunk=0)
-        with pytest.raises(ValueError, match="block_chunk"):
-            evaluate_post_fab(device, process, pattern, 2, block_chunk=-3)
-
-    def test_chunk_size_irrelevant_for_direct_backend(self, mc_setup):
-        device, process, pattern = mc_setup
-        a = evaluate_post_fab(device, process, pattern, 3, seed=2, block_chunk=1)
-        b = evaluate_post_fab(device, process, pattern, 3, seed=2, block_chunk=5)
-        assert np.array_equal(a.foms, b.foms)
-        assert a.mean_powers == b.mean_powers
-
-    def test_chunk_size_never_changes_blocked_results_bitwise(self, mc_setup):
-        """Converged blocked evaluations are chunking-independent.
-
-        Per-column recurrences are independent of sibling columns, so as
-        long as no sample falls back mid-run (generous maxiter), every
-        chunking — including one sample per block and all samples in one
-        block — produces bit-identical reports.
-        """
-        _, process, pattern = mc_setup
-        reports = {}
-        for chunk in (1, 2, 3, 6):
-            device = make_device("bending")
-            device.configure_simulation_cache(
-                True,
-                SimulationWorkspace(
-                    solver_config=SolverConfig(
-                        backend="krylov-block", maxiter=80
-                    )
-                ),
-            )
-            reports[chunk] = evaluate_post_fab(
-                device, process, pattern, 6, seed=2, block_chunk=chunk
-            )
-        for chunk in (2, 3, 6):
-            assert np.array_equal(reports[chunk].foms, reports[1].foms)
-            assert reports[chunk].mean_powers == reports[1].mean_powers

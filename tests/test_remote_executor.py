@@ -198,15 +198,6 @@ class TestSpecParsing:
         )
         assert ex.addresses == [("h", 1), ("g", 2)]
 
-    def test_explicit_worker_count_capped_at_addresses(self, worker_pair):
-        """executor_workers larger than the fleet is a cap, not a
-        promise: the map uses every listed worker and no more."""
-        ex = RemoteCornerExecutor(
-            [worker_pair[0]], timeout=15.0, max_workers=4
-        )
-        assert ex.map_ordered(_square, [1, 2, 3]) == [1, 4, 9]
-        ex.shutdown()
-
 
 # --------------------------------------------------------------------- #
 # Loopback integration: design                                          #

@@ -513,7 +513,7 @@ class TestStratifiedEval:
     @pytest.mark.krylov
     def test_blocked_stratified_matches_direct(self):
         direct = self._report("direct")
-        blocked = self._report("krylov-block", block_chunk=4)
+        blocked = self._report("krylov-block")
         np.testing.assert_allclose(
             blocked.foms, direct.foms, rtol=1e-4, atol=1e-8
         )
