@@ -51,7 +51,7 @@ executors (corner / sample fan-out):
 without an explicit :n, process and remote auto-tune to
 min(corner count, available workers); on a 1-core box an auto process
 spec runs inline, making `--executor process` safe everywhere.
-solvers (every FDFD solve), spelled --solver BACKEND[:MOD]:
+solvers (every FDFD solve), spelled --solver BACKEND:
   direct       one SuperLU per corner, multi-column blocks (e.g. the
                isolator's forward and backward sources) in one
                matrix-RHS call; the bitwise reference.
@@ -64,15 +64,9 @@ solvers (every FDFD solve), spelled --solver BACKEND[:MOD]:
                universal win: which backend is faster depends on the
                device and grid (the perfbench workloads isolator-direct
                and bending-block-fine measure each).
-modifier (krylov-block):
-  :float32     factor the preconditioner anchor in single precision
-               (e.g. krylov-block:float32); outer recurrences stay
-               float64 and iterative refinement re-certifies every
-               corner to the full solver tolerance.  a memory knob, not
-               a speed-up: measured 1.12-1.20x slower than float64.
 determinism contract: direct is bitwise stable across executors;
-krylov-block (including float32 preconditioning) agrees with it to
-the solver tolerance — trajectories match to ~1e-8, not bit-for-bit.
+krylov-block agrees with it to the solver tolerance — trajectories
+match to ~1e-8, not bit-for-bit.
 rule of thumb: keep `--solver direct` unless a timed comparison on
 your device and grid favours `krylov-block`; add `--executor
 process:n` on multi-core machines.
@@ -87,7 +81,7 @@ around the 300 K nominal).  scenarios are grouped by omega: each group
 shares its Laplacian, and under `--solver krylov-block` each group
 rides one blocked forward solve plus one blocked adjoint solve per
 iteration; the process/remote fan-out ships one device clone per omega
-group, its digest sent once per epoch per worker, exactly like the
+group, each sent once per worker for the whole run, exactly like the
 single-device case.
 aggregation: `--aggregate mean` (weighted expectation, the default) |
 `worst` (tempered soft-max over the family — a differentiable worst
@@ -118,8 +112,9 @@ then point a design or evaluation at the fleet:
 protocol: length-prefixed, digest-checked frames; the handshake pins
 the protocol version and each task-state seed ships under its own
 device digest, so version skew or payload mismatch is a descriptive
-error, never a hang.  task state (device + solver epoch) is shipped
-once per epoch per worker; items are round-robined with work stealing,
+error, never a hang.  task state (the device) is shipped once per
+worker, on the worker's first request for it, and the solver epoch
+rides each item; items are round-robined with work stealing,
 and workers keep warm solver caches across iterations.
 determinism: ordered reduction makes results independent of worker
 count and scheduling — bitwise equal to serial for the direct solver,
@@ -330,7 +325,7 @@ def _add_job_args(p: argparse.ArgumentParser) -> None:
         "--solver",
         default="direct",
         type=_solver_arg,
-        metavar="BACKEND[:MOD]",
+        metavar="BACKEND",
         help=(
             "linear-solver backend: direct (one LU per corner; "
             "multi-column blocks in one matrix-RHS call) or "
@@ -341,10 +336,7 @@ def _add_job_args(p: argparse.ArgumentParser) -> None:
             "single matrix-RHS sweeps and columns converge "
             "independently; a non-converging solve falls back to a "
             "direct factorization automatically; process and remote "
-            "workers solve each corner as a one-system block).  "
-            "Modifier: :float32 factors "
-            "the preconditioner in single precision, e.g. "
-            "krylov-block:float32 (saves memory, not time; see "
+            "workers solve each corner as a one-system block; see "
             "'choosing an executor / solver' below)"
         ),
     )
@@ -517,10 +509,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--solver",
         default="direct",
         type=_solver_arg,
-        metavar="BACKEND[:MOD]",
+        metavar="BACKEND",
         help=(
             "linear-solver backend for the evaluation solves: direct | "
-            "krylov-block, optionally :float32 (see `design --help`; "
+            "krylov-block (see `design --help`; "
             "krylov-block falls back to direct factorization on "
             "non-convergence and batches all Monte-Carlo samples of a "
             "serial evaluation into one blocked solve)"
@@ -1210,9 +1202,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if any(tok.split("=", 1)[0] == "--precond-dtype" for tok in argv):
         parser.error(
-            "--precond-dtype was removed: spell the precision into the "
-            "solver spec as --solver BACKEND:float32 (e.g. --solver "
-            "krylov-block:float32)"
+            "--precond-dtype was removed: the preconditioner is always "
+            "the float64 anchor LU (single precision measured "
+            "1.12-1.20x slower); drop the flag"
         )
     args = parser.parse_args(argv)
     # One logging setup for every subcommand; configure_logging exports

@@ -72,7 +72,8 @@ log = logging.getLogger("repro.checkpoint")
 #: v2: the solver config lost ``recycle_dim`` and the ``batched`` backend.
 #: v3: the solver config lost ``krylov_method``, ``gmres_restart``,
 #: ``max_anchors`` and the ``krylov`` backend.
-CHECKPOINT_VERSION = 3
+#: v4: the solver config lost its preconditioner-precision field.
+CHECKPOINT_VERSION = 4
 
 #: Why each retired format cannot resume (its config digest covers
 #: solver fields or backends this build no longer has).
@@ -81,6 +82,8 @@ _RETIRED_FORMATS = {
     "and the 'batched' backend were removed",
     2: "the scalar 'krylov' backend and the krylov_method, gmres_restart "
     "and max_anchors solver fields were removed",
+    3: "the single-precision preconditioner ('krylov-block:float32') and "
+    "the precond_dtype solver field were removed",
 }
 
 #: File header: 4-byte magic, format version, payload length, BLAKE2b-128
@@ -131,8 +134,8 @@ def config_digest(config: Any, device_name: str) -> str:
 
     Covers every trajectory-shaping :class:`OptimizerConfig` field (and
     the nested solver config — ``dataclasses.asdict`` recurses into it,
-    so solver knobs like ``precond_dtype`` bind automatically) plus the
-    device name; runtime-only fields (executor backend, worker counts,
+    so solver knobs like ``tol`` bind automatically) plus the device
+    name; runtime-only fields (executor backend, worker counts,
     timeouts, checkpoint knobs, the iteration horizon) are excluded —
     see :data:`RUNTIME_ONLY_FIELDS`.
     """

@@ -146,8 +146,8 @@ class OptimizerConfig:
         default, disables periodic metrics logging).
     solver:
         Linear-solver backend: a
-        :class:`~repro.fdfd.linalg.SolverConfig` or a
-        ``BACKEND[:MOD]`` string —
+        :class:`~repro.fdfd.linalg.SolverConfig` or a backend-name
+        string —
         ``"direct"`` (one LU per permittivity, multi-column blocks in
         one matrix-RHS call; the reference) or ``"krylov-block"``
         (nominal-LU-preconditioned BiCGStab whose serial corner fan-out
@@ -157,14 +157,9 @@ class OptimizerConfig:
         remote workers, and calibration runs, solve each system as a
         one-system block).  Which backend is faster depends on the
         device and grid; the perfbench workloads ``isolator-direct``
-        and ``bending-block-fine`` measure each.
-        ``"krylov-block:float32"`` (``precond_dtype="float32"``) factors
-        the preconditioner anchor's complex64 twin, with float64
-        iterative refinement preserving the solver tolerance; it is not
-        faster (measured 1.12-1.20x slower), shapes the
-        trajectory only to solver precision, and is still bound into
-        the checkpoint config digest (a resume must replay the same
-        solver family).  ``None`` (the default)
+        and ``bending-block-fine`` measure each.  The solver config is
+        bound into the checkpoint config digest (a resume must replay
+        the same solver family).  ``None`` (the default)
         inherits whatever backend the device's workspace is already
         configured with — so a device set up via
         ``configure_simulation_cache(True, SimulationWorkspace(

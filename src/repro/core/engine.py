@@ -103,10 +103,13 @@ class _CornerWorkerState:
         return self.device.solve_forward_summary(rho_fab, alpha_bg)
 
 
-def _corner_forward_task(token, device, epoch, capture, item):
+def _corner_forward_task(token, device, capture, item):
     """One forward-replay task (module-level so process pools can pickle).
 
-    ``item`` is a pickle-clean ``(alpha_bg, rho_fab array)`` pair; the
+    ``item`` is a pickle-clean ``(solver epoch, alpha_bg, rho_fab
+    array)`` triple.  The epoch rides the item, not the task state, so
+    the pickled task is the same bytes every iteration and a remote
+    worker is seeded with the device once, not once per epoch.  The
     result is ``(ForwardSolveSummary, solver-stats delta, worker
     identity, obs payload)``.  The identity rides along as evidence that
     workers actually ran (asserted by tests and recorded by the
@@ -117,7 +120,7 @@ def _corner_forward_task(token, device, epoch, capture, item):
     :func:`repro.core.executors.run_warm_task`; the inline variant
     skips the epoch reset (the parent manages its own epochs).
     """
-    alpha_bg, rho_fab = item
+    epoch, alpha_bg, rho_fab = item
     return run_warm_task(
         token,
         _CornerWorkerState(device),
@@ -440,14 +443,17 @@ class Boson1Optimizer:
                     _corner_forward_task,
                     stable_worker_token(device_g, ":design"),
                     device_g,
-                    self._solver_epoch,
                     tracing_active(),
                 )
                 summaries, workers = fan_out(
                     self.executor,
                     task,
                     [
-                        (alpha, np.asarray(fab.data, dtype=np.float64))
+                        (
+                            self._solver_epoch,
+                            alpha,
+                            np.asarray(fab.data, dtype=np.float64),
+                        )
                         for alpha, fab in zip(alphas, rho_fabs)
                     ],
                     device_g.workspace,

@@ -38,19 +38,23 @@ servers share:
 
 The worker's handler set:
 
-* **Seeding** — task state (the device-carrying closure) is shipped once
-  per *key* per worker as a ``seed`` frame carrying its own BLAKE2b
-  digest; the server verifies the digest before unpickling (a mismatch
-  is a descriptive error) and caches the closure in a bounded LRU.  The
-  engine's per-iteration closures embed the solver epoch, so the device
-  ships exactly once per epoch per worker; a worker that lost its seed
-  (restart, LRU eviction) answers ``need-seed`` and the client re-sends.
-* **Tasks** — ``task`` frames carry only the item (a few design-shaped
-  arrays); the server executes the seeded closure on it and replies
-  ``result``.  While a task runs the server emits ``busy`` heartbeats at
-  the client's requested interval, so the client's socket timeout
-  (``--remote-timeout``) bounds *dead-worker detection* without bounding
-  task duration.
+* **Seeding** — task state (the device-carrying closure) is named by
+  its content digest (its *key*) and shipped only on demand: the client
+  sends the ``task`` first, and a worker that does not hold the key
+  (first contact, restart, LRU eviction) answers ``need-seed``.  The
+  client then sends a ``seed`` frame carrying the pickled closure, and
+  the server verifies the digest before unpickling (a mismatch is a
+  descriptive error) and caches the closure in a bounded LRU shared by
+  all its connections.  The engine's closures carry no per-iteration
+  state (the solver epoch rides each item), so a device ships once per
+  worker for a whole optimization, and a fresh connection — every
+  remote Monte-Carlo call opens one — reuses what the worker holds.
+* **Tasks** — ``task`` frames carry only the key and the item (a few
+  design-shaped arrays); the server executes the seeded closure on it
+  and replies ``result``.  While a task runs the server emits ``busy``
+  heartbeats at the client's requested interval, so the client's socket
+  timeout (``--remote-timeout``) bounds *dead-worker detection* without
+  bounding task duration.
 
 Failure semantics
 -----------------
@@ -666,12 +670,13 @@ class FrameClient:
 class FaultInjection:
     """Deterministic failure knobs for the fault-injection test harness.
 
-    ``fail_after_tasks=N`` lets the first ``N`` task frames execute
-    normally, then kills the server — listener and every open connection
-    closed abruptly, no reply — when task ``N + 1`` arrives.  That is
-    the reproducible stand-in for "the worker host died mid-iteration":
-    the client sees EOF exactly between two well-defined tasks, so tests
-    can assert the resubmission path deterministically.
+    ``fail_after_tasks=N`` lets the first ``N`` tasks execute normally,
+    then kills the server — listener and every open connection closed
+    abruptly, no reply — when task ``N + 1`` is about to execute (a task
+    frame answered ``need-seed`` executes nothing and is not counted).
+    That is the reproducible stand-in for "the worker host died
+    mid-iteration": the client sees EOF exactly between two well-defined
+    tasks, so tests can assert the resubmission path deterministically.
     """
 
     fail_after_tasks: int | None = None
@@ -781,19 +786,19 @@ class RemoteWorkerServer(FrameServer):
     def _handle_task(
         self, conn: socket.socket, message: dict, heartbeat: float
     ) -> bool:
-        if self._fault_triggered():
-            self.shutdown()  # die abruptly, reply to nothing
-            return False
         key = message.get("key")
         with self._lock:
             fn = self._seeds.get(key)
             if fn is not None:
                 self._seeds.move_to_end(key)
         if fn is None:
-            # Worker restarted or the seed aged out of the LRU: ask the
-            # client to re-ship the task state instead of failing.
+            # First contact with this task state, a restart, or an LRU
+            # eviction: ask the client to ship it.
             send_frame(conn, {"kind": "need-seed", "key": key})
             return True
+        if self._fault_triggered():
+            self.shutdown()  # die abruptly, reply to nothing
+            return False
         item = message.get("item")
         box: dict = {}
 
@@ -914,12 +919,8 @@ class _WorkerConnection(FrameClient):
             raise RemoteWorkerDied(
                 f"could not connect to worker {host}:{port}: {exc}"
             ) from exc
-        #: Seed keys this worker has acknowledged.
-        self.seeded: "set[str]" = set()
 
-    def _ensure_seeded(self, key: str, fn_bytes: bytes) -> None:
-        if key in self.seeded:
-            return
+    def _seed(self, key: str, fn_bytes: bytes) -> None:
         send_frame(
             self.sock, {"kind": "seed", "key": key, "payload": fn_bytes}
         )
@@ -933,13 +934,15 @@ class _WorkerConnection(FrameClient):
             raise RemoteProtocolError(
                 f"expected a seeded ack, got {reply['kind']!r}"
             )
-        self.seeded.add(key)
 
     def run_task(self, key: str, fn_bytes: bytes, item) -> object:
-        """Execute one item remotely; busy heartbeats keep it alive."""
+        """Execute one item remotely; busy heartbeats keep it alive.
+
+        The task goes first; the task state follows only when the worker
+        answers ``need-seed``, then the task is sent once more.
+        """
         host, port = self.address
         for _attempt in range(2):
-            self._ensure_seeded(key, fn_bytes)
             send_frame(self.sock, {"kind": "task", "key": key, "item": item})
             while True:
                 try:
@@ -956,8 +959,7 @@ class _WorkerConnection(FrameClient):
                         self.gauges = dict(gauges)
                     continue
                 if kind == "need-seed":
-                    # Worker lost the seed (restart / LRU); re-ship once.
-                    self.seeded.discard(key)
+                    self._seed(key, fn_bytes)
                     break
                 if kind == "error":
                     raise RemoteProtocolError(
@@ -1071,9 +1073,10 @@ class RemoteCornerExecutor(CornerExecutor):
     the already pickle-clean payloads and keep the ordered-reduction
     contract.
 
-    Per map call the task closure is pickled once and shipped to each
-    participating worker under its content digest (once per epoch per
-    worker, because the engine's closures embed the epoch); items are
+    Per map call the task closure is pickled once and named by its
+    content digest; a worker receives the closure only when it answers a
+    task with ``need-seed``, so unchanged task state crosses the wire
+    once per worker, across map calls and connections; items are
     round-robined across workers with work stealing on idle, and a dead
     worker's items are resubmitted to survivors.  Connections persist
     across map calls, so worker-side warm pools survive whole

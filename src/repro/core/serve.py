@@ -117,7 +117,7 @@ def _json_plain(config: dict) -> dict:
 
     Raises ValueError naming the first key whose value JSON cannot
     carry (e.g. a :class:`~repro.fdfd.linalg.SolverConfig` object where
-    its ``"krylov-block:float32"`` string spelling belongs).
+    its ``"krylov-block"`` string spelling belongs).
     """
     for key, value in config.items():
         try:

@@ -13,7 +13,7 @@ directly:
 
 ``SolverConfig``
     Which backend to use and its knobs (tolerance, iteration budget,
-    fallback policy, preconditioner precision).  Threaded from
+    fallback policy).  Threaded from
     :class:`repro.core.config.OptimizerConfig` and the CLI ``--solver``
     flag down to the workspace.
 
@@ -25,7 +25,7 @@ directly:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -52,7 +52,6 @@ _RETIRED_BACKENDS = {
     "krylov": "use 'krylov-block', whose per-matrix solves run the same "
     "anchor-preconditioned BiCGStab as a one-system block",
 }
-_PRECOND_DTYPES = ("float64", "float32")
 _KRYLOV_METHOD_RETIRED = (
     "the Krylov method is always blocked BiCGStab; drop it "
     "(e.g. 'krylov-block')"
@@ -62,6 +61,8 @@ _RETIRED_MODIFIERS = {
     "on wall time; drop ':recycle' (e.g. 'krylov-block')",
     "gmres": _KRYLOV_METHOD_RETIRED,
     "bicgstab": _KRYLOV_METHOD_RETIRED,
+    "float32": "the single-precision preconditioner measured 1.12-1.20x "
+    "slower than float64; drop ':float32' (e.g. 'krylov-block')",
 }
 
 
@@ -98,25 +99,12 @@ class SolverConfig:
         converge (the fallback LU also becomes a new preconditioner
         anchor).  Disabling turns non-convergence into a RuntimeError —
         used by convergence tests.
-    precond_dtype:
-        Precision of the preconditioner sweeps: ``"float64"`` (default)
-        applies the anchor LU as factorized; ``"float32"`` gives each
-        anchor a single-precision (complex64) twin — outer Krylov
-        recurrences and residuals stay float64, and the kernel runs
-        iterative refinement against the float64 residual first,
-        so the achieved tolerance is unchanged (trajectories agree with
-        float64 to ``tol``, not bitwise).  Not a speed-up: measured
-        float32 runs were 1.12-1.20x *slower* than float64.  LU-backed
-        exact paths (``direct``, anchor-exact corners, fallbacks)
-        always solve in float64 and stay bitwise.  String spelling:
-        ``"BACKEND:float32"`` (see :meth:`coerce`).
     """
 
     backend: str = "direct"
     tol: float = 1e-5
     maxiter: int = 12
     fallback: bool = True
-    precond_dtype: str = "float64"
 
     def __post_init__(self):
         if self.backend in _RETIRED_BACKENDS:
@@ -133,19 +121,15 @@ class SolverConfig:
             raise ValueError("tol must be positive")
         if self.maxiter < 1:
             raise ValueError("maxiter must be >= 1")
-        if self.precond_dtype not in _PRECOND_DTYPES:
-            raise ValueError(
-                "precond_dtype must be 'float64' or 'float32', "
-                f"got {self.precond_dtype!r}"
-            )
 
     @classmethod
     def coerce(cls, spec: "SolverConfig | str | None") -> "SolverConfig":
-        """Accept a config, a ``BACKEND[:MOD]`` string, or ``None``.
+        """Accept a config, a backend-name string, or ``None``.
 
-        ``None`` means ``direct``.  The one modifier is a preconditioner
-        precision (``"krylov-block:float32"``) — the grammar of the CLI
-        ``--solver`` flag, so every solver spec is one JSON-plain string.
+        ``None`` means ``direct``.  A string is a bare backend name — the
+        grammar of the CLI ``--solver`` flag, so every solver spec is one
+        JSON-plain string.  Retired ``BACKEND:MOD`` modifiers are refused
+        by name.
         """
         if spec is None:
             return cls()
@@ -153,20 +137,19 @@ class SolverConfig:
             return spec
         if isinstance(spec, str):
             backend, *modifiers = spec.split(":")
-            kwargs: dict = {}
-            for modifier in modifiers:
+            if modifiers:
+                modifier = modifiers[0]
                 if modifier in _RETIRED_MODIFIERS:
                     raise ValueError(
                         f"solver modifier {modifier!r} in {spec!r} was "
                         f"removed: {_RETIRED_MODIFIERS[modifier]}"
                     )
-                if modifier not in _PRECOND_DTYPES:
-                    raise ValueError(
-                        f"unknown solver modifier {modifier!r} in {spec!r}; "
-                        f"available: {list(_PRECOND_DTYPES)}"
-                    )
-                kwargs["precond_dtype"] = modifier
-            return cls(backend=backend, **kwargs)
+                raise ValueError(
+                    f"unknown solver modifier {modifier!r} in {spec!r}; "
+                    "a solver spec is a bare backend name "
+                    f"({available_backends()})"
+                )
+            return cls(backend=backend)
         raise TypeError(f"cannot coerce {type(spec).__name__} to SolverConfig")
 
     def with_overrides(self, **kwargs) -> "SolverConfig":
@@ -187,9 +170,7 @@ class SolveStats:
     lands in ``krylov_solves`` / ``iterations`` for like-for-like means.
     Per-matrix Krylov solves count only the per-column counters.
     ``batched_calls`` counts multi-column blocks handed to an exact LU
-    in one SuperLU matrix-RHS call, and ``refinement_sweeps`` counts
-    float64-residual iterative-refinement sweeps (the mixed-precision
-    pre-phase, zero unless ``precond_dtype=float32``).
+    in one SuperLU matrix-RHS call.
     """
 
     _FIELDS = (
@@ -204,7 +185,6 @@ class SolveStats:
         "block_solves",
         "block_sweeps",
         "block_columns",
-        "refinement_sweeps",
     )
 
     def __init__(self):

@@ -34,9 +34,7 @@ identity and BiCGStab converges in a handful of sweeps.
     one sparse matvec per column per solve — and a miss, like a column
     that exhausts the iteration budget, falls back to a direct
     factorization of *its* system, which the workspace recycles as a
-    new preconditioner anchor.  A float32 twin preconditioner is not an
-    exact inverse, so that mode runs the same loop on every cell against
-    the true operator.
+    new preconditioner anchor.
 
     Two entry points share the kernel: :meth:`~CornerBlockSolver.solve_block`
     serves a corner family (it counts ``block_*`` work), and
@@ -110,8 +108,9 @@ class CornerBlockSolver:
         -side columns may map onto one system (the isolator's fwd/bwd
         directions), see ``systems`` in :meth:`solve_block`.
     preconditioner:
-        The recycled anchor LU shared by the whole block (the nominal
-        corner's factorization under the optimizer's epoch policy).
+        The recycled float64 anchor LU shared by the whole block (the
+        nominal corner's factorization under the optimizer's epoch
+        policy); it must factorize exactly ``anchor_eps``.
     exact_lus:
         ``{system index: SuperLU}`` for systems whose permittivity *is*
         an existing anchor — those columns are solved exactly, as the
@@ -119,8 +118,7 @@ class CornerBlockSolver:
     factor_options:
         Configuration for the fallback factorizations.
     config:
-        Tolerance / iteration budget / fallback policy / preconditioner
-        precision.
+        Tolerance / iteration budget / fallback policy.
     stats:
         Workspace-wide counters.
     on_fallback:
@@ -128,18 +126,16 @@ class CornerBlockSolver:
         column's system had to be factorized directly so the owner can
         recycle the LU as a new preconditioner anchor.
     anchor_eps:
-        The permittivity ``preconditioner`` factorizes.  With a float64
-        preconditioner the recurrences run on Omega; a float32 twin (or
-        no preconditioner) runs them on every cell against the true
-        operator.  Either way every returned column is verified against
-        its own system.
+        The permittivity ``preconditioner`` factorizes.  The recurrences
+        run on Omega, the cells where an iterated system differs from
+        it; every returned column is verified against its own system.
     """
 
     def __init__(
         self,
         assembly,
         eps_list,
-        preconditioner: spla.SuperLU | None,
+        preconditioner: spla.SuperLU,
         exact_lus: Mapping[int, spla.SuperLU] | None,
         factor_options,
         config: SolverConfig,
@@ -177,19 +173,11 @@ class CornerBlockSolver:
         self.config = config
         self.stats = stats or SolveStats()
         self._on_fallback = on_fallback
-        # Mixed-precision sweeps: the preconditioner applies in float32
-        # (a SinglePrecisionLU twin), so prepend float64-residual
-        # iterative refinement before the BiCGStab recurrences.
-        self._mixed = (
-            config.precond_dtype == "float32" and preconditioner is not None
-        )
-        # The anchor's diagonal, when M^-1 is an exact inverse of
-        # L + diag(anchor) and the recurrences may run on Omega.
-        self._anchor_diag = None
-        if preconditioner is not None and not self._mixed:
-            self._anchor_diag = assembly.omega**2 * np.asarray(
-                anchor_eps, dtype=np.float64
-            ).ravel()
+        # M^-1 is the exact inverse of L + diag(anchor), so the
+        # recurrences run on Omega (see _bicgstab_block).
+        self._anchor_diag = assembly.omega**2 * np.asarray(
+            anchor_eps, dtype=np.float64
+        ).ravel()
         self.diagnostics = BlockDiagnostics()
 
     # ------------------------------------------------------------------ #
@@ -198,8 +186,6 @@ class CornerBlockSolver:
     def _apply_preconditioner(self, block: np.ndarray) -> np.ndarray:
         """Anchor LU over a Fortran block — a single matrix-RHS sweep."""
         with span("solver.precond", "solver", columns=block.shape[1]):
-            if self._precond is None:
-                return np.array(block, order="F")
             return np.asarray(self._precond.solve(block))
 
     def system_lu(self, system: int) -> spla.SuperLU | None:
@@ -286,8 +272,8 @@ class CornerBlockSolver:
         ``block`` is an ``(n, k)`` complex128 array and ``systems`` a
         valid column-to-system mapping.  Counts per-column work only
         (``krylov_solves``, ``iterations``, ``wasted_iterations``,
-        ``fallbacks``, ``refinement_sweeps``) and returns the solution
-        with the number of blocked sweeps it took.
+        ``fallbacks``) and returns the solution with the number of
+        blocked sweeps it took.
         """
         if trans == "N":
             return self._solve(block, systems, None, np.empty_like(block))
@@ -329,13 +315,12 @@ class CornerBlockSolver:
 
         with span("solver.block_sweeps", "solver",
                   columns=int(iter_cols.size)) as sweep_span:
-            x, converged, iters, sweeps, refined = self._bicgstab_block(
+            x, converged, iters, sweeps = self._bicgstab_block(
                 [block[:, col] for col in iter_cols],
                 systems[iter_cols],
                 weight,
             )
-            sweep_span.set(sweeps=sweeps, refinement_sweeps=refined)
-        self.stats.add(refinement_sweeps=refined)
+            sweep_span.set(sweeps=sweeps)
         # Convergence record: converged columns only — a fallback column's
         # burnt budget lands in stats.wasted_iterations, not in the mean.
         self.diagnostics.column_iterations.extend(
@@ -379,11 +364,10 @@ class CornerBlockSolver:
         b: list[np.ndarray],
         systems: np.ndarray,
         weight: np.ndarray | None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """Solve for the right-hand-side columns ``b``.
 
-        Returns ``(x, converged_mask, per_column_iterations, sweeps,
-        refinement_sweeps)``.
+        Returns ``(x, converged_mask, per_column_iterations, sweeps)``.
 
         The recurrences are the standard per-column BiCGStab scalars on
         the weighted residual ``weight * r`` (for an adjoint block that
@@ -400,12 +384,6 @@ class CornerBlockSolver:
         residuals) are flagged for the per-corner direct fallback, and
         so is every reportedly converged column that misses ``tol``
         against the true operator.
-
-        Under ``precond_dtype=float32`` a float64-residual iterative
-        refinement pre-phase runs before the recurrences (one
-        preconditioner + one operator application per sweep, half a
-        BiCGStab sweep's cost, with a stall guard falling through to the
-        full recurrences).
         """
         m = len(b)
         n = self.diags.shape[0]
@@ -424,40 +402,24 @@ class CornerBlockSolver:
         x_out = self._apply_preconditioner(scratch)
         x_out[:, zero_rhs] = 0.0
 
-        if self._anchor_diag is not None:
-            # M = L + diag(anchor): A_c M^-1 y = y + delta_c * M^-1 y, so
-            # every residual-space vector lives on Omega — the rows
-            # where an iterated corner differs from the anchor — and
-            # the seed residual b - A_c M^-1 b is -delta_c * M^-1 b.
-            support = np.zeros(n, dtype=bool)
-            for system in np.unique(systems):
-                support |= self.diags[:, system] != self._anchor_diag
-            rows = np.flatnonzero(support)
-            w_rows = None if weight is None else weight[rows, None]
-            coef = self.diags[rows][:, systems] - self._anchor_diag[rows, None]
-            if w_rows is not None:
-                coef *= w_rows
-            scratch.fill(0.0)
+        # M = L + diag(anchor): A_c M^-1 y = y + delta_c * M^-1 y, so
+        # every residual-space vector lives on Omega — the rows where an
+        # iterated corner differs from the anchor — and the seed
+        # residual b - A_c M^-1 b is -delta_c * M^-1 b.
+        support = np.zeros(n, dtype=bool)
+        for system in np.unique(systems):
+            support |= self.diags[:, system] != self._anchor_diag
+        rows = np.flatnonzero(support)
+        w_rows = None if weight is None else weight[rows, None]
+        coef = self.diags[rows][:, systems] - self._anchor_diag[rows, None]
+        if w_rows is not None:
+            coef *= w_rows
+        scratch.fill(0.0)
 
-            def operator(z, z_hat, coef):
-                return z + coef * z_hat[rows]
+        def operator(z, z_hat, coef):
+            return z + coef * z_hat[rows]
 
-            r = -coef * x_out[rows]
-        else:
-            rows = slice(None)
-            w_rows = None if weight is None else weight[:, None]
-            coef = self.diags[:, systems]
-
-            def operator(z, z_hat, coef):
-                out = self._laplacian @ z_hat
-                out += coef * z_hat
-                if w_rows is not None:
-                    out *= w_rows
-                return out
-
-            r = -operator(None, x_out, coef)
-            for j, bj in enumerate(b):
-                r[:, j] += bj if weight is None else weight * bj
+        r = -coef * x_out[rows]
 
         def precondition(z):
             """``M^-1`` of the unweighted residual-space block ``z``."""
@@ -470,7 +432,6 @@ class CornerBlockSolver:
         failed = ~np.isfinite(rnorm0)
         iters = np.zeros(m, dtype=np.int64)
         sweeps = 0
-        refinement = 0
 
         # Compacted working set: `cols` maps working position -> input
         # column; all state arrays below share that column order.
@@ -479,44 +440,6 @@ class CornerBlockSolver:
         r = r[:, cols]
         coef = coef[:, cols]
         thresh = thresh_full[cols]
-
-        if self._mixed and cols.size:
-            # Iterative refinement against the float64 residual: the
-            # float32 sweeps' rounding lands in the correction, not the
-            # accumulated solution, so the achieved tolerance matches
-            # the float64 path.  Each sweep is one preconditioner + one
-            # operator application (a BiCGStab sweep pays two of each);
-            # a column whose residual stops halving falls through to
-            # the full recurrences with its refined state.
-            prev = np.linalg.norm(r, axis=0)
-            improving = np.ones(cols.size, dtype=bool)
-            for _ in range(self.config.maxiter):
-                tgt = np.flatnonzero(improving & (prev > thresh))
-                if tgt.size == 0:
-                    break
-                refinement += 1
-                r_tgt = r[:, tgt]
-                dx = precondition(r_tgt)
-                correction = operator(r_tgt, dx, coef[:, tgt])
-                new = np.linalg.norm(r_tgt - correction, axis=0)
-                # Stall guard: apply the sweep only where it shrank the
-                # float64 residual; a column that stops halving stops
-                # refining (keeping its progress) and falls through to
-                # the full recurrences.
-                ok = np.isfinite(new) & (new < prev[tgt])
-                good = tgt[ok]
-                if good.size:
-                    _add_columns(x_out, cols[good], 1.0, dx[:, ok])
-                    r[:, good] -= correction[:, ok]
-                improving[tgt] = ok & (new <= 0.5 * prev[tgt])
-                prev[good] = new[ok]
-            done = prev <= thresh
-            converged[cols[done]] = True
-            live = ~done
-            cols = cols[live]
-            r = r[:, live]
-            coef = coef[:, live]
-            thresh = thresh[live]
 
         r_hat = r.copy()
         p = np.zeros_like(r)
@@ -599,4 +522,4 @@ class CornerBlockSolver:
             if weight is not None:
                 resid *= weight
             converged[j] = np.linalg.norm(resid) <= thresh_full[j]
-        return x_out, converged, iters, sweeps, refinement
+        return x_out, converged, iters, sweeps

@@ -1,4 +1,4 @@
-"""Direct (SuperLU) backend and the single-precision preconditioner twin.
+"""Direct (SuperLU) backend (plus the unused single-precision LU twin).
 
 ``DirectSolver`` factorizes once per permittivity and hands every
 ``(n, k)`` block of right-hand sides to SuperLU in a single matrix-RHS
@@ -27,16 +27,13 @@ __all__ = ["DirectSolver", "SinglePrecisionLU"]
 
 
 class SinglePrecisionLU:
-    """A complex64 twin of an anchor LU, for preconditioner sweeps.
+    """A complex64 twin of an LU, upcasting solves back to complex128.
 
-    Triangular sweeps are bandwidth-bound, so halving the factor
-    precision roughly halves the memory traffic per sweep.  The twin is
-    only ever used as a *preconditioner*: outer Krylov recurrences and
-    residuals stay float64 (inputs are upcast back to complex128 on
-    return), so the achieved tolerance is governed by the float64
-    residual, not by the float32 factors.  Duck-types the
-    ``solve(b, trans=...)`` subset of :class:`scipy...SuperLU` that the
-    Krylov backends call.
+    Nothing in the package uses it: the single-precision preconditioner
+    mode it served measured 1.12-1.20x slower than float64 and was
+    removed.  The class stays only because the perfbench layer tracer
+    wraps ``SinglePrecisionLU.factorize`` by name, so deleting it would
+    break every traced benchmark set.
     """
 
     dtype = np.complex64

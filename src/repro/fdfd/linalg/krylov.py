@@ -4,10 +4,11 @@ Fabrication corners differ from the nominal design only inside the
 design window (plus a uniform temperature scale), so the nominal
 corner's LU is an excellent preconditioner for every other corner of an
 iteration.  Most corner solves ride one blocked solve per family
-(:class:`~repro.fdfd.linalg.blocked.CornerBlockSolver`); the rest — the
-calibration environments, the forward solves of process/remote workers —
-are solves against one matrix, served here by the same kernel with a
-single system.
+(:class:`~repro.fdfd.linalg.blocked.CornerBlockSolver`, which also
+serves the forward solves of process/remote workers); the rest — the
+calibration environments — are solves against one matrix, served here
+by the same kernel with a single system against the float64 LU of the
+nearest anchor.
 
 Robustness comes from the kernel: each solve starts from ``M^{-1} b``
 (exact when the matrix *is* the anchor), every converged column is
@@ -81,11 +82,10 @@ class PreconditionedKrylovSolver(LinearSolver):
     ) -> "PreconditionedKrylovSolver":
         """Wrap a one-system kernel for ``eps`` on ``assembly``.
 
-        ``preconditioner`` factorizes ``anchor_eps`` (``None`` runs the
-        recurrences unpreconditioned, which for Helmholtz essentially
-        guarantees the direct fallback).  ``on_fallback(0, direct)`` is
-        called with the fallback :class:`DirectSolver` so the owner can
-        recycle its LU as a new preconditioner anchor.
+        ``preconditioner`` is the float64 LU of ``anchor_eps``.
+        ``on_fallback(0, direct)`` is called with the fallback
+        :class:`DirectSolver` so the owner can recycle its LU as a new
+        preconditioner anchor.
         """
         kernel = CornerBlockSolver(
             assembly,

@@ -38,8 +38,6 @@ BiCGStab solve for every other corner.
 :meth:`SimulationWorkspace.begin_solver_epoch` (called by the optimizer
 once per iteration) drops the anchors so the first permittivity of each
 iteration — the nominal corner — becomes the anchor its siblings recycle.
-``SolverConfig.precond_dtype == "float32"`` gives each anchor a lazy
-single-precision LU twin used only for preconditioner sweeps.
 
 Every cache is content-addressed, so a warm workspace returns the same
 bits as a cold build for the direct backend — tests assert bit-for-bit
@@ -63,7 +61,6 @@ from repro.fdfd.linalg import (
     CornerBlockSolver,
     DirectSolver,
     LinearSolver,
-    SinglePrecisionLU,
     SolveStats,
     SolverConfig,
     make_linear_solver,
@@ -249,15 +246,10 @@ class _LRUCache:
 
 
 class _PrecondAnchor:
-    """One preconditioner anchor: permittivity + float64 LU (+ f32 twin).
+    """One preconditioner anchor: permittivity + its float64 LU.
 
-    The float64 LU serves exact solves (anchor corners, cache seeds) and
-    float64 preconditioning — those paths are untouched by the
-    mixed-precision option and stay bitwise.  Under
-    ``precond_dtype=float32`` the anchor keeps its system matrix and
-    factorizes a complex64 twin *lazily*, the first time it actually
-    preconditions something, so exact-only anchors never pay the second
-    factorization; the matrix is released once the twin exists.
+    The LU serves exact solves (anchor corners, cache seeds) and
+    preconditions the Krylov solves of nearby permittivities.
 
     ``design`` marks anchors registered by a corner block — design
     systems.  Per-matrix solves (calibration environments) register
@@ -265,26 +257,12 @@ class _PrecondAnchor:
     a block.
     """
 
-    __slots__ = ("eps", "lu", "_matrix", "_lu32", "design")
+    __slots__ = ("eps", "lu", "design")
 
-    def __init__(self, eps: np.ndarray, lu, matrix=None, design=False):
+    def __init__(self, eps: np.ndarray, lu, design=False):
         self.eps = eps
         self.lu = lu
-        self._matrix = matrix
-        self._lu32 = None
         self.design = design
-
-    def preconditioner(self, factor_options: FactorOptions, stats: SolveStats):
-        if self._lu32 is not None:
-            return self._lu32
-        if self._matrix is None:
-            return self.lu
-        # Benign race when worker threads share a workspace: two may both
-        # factorize the twin; last assignment wins, both valid.
-        self._lu32 = SinglePrecisionLU.factorize(self._matrix, factor_options)
-        stats.add(factorizations=1)
-        self._matrix = None
-        return self._lu32
 
 
 class SimulationWorkspace:
@@ -393,8 +371,7 @@ class SimulationWorkspace:
                     registered = eps_hash in self._anchors.get(akey, ())
                 if not registered:
                     self._add_anchor(
-                        akey, eps_hash, eps.ravel().copy(), cached.lu,
-                        matrix=cached.matrix,
+                        akey, eps_hash, eps.ravel().copy(), cached.lu
                     )
             return cached
 
@@ -446,7 +423,7 @@ class SimulationWorkspace:
                 # the optimizer loop.  Factorize it; siblings recycle it.
                 lu = self.factor_options.splu(matrix)
                 self.solver_stats.add(factorizations=1)
-                anchors[eps_hash] = self._new_anchor(eps_flat, lu, matrix)
+                anchors[eps_hash] = _PrecondAnchor(eps_flat, lu)
                 return DirectSolver(matrix, lu, self.solver_stats)
             nearest = min(
                 anchors.values(),
@@ -460,29 +437,17 @@ class SimulationWorkspace:
             stats=self.solver_stats,
             assembly=assembly,
             eps=eps,
-            preconditioner=nearest.preconditioner(
-                self.factor_options, self.solver_stats
-            ),
+            preconditioner=nearest.lu,
             anchor_eps=nearest.eps,
             on_fallback=lambda _system, direct: self._add_anchor(
-                akey, eps_hash, eps_flat, direct.lu, matrix=direct.matrix
+                akey, eps_hash, eps_flat, direct.lu
             ),
         )
 
-    def _new_anchor(
-        self, eps_flat, lu, matrix=None, design=False
-    ) -> _PrecondAnchor:
-        """An anchor entry, keeping the matrix only if a twin may be cut."""
-        if self.solver_config.precond_dtype != "float32":
-            matrix = None
-        return _PrecondAnchor(eps_flat, lu, matrix, design)
-
-    def _add_anchor(
-        self, akey, eps_hash, eps_flat, lu, matrix=None, design=False
-    ) -> None:
+    def _add_anchor(self, akey, eps_hash, eps_flat, lu, design=False) -> None:
         with self._anchor_lock:
             anchors = self._anchor_pool(akey)
-            anchors[eps_hash] = self._new_anchor(eps_flat, lu, matrix, design)
+            anchors[eps_hash] = _PrecondAnchor(eps_flat, lu, design)
             while len(anchors) > _MAX_ANCHORS:
                 anchors.popitem(last=False)
 
@@ -577,7 +542,6 @@ class SimulationWorkspace:
                 fkey = (*akey, hashes[0])
                 cached = self._factorizations.get(fkey)
                 lu = None if cached is None else cached.lu
-                matrix = None if cached is None else cached.matrix
                 if lu is None:
                     matrix = assembly.system_matrix(eps_arrs[0])
                     lu = self.factor_options.splu(matrix)
@@ -585,8 +549,8 @@ class SimulationWorkspace:
                     self._factorizations.put(
                         fkey, DirectSolver(matrix, lu, self.solver_stats)
                     )
-                anchors[hashes[0]] = self._new_anchor(
-                    nominal_flat.copy(), lu, matrix, design=True
+                anchors[hashes[0]] = _PrecondAnchor(
+                    nominal_flat.copy(), lu, design=True
                 )
                 while len(anchors) > _MAX_ANCHORS:
                     anchors.popitem(last=False)
@@ -608,7 +572,7 @@ class SimulationWorkspace:
         def reanchor(system: int, direct) -> None:
             self._add_anchor(
                 akey, hashes[system], eps_arrs[system].ravel().copy(),
-                direct.lu, matrix=direct.matrix, design=True,
+                direct.lu, design=True,
             )
             # Mirror the per-matrix path: the fallback solver joins the
             # factorization LRU so re-solving this permittivity (same
@@ -618,9 +582,7 @@ class SimulationWorkspace:
         return CornerBlockSolver(
             assembly,
             eps_arrs,
-            preconditioner=nearest.preconditioner(
-                self.factor_options, self.solver_stats
-            ),
+            preconditioner=nearest.lu,
             exact_lus=exact,
             factor_options=self.factor_options,
             config=self.solver_config,

@@ -4,7 +4,9 @@ Covers
 
 * the ``PreconditionedKrylovSolver.solve_many`` post-fallback
   short-circuit (a block after a paid-for fallback factorization is one
-  matrix-RHS call, not k per-column round-trips),
+  matrix-RHS call, not k per-column round-trips) and its mid-block
+  fallback (columns that miss the budget together share one batched
+  fallback solve),
 * the descriptive zero-corner error in ``Boson1Optimizer.loss``,
 * the ``krylov-block`` backend: :class:`CornerBlockSolver` accuracy /
   masking / fallback re-anchoring, its per-matrix solves, corner-batched
@@ -107,6 +109,41 @@ class TestSolveManyPostFallback:
         for j in range(2):
             expect = ref.solve_transposed(block[:, j])
             np.testing.assert_allclose(out[:, j], expect, rtol=1e-10, atol=1e-12)
+
+    def _far_anchor_solver(self, grid, eps, **overrides):
+        """A per-matrix solver preconditioned by the vacuum's float64 LU.
+
+        The anchor is far from ``eps``, so a small budget cannot converge.
+        """
+        assembly = SimulationWorkspace().assembly(grid, OMEGA)
+        vacuum = np.ones(grid.shape)
+        options = FactorOptions()
+        cfg = SolverConfig(
+            **{"backend": "krylov-block", "fallback": False, **overrides}
+        )
+        return PreconditionedKrylovSolver.build(
+            assembly.system_matrix(eps), options, cfg,
+            assembly=assembly, eps=eps,
+            preconditioner=options.splu(assembly.system_matrix(vacuum)),
+            anchor_eps=vacuum,
+        )
+
+    def test_solve_many_batches_after_midblock_fallback(self, grid, eps):
+        rng = np.random.default_rng(0)
+        rhs = rng.standard_normal((grid.n_cells, 5)) + 0j
+        strict = self._far_anchor_solver(grid, eps, maxiter=3)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            strict.solve_many(rhs)
+        # The budget caps every column's iterations.
+        assert 0 < strict.stats.wasted_iterations <= 3 * 5
+        solver = self._far_anchor_solver(grid, eps, maxiter=3, fallback=True)
+        out = solver.solve_many(rhs)
+        # The columns miss the budget together; the one fallback
+        # factorization then solves them in ONE batched matrix-RHS
+        # sweep, not 5 per-column round-trips.
+        assert solver.stats.fallbacks == 1
+        assert solver.stats.batched_calls == 1
+        np.testing.assert_allclose(solver.matrix @ out, rhs, atol=1e-8)
 
 
 class _EmptySampling(SamplingStrategy):
@@ -331,6 +368,34 @@ class TestCornerBlockSolver:
             )
             assert resid <= block.config.tol * np.linalg.norm(b[:, j])
         assert block.stats.fallbacks > 0
+
+    def test_block_exact_and_fallback_spans(self, grid, eps):
+        family = corner_family(eps)
+        # maxiter=1 forces most non-anchor columns through the fallback.
+        cfg = SolverConfig(backend="krylov-block", maxiter=1)
+        ws = SimulationWorkspace(solver_config=cfg)
+        assembly = ws.assembly(grid, OMEGA)
+        block = ws.begin_corner_block(assembly, family)
+        tracer = enable_tracing()
+        try:
+            block.solve_block(rhs_block(grid, len(family), seed=5))
+            records = tracer.drain()
+        finally:
+            disable_tracing()
+        by_name = {}
+        for rec in records:
+            by_name.setdefault(rec["name"], []).append(rec)
+        assert "solver.block_exact" in by_name  # the anchor column
+        assert "solver.block_fallback" in by_name
+        for rec in by_name["solver.block_exact"]:
+            assert rec["args"]["columns"] >= 1
+        # Every column is either the anchor's (exact) or iterated; with
+        # maxiter=1 most — but not necessarily all — of the non-anchor
+        # columns miss tolerance and must surface as fallback spans.
+        fell_back = sum(
+            rec["args"]["columns"] for rec in by_name["solver.block_fallback"]
+        )
+        assert 1 <= fell_back <= len(family) - 1
 
     def test_precond_spans_nest_under_sweeps(self, grid, eps):
         """One ``solver.precond`` span per preconditioner application."""

@@ -217,6 +217,40 @@ class TestCheckpointFormat:
         ):
             DesignCheckpoint.from_bytes(header + payload)
 
+    @pytest.mark.parametrize(
+        "version, removed",
+        [
+            (1, r"recycle_dim.*'batched'"),
+            (2, r"'krylov' backend.*krylov_method, gmres_restart and "
+             r"max_anchors"),
+            (3, r"'krylov-block:float32'.*precond_dtype"),
+        ],
+        ids=["v1", "v2", "v3"],
+    )
+    def test_retired_format_refused_naming_removal(self, version, removed):
+        """Every retired format's config digest covers solver fields this
+        build no longer has, so it is refused with what was removed
+        instead of a misleading digest mismatch."""
+        import hashlib
+
+        payload = pickle.dumps(
+            _tiny_ckpt(config_digest=config_digest(
+                OptimizerConfig(solver="krylov-block"), "bending"
+            ))
+        )
+        header = _HEADER.pack(
+            _MAGIC,
+            version,
+            len(payload),
+            hashlib.blake2b(payload, digest_size=16).digest(),
+        )
+        with pytest.raises(
+            CheckpointError,
+            match=rf"format v{version}.*{removed}.*'krylov-block' or "
+            r"'direct'",
+        ):
+            DesignCheckpoint.from_bytes(header + payload)
+
     def test_truncated_payload_refused(self):
         with pytest.raises(CheckpointCorruptError, match="truncated"):
             DesignCheckpoint.from_bytes(_tiny_ckpt().to_bytes()[:-3])

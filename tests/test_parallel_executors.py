@@ -427,6 +427,7 @@ class TestProcessTapedFanout:
 
         items = [
             (
+                1,
                 alpha_of_temperature(c.temperature_k),
                 np.asarray(opt.process.apply(rho, c).data, dtype=np.float64),
             )
@@ -436,7 +437,6 @@ class TestProcessTapedFanout:
             _corner_forward_task,
             stable_worker_token(device, ":design"),
             device,
-            1,
             False,
         )
         task2, items2 = pickle.loads(pickle.dumps((task, items)))

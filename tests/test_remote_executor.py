@@ -34,6 +34,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.core.remote as remote_mod
 from repro.core import Boson1Optimizer, OptimizerConfig
 from repro.core.executors import make_executor
 from repro.core.remote import (
@@ -320,6 +321,71 @@ class TestLoopbackMonteCarlo:
         )
         assert np.array_equal(remote.foms, serial.foms)
         assert r_stats == s_stats
+
+
+# --------------------------------------------------------------------- #
+# Task-state shipping                                                   #
+# --------------------------------------------------------------------- #
+class TestSeedShipping:
+    """Unchanged task state crosses the wire once per worker.
+
+    The solver epoch rides each design item, so every iteration's
+    closure pickles to the same seed key; a worker asks for the state
+    (``need-seed``) only when it does not hold it, so a fresh connection
+    — each remote Monte-Carlo call opens one — re-ships nothing.
+    """
+
+    @pytest.fixture
+    def fresh_pair(self):
+        workers = [start_worker_subprocess() for _ in range(2)]
+        yield [address for _proc, address in workers]
+        for proc, _address in workers:
+            proc.terminate()
+            proc.join(timeout=10)
+
+    @pytest.fixture
+    def seed_frames(self, monkeypatch):
+        """Seed keys the client sends (workers forked before patching)."""
+        sent = []
+        real = remote_mod.send_frame
+
+        def counting(sock, message):
+            if message.get("kind") == "seed":
+                sent.append(message["key"])
+            return real(sock, message)
+
+        monkeypatch.setattr(remote_mod, "send_frame", counting)
+        return sent
+
+    def test_multi_iteration_design_seeds_each_worker_once(
+        self, fresh_pair, seed_frames
+    ):
+        _trace(_spec(*fresh_pair), "direct", iterations=3, sampling="axial")
+        # One omega group, one task state, two workers: two seeds for
+        # all three iterations.
+        assert len(seed_frames) == 2
+        assert len(set(seed_frames)) == 1
+
+    def test_repeated_mc_calls_seed_each_worker_once(
+        self, fresh_pair, seed_frames
+    ):
+        device = make_device("bending")
+        process = FabricationProcess(
+            device.design_shape, device.dl,
+            context=device.litho_context(12), pad=12,
+        )
+        pattern = rasterize_segments(
+            device.design_shape, device.dl, device.init_segments()
+        )
+        for call in range(3):
+            evaluate_post_fab(
+                device, process, pattern, 4, seed=call,
+                executor=_spec(*fresh_pair), remote_timeout=15.0,
+            )
+            # The first call seeds both workers; later calls open fresh
+            # connections and reuse what the workers already hold.
+            assert len(seed_frames) == 2, call
+        assert len(set(seed_frames)) == 1
 
 
 # --------------------------------------------------------------------- #

@@ -360,7 +360,7 @@ class TestCliJobSpec:
     ARGV = [
         "--iterations", "1", "--sampling", "random", "--relax-epochs", "1",
         "--seed", "3", "--wavelengths", "1.53,1.57", "--temperatures", "290",
-        "--aggregate", "cvar:0.5", "--solver", "krylov-block:float32",
+        "--aggregate", "cvar:0.5", "--solver", "krylov-block",
     ]
 
     def test_design_and_submit_configs_match(self, daemon, monkeypatch):
@@ -389,9 +389,7 @@ class TestCliJobSpec:
         assert config_digest(served, "bending") == config_digest(
             built[0], "bending"
         )
-        assert served.solver == SolverConfig(
-            backend="krylov-block", precond_dtype="float32"
-        )
+        assert served.solver == SolverConfig(backend="krylov-block")
         with _client(daemon) as client:
             assert client.watch(stored.id)["status"] == "completed"
 
