@@ -5,7 +5,7 @@
 * :mod:`repro.core.sampling` — nominal / axial / exhaustive / random /
   axial+worst variation sampling strategies (Sec. III-E, Fig. 6a);
 * :mod:`repro.core.optimizer` — Adam on raw numpy parameters;
-* :mod:`repro.core.executors` — serial/thread/process fan-out backends
+* :mod:`repro.core.executors` — serial/process/remote fan-out backends
   with a deterministic ordered reduction;
 * :mod:`repro.core.remote` — the frame protocol and the one frame
   server behind ``repro worker`` and ``repro serve``, plus the same

@@ -207,7 +207,7 @@ class DesignCheckpoint:
                 "next_iteration": self.next_iteration,
                 "iterations_recorded": len(self.history),
                 "solver_epoch": self.solver_epoch,
-                "written_unix": time.time(),
+                "written_unix": int(time.time()),
             },
             fsync=False,
         )

@@ -388,7 +388,9 @@ class Boson1Optimizer:
           one :meth:`PhotonicDevice.port_powers_corners` call — one
           blocked forward solve and one blocked adjoint solve.  Other
           backends make one call per corner, which keeps every gradient
-          bit of the ``direct`` backend.
+          bit of the ``direct`` backend; the group's factorizations are
+          started up front (:meth:`PhotonicDevice.prefactor`), so they
+          overlap on the factor threads.
         * **forward replay** (process or remote executor): the tape
           cannot cross process boundaries, so
           :func:`~repro.core.executors.fan_out` ships pickle-clean
@@ -434,6 +436,7 @@ class Boson1Optimizer:
                             rho_fabs, alphas
                         )
                     else:
+                        device_g.prefactor([r.data for r in rho_fabs], alphas)
                         powers_list = [
                             device_g.port_powers_all(rho_fab, alpha)
                             for rho_fab, alpha in zip(rho_fabs, alphas)

@@ -397,6 +397,16 @@ class PhotonicDevice:
         eps_env = self.eps_from_occupancy(self.cached_background() * alpha_bg)
         return problem.prepare(eps_env)
 
+    def _calibration_eps(self, direction: str, alpha_bg: float) -> np.ndarray:
+        """Permittivity of one calibration run's straight-guide system."""
+        calib_occ = np.asarray(
+            self.calibration_occupancy(direction), dtype=np.float64
+        )
+        return self.eps_from_occupancy(calib_occ * alpha_bg)
+
+    def _calibration_key(self, direction: str, alpha_bg: float) -> tuple:
+        return (direction, round(float(alpha_bg), 9))
+
     def _calibration_entry(self, direction: str, alpha_bg: float) -> tuple:
         """The cached ``((problem, p_in, incident), infra)`` for one key.
 
@@ -408,7 +418,7 @@ class PhotonicDevice:
         Returning the whole entry also spares callers a second cache
         read that a concurrent eviction could invalidate.
         """
-        key = (direction, round(float(alpha_bg), 9))
+        key = self._calibration_key(direction, alpha_bg)
         with self._calibration_lock:
             entry = self._calibration_cache.get(key)
             if entry is not None:
@@ -417,10 +427,7 @@ class PhotonicDevice:
                 self._calibration_cache[key] = entry
                 return entry
         problem = self._problem(direction)
-        calib_occ = np.asarray(
-            self.calibration_occupancy(direction), dtype=np.float64
-        )
-        eps_calib = self.eps_from_occupancy(calib_occ * alpha_bg)
+        eps_calib = self._calibration_eps(direction, alpha_bg)
         calib_port = self.calibration_monitor(direction)
         calib_problem = PortPowerProblem(
             self.grid,
@@ -493,6 +500,47 @@ class PhotonicDevice:
         checks behave the same on both layers.
         """
         return self.workspace is not None and self.workspace.supports_corner_block
+
+    def _system_eps(self, pattern: np.ndarray, alpha_bg: float) -> np.ndarray:
+        """Permittivity of one design system.
+
+        The background scaled by ``alpha_bg`` with the scaled design
+        occupancy ``pattern`` pasted into the design window: the one
+        builder the power op, :meth:`solve_forward_summary` and
+        :meth:`prefactor` share, so a prefactored system is by
+        construction the one the solve looks up.
+        """
+        occ = self.cached_background() * alpha_bg
+        occ[self.design_slice] = pattern
+        return self.eps_from_occupancy(occ)
+
+    def prefactor(
+        self, patterns: Sequence[np.ndarray], alpha_bgs: Sequence[float]
+    ) -> None:
+        """Start the factorizations a power-op call over these systems needs.
+
+        Covers the calibration runs not cached yet for every (direction,
+        ``alpha_bg``) plus each pattern's own system, in the order the
+        solves will consume them; see
+        :meth:`SimulationWorkspace.prefactor`.  A no-op on a cold device
+        and under ``krylov-block``.
+        """
+        workspace = self.workspace
+        if workspace is None or workspace.supports_corner_block:
+            return
+        eps_list = []
+        for pattern, alpha in zip(patterns, alpha_bgs):
+            alpha = float(alpha)
+            for direction in self.directions:
+                key = self._calibration_key(direction, alpha)
+                with self._calibration_lock:
+                    cached = key in self._calibration_cache
+                if not cached:
+                    eps_list.append(self._calibration_eps(direction, alpha))
+            eps_list.append(
+                self._system_eps(np.asarray(pattern, dtype=np.float64), alpha)
+            )
+        workspace.prefactor(workspace.assembly(self.grid, self.omega), eps_list)
 
     def _columns(
         self, alpha_bgs: Sequence[float], directions: Sequence[str]
@@ -600,21 +648,16 @@ class PhotonicDevice:
         """
         columns, sources = self._columns(alpha_bgs, directions)
         system_of = np.array([col[0] for col in columns], dtype=np.intp)
-        backgrounds = {
-            alpha: self.cached_background() * alpha
-            for alpha in dict.fromkeys(alpha_bgs)
-        }
         grid = self.grid
         dslice = self.design_slice
         contrast = self.eps_solid - EPS_VOID
         pml = columns[0][1].pml
 
         def forward(*occ_designs):
-            eps_list = []
-            for alpha, occ_design in zip(alpha_bgs, occ_designs):
-                occ = backgrounds[alpha].copy()
-                occ[dslice] = occ_design
-                eps_list.append(self.eps_from_occupancy(occ))
+            eps_list = [
+                self._system_eps(occ_design, alpha)
+                for alpha, occ_design in zip(alpha_bgs, occ_designs)
+            ]
             solve, dxf, dyf = self._solve_columns(eps_list, pml)
             solutions = self._measure(
                 columns, solve(sources, system_of), dxf, dyf
@@ -812,10 +855,8 @@ class PhotonicDevice:
             )
         alpha_bg = float(alpha_bg)
         columns, sources = self._columns((alpha_bg,), self.directions)
-        occ = self.cached_background() * alpha_bg
-        occ[self.design_slice] = rho
         solve, dxf, dyf = self._solve_columns(
-            [self.eps_from_occupancy(occ)], columns[0][1].pml
+            [self._system_eps(rho, alpha_bg)], columns[0][1].pml
         )
         solutions = self._measure(
             columns,

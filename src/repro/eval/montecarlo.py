@@ -198,14 +198,22 @@ def _evaluate_local(
     group is evaluated through the device's power op:
     :data:`_SAMPLES_PER_BLOCK` samples per call on a block-capable
     backend — one blocked solve each, the first sample of a chunk
-    anchoring it — and one sample per call otherwise.
+    anchoring it — and one sample per call otherwise, with every
+    sample's factorizations started before the first call
+    (:meth:`PhotonicDevice.prefactor`).
     """
     fabbed = [process.apply_array(pattern, c) for c in corners]
     alphas = [alpha_of_temperature(c.temperature_k) for c in corners]
     results: list = [None] * len(corners)
     for idxs in omega_groups(corners, device.wavelength_um).values():
         clone = device.for_corner(corners[idxs[0]])
-        step = _SAMPLES_PER_BLOCK if clone.supports_corner_block else 1
+        if clone.supports_corner_block:
+            step = _SAMPLES_PER_BLOCK
+        else:
+            step = 1
+            clone.prefactor(
+                [fabbed[i] for i in idxs], [alphas[i] for i in idxs]
+            )
         for start in range(0, len(idxs), step):
             sel = idxs[start:start + step]
             chunk = clone.port_powers_array_corners(

@@ -45,7 +45,7 @@ class SinglePrecisionLU:
     def factorize(
         cls, matrix: sp.csc_matrix, factor_options
     ) -> "SinglePrecisionLU":
-        return cls(factor_options.splu(matrix.astype(np.complex64)))
+        return cls(factor_options.factorize(matrix.astype(np.complex64)))
 
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
         out = self._lu.solve(np.asarray(rhs, dtype=np.complex64), trans=trans)
@@ -75,7 +75,7 @@ class DirectSolver(LinearSolver):
         **_ignored,
     ) -> "DirectSolver":
         stats = stats or SolveStats()
-        lu = factor_options.splu(matrix)
+        lu = factor_options.factorize(matrix)
         stats.add(factorizations=1)
         return cls(matrix, lu, stats)
 

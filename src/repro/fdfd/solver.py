@@ -155,7 +155,9 @@ class HelmholtzSolver:
             ).tocsc()
             options = factor_options or FactorOptions()
             self.linsolver = DirectSolver(
-                self.system_matrix, options.splu(self.system_matrix), SolveStats()
+                self.system_matrix,
+                options.factorize(self.system_matrix),
+                SolveStats(),
             )
 
     @property

@@ -16,7 +16,11 @@ one flat record ``{id, parent, name, cat, ts, dur, pid, tid, args}``:
   span ids — concurrent threads interleave without locks on the hot
   path and still produce correct trees;
 * records are plain dicts of scalars, so they pickle cleanly across
-  the process and remote executor seams.
+  the process and remote executor seams;
+* work handed to another thread (the factor threads of
+  :mod:`repro.fdfd.workspace`) carries :func:`span_context` along and
+  records its spans inside :func:`continue_trace`, so they join the
+  caller's tree.
 
 Worker processes do not share the parent's tracer.  They wrap each task
 in a :class:`SpanCapture` — a thread-local tracer override that records
@@ -42,6 +46,8 @@ __all__ = [
     "disable_tracing",
     "get_tracer",
     "tracing_active",
+    "span_context",
+    "continue_trace",
 ]
 
 #: Maps ``time.perf_counter_ns()`` onto the epoch once per process:
@@ -199,6 +205,48 @@ def current_tracer() -> "Tracer | None":
 def tracing_active() -> bool:
     """Whether spans entered on this thread will be recorded."""
     return current_tracer() is not None
+
+
+def span_context() -> "tuple[Tracer, int | None] | None":
+    """This thread's tracer and innermost open span id (``None``: off).
+
+    Capture it where work is handed to another thread and enter
+    :func:`continue_trace` with it there: the work's spans then land in
+    the same tracer (the global one or a worker's :class:`SpanCapture`)
+    under the span that handed the work over.
+    """
+    tracer = current_tracer()
+    if tracer is None:
+        return None
+    stack = tracer._stack()
+    return tracer, (stack[-1] if stack else None)
+
+
+class continue_trace:
+    """Record this thread's spans under a :func:`span_context` capture.
+
+    A ``None`` context (tracing was off where it was captured) makes
+    this a no-op, so spans inside stay no-ops too.
+    """
+
+    __slots__ = ("_context", "_prev")
+
+    def __init__(self, context: "tuple[Tracer, int | None] | None"):
+        self._context = context
+
+    def __enter__(self):
+        if self._context is not None:
+            tracer, parent = self._context
+            self._prev = getattr(_LOCAL, "tracer", None)
+            _LOCAL.tracer = tracer
+            tracer._stack().append(parent)
+        return self
+
+    def __exit__(self, *exc):
+        if self._context is not None:
+            self._context[0]._stack().pop()
+            _LOCAL.tracer = self._prev
+        return False
 
 
 def span(name: str, cat: str = "", parent: "int | None" = None, **attrs):

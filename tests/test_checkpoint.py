@@ -291,6 +291,19 @@ class TestCheckpointFormat:
         assert meta["next_iteration"] == 2
         assert not list(tmp_path.glob("*.tmp")), "atomic write left tmp files"
 
+    def test_sidecar_size_does_not_depend_on_save_time(
+        self, tmp_path, monkeypatch
+    ):
+        # Two saves at different sub-second times: a float timestamp
+        # prints with a different number of digits, an integer does not.
+        sizes = []
+        for i, now in enumerate((1760000000.5, 1760000001.123456789)):
+            monkeypatch.setattr(time, "time", lambda now=now: now)
+            path = _tiny_ckpt().save(tmp_path / f"ckpt_{i:06d}.ckpt")
+            sizes.append(sidecar_path(path).stat().st_size)
+            assert load_result(sidecar_path(path))["written_unix"] == int(now)
+        assert sizes[0] == sizes[1]
+
     def test_mismatched_device_refused(self):
         cfg = OptimizerConfig()
         ckpt = _tiny_ckpt(

@@ -38,7 +38,7 @@ from repro.core.checkpoint import config_digest
 from repro.devices import make_device
 from repro.eval import evaluate_post_fab
 from repro.fab.process import FabricationProcess
-from repro.fdfd import SimulationWorkspace
+from repro.fdfd import FactorOptions, SimGrid, SimulationWorkspace
 from repro.obs.export import (
     TraceSession,
     chrome_trace_events,
@@ -194,6 +194,51 @@ class TestTracer:
                 pass
         assert not tracing_active()
         assert {rec["name"] for rec in cap.records} == {"task", "inside"}
+
+
+class TestFactorThreadSpans:
+    """Factorizations run on factor threads but trace as the caller's."""
+
+    @pytest.fixture
+    def system(self):
+        grid = SimGrid((30, 28), dl=0.05, npml=6)
+        ws = SimulationWorkspace()
+        rng = np.random.default_rng(1)
+        family = [1.0 + 11.0 * rng.uniform(size=grid.shape) for _ in range(3)]
+        return grid, ws, ws.assembly(grid, 2 * np.pi / 1.55), family
+
+    def test_factorize_span_joins_the_global_trace(self, system):
+        _grid, _ws, assembly, family = system
+        tracer = enable_tracing()
+        with span("caller") as caller:
+            FactorOptions().factorize(assembly.system_matrix(family[0]))
+        (rec,) = [r for r in tracer.drain() if r["name"] == "solver.factorize"]
+        assert rec["parent"] == caller.span_id
+        assert rec["tid"] != threading.get_ident()
+
+    @pytest.mark.parametrize("global_tracing", [False, True])
+    def test_factorize_span_joins_a_span_capture(self, system, global_tracing):
+        _grid, _ws, assembly, family = system
+        tracer = enable_tracing() if global_tracing else None
+        with SpanCapture("worker.task") as cap:
+            FactorOptions().factorize(assembly.system_matrix(family[0]))
+        by_name = {rec["name"]: rec for rec in cap.records}
+        assert by_name["solver.factorize"]["parent"] == by_name["worker.task"]["id"]
+        if tracer is not None:
+            assert tracer.drain() == []  # the override shadows the global
+
+    def test_prefactor_span_parents_its_factorizations(self, system):
+        grid, ws, assembly, family = system
+        tracer = enable_tracing()
+        ws.prefactor(assembly, family + family[:1])
+        for eps in family:
+            ws.linear_solver(assembly, eps)
+        records = tracer.drain()
+        (pre,) = [r for r in records if r["name"] == "workspace.prefactor"]
+        assert pre["args"] == {"systems": 3}
+        factor = [r for r in records if r["name"] == "solver.factorize"]
+        assert len(factor) == 3
+        assert {r["parent"] for r in factor} == {pre["id"]}
 
 
 # --------------------------------------------------------------------- #
@@ -395,7 +440,7 @@ class TestConfigWiring:
         assert np.array_equal(with_trace.fom_trace(), untraced.fom_trace())
         assert np.array_equal(with_trace.theta, untraced.theta)
         records = load_trace_records(tmp_path / "tr" / "trace.jsonl")
-        assert len(records) == 99
+        assert len(records) == 102
 
 
 # --------------------------------------------------------------------- #
@@ -501,6 +546,15 @@ class TestProcessPropagation:
             if rec["name"] == "solver.solve" and rec["parent"] in worker_ids
         ]
         assert worker_solves
+        # Worker factorizations run on the worker's factor threads and
+        # still ride home inside their task's captured tree.
+        worker_factorizations = [
+            rec for rec in records
+            if rec["name"] == "solver.factorize" and rec["pid"] != os.getpid()
+        ]
+        assert worker_factorizations
+        in_tasks = _connected_component(records, {"worker.task"})
+        assert all(rec["id"] in in_tasks for rec in worker_factorizations)
         # One component: every span is reachable from an iteration root
         # or is itself a root-level span recorded by the parent.
         component = _connected_component(records, {"engine.iteration"})

@@ -388,6 +388,63 @@ class TestSeedShipping:
         assert len(set(seed_frames)) == 1
 
 
+def _vm_rss_mb(pid: int) -> float:
+    for line in Path(f"/proc/{pid}/status").read_text().splitlines():
+        if line.startswith("VmRSS:"):
+            return int(line.split()[1]) / 1024.0
+    raise AssertionError(f"no VmRSS line for pid {pid}")
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/status").exists(), reason="reads VmRSS from /proc"
+)
+class TestWorkerMemory:
+    """A worker's resident set plateaus across repeated remote calls.
+
+    ``repro worker`` runs each task on a fresh thread, and SciPy frees a
+    SuperLU only on the thread that allocated it; LUs that one task's
+    thread made and a later task evicted used to leak (~65 MB per call
+    here).  The worker is the CLI in its own interpreter: a worker
+    forked from a long test session inherits a large fragmented heap
+    whose unmapped holes fault back in as it allocates, which moves its
+    RSS by tens of MB with no leak at all.
+    """
+
+    def test_rss_plateaus_over_remote_monte_carlo_calls(self):
+        repo_src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = repo_src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "worker", "--listen", "127.0.0.1:0"],
+            stdout=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        try:
+            line = proc.stdout.readline()
+            assert "repro worker listening on 127.0.0.1:" in line
+            port = int(line.split("127.0.0.1:")[1].split()[0])
+            device = make_device("crossing")
+            process = FabricationProcess(
+                device.design_shape, device.dl,
+                context=device.litho_context(12), pad=12,
+            )
+            pattern = rasterize_segments(
+                device.design_shape, device.dl, device.init_segments()
+            )
+            rss = []
+            for call in range(6):
+                evaluate_post_fab(
+                    device, process, pattern, 8, seed=call,
+                    executor=f"remote:127.0.0.1:{port}", remote_timeout=60.0,
+                )
+                rss.append(_vm_rss_mb(proc.pid))
+            assert rss[5] - rss[1] < 40.0, rss
+        finally:
+            proc.terminate()
+            proc.wait(timeout=30)
+
+
 # --------------------------------------------------------------------- #
 # Fault injection                                                       #
 # --------------------------------------------------------------------- #
