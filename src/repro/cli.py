@@ -41,16 +41,17 @@ _CHOOSING_HELP = """\
 choosing an executor / solver
 -----------------------------
 executors (corner / sample fan-out):
-  serial       default; lowest overhead, fully deterministic.
-  process[:n]  forked workers; `design` ships pickle-clean forward-solve
-               payloads and reassembles gradients in the parent, so
-               results match serial to solver precision.  Best when
-               cores are plentiful and corner counts are large.
-  remote:ADDRS the same payloads shipped over TCP to worker hosts
-               (ADDRS = host:port[,host:port...]); see "scaling out".
-without an explicit :n, process and remote auto-tune to
-min(corner count, available workers); on a 1-core box an auto process
-spec runs inline, making `--executor process` safe everywhere.
+  serial       default; in-process and fully deterministic.  each
+               batch's factorizations overlap on one factor thread per
+               available core, so the dominant cost already uses every
+               core of one host.
+  remote:ADDRS pickle-clean forward-solve payloads shipped over TCP to
+               `repro worker` servers (ADDRS = host:port[,host:port...]);
+               `design` reassembles gradients in the parent; direct
+               results stay bitwise equal to serial.  see "scaling out".
+more processes on one host: start local workers and list them,
+    repro worker --listen 127.0.0.1:0   # once per worker; prints its port
+    repro design bending --executor remote:127.0.0.1:P1,127.0.0.1:P2
 solvers (every FDFD solve), spelled --solver BACKEND:
   direct       one SuperLU per corner, multi-column blocks (e.g. the
                isolator's forward and backward sources) in one
@@ -59,8 +60,8 @@ solvers (every FDFD solve), spelled --solver BACKEND:
                as the preconditioner of a BiCGStab that solves the
                whole corner family in one *blocked* solve; accurate to
                the solver tolerance.  on the serial executor only;
-               process and remote workers, and calibration runs, solve
-               each system on its own with the same kernel.  not a
+               remote workers, and calibration runs, solve each
+               system on its own with the same kernel.  not a
                universal win: which backend is faster depends on the
                device and grid (the perfbench workloads isolator-direct
                and bending-block-fine measure each).
@@ -68,8 +69,8 @@ determinism contract: direct is bitwise stable across executors;
 krylov-block agrees with it to the solver tolerance — trajectories
 match to ~1e-8, not bit-for-bit.
 rule of thumb: keep `--solver direct` unless a timed comparison on
-your device and grid favours `krylov-block`; add `--executor
-process:n` on multi-core machines.
+your device and grid favours `krylov-block`; keep `--executor serial`
+on one host, and reach for `remote:` when more hosts are available.
 
 robust scenario families (broadband x thermal x fab)
 ----------------------------------------------------
@@ -80,7 +81,7 @@ temperatures compose with a corner's own thermal excursion as offsets
 around the 300 K nominal).  scenarios are grouped by omega: each group
 shares its Laplacian, and under `--solver krylov-block` each group
 rides one blocked forward solve plus one blocked adjoint solve per
-iteration; the process/remote fan-out ships one device clone per omega
+iteration; the remote fan-out ships one device clone per omega
 group, each sent once per worker for the whole run, exactly like the
 single-device case.
 aggregation: `--aggregate mean` (weighted expectation, the default) |
@@ -173,7 +174,7 @@ receives trace.jsonl (one record per iteration: spans + a metrics
 snapshot folding solver counters and cache hit rates) and summary.txt
 (per-phase wall-time breakdown); add `--trace-format jsonl,chrome` for
 trace_chrome.json, loadable in chrome://tracing or https://ui.perfetto.dev.
-spans cross process boundaries: process and remote workers bracket each
+spans cross process boundaries: remote workers bracket each
 task in a span capture and ship the span tree + metric deltas home with
 the result payload, where they are re-parented under the dispatching
 span — one connected trace per run, worker pids and all.
@@ -335,8 +336,8 @@ def _add_job_args(p: argparse.ArgumentParser) -> None:
             "preconditioner is applied to the whole corner block in "
             "single matrix-RHS sweeps and columns converge "
             "independently; a non-converging solve falls back to a "
-            "direct factorization automatically; process and remote "
-            "workers solve each corner as a one-system block; see "
+            "direct factorization automatically; remote workers solve "
+            "each corner as a one-system block; see "
             "'choosing an executor / solver' below)"
         ),
     )
@@ -445,9 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="serial",
         type=_executor_arg,
         help=(
-            "corner fan-out backend: serial | process[:n] | "
-            "remote:host:port[,host:port...] (process forks workers, "
-            "remote ships to `repro worker` hosts; both replay only the "
+            "corner fan-out backend: serial (in-process; factorizations "
+            "overlap on the factor threads) | "
+            "remote:host:port[,host:port...] (ships to `repro worker` "
+            "servers, local or on other hosts; workers replay only the "
             "forward solves and the parent assembles the taped "
             "gradients, matching serial to solver precision)"
         ),
@@ -500,8 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="serial",
         type=_executor_arg,
         help=(
-            "sample fan-out backend: serial | process[:n] | "
-            "remote:host:port[,host:port...]"
+            "sample fan-out backend: serial (in-process) | "
+            "remote:host:port[,host:port...] (`repro worker` servers)"
         ),
     )
     _add_remote_args(p_eval)
@@ -637,8 +639,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument(
         "--executor", default=None, metavar="SPEC", type=_executor_arg,
         help=(
-            "pin this job's corner fan-out backend (serial | process[:n] "
-            "| remote:...); default: the daemon's --fleet, or serial"
+            "pin this job's corner fan-out backend (serial | "
+            "remote:...); default: the daemon's --fleet, or serial"
         ),
     )
     p_submit.add_argument(
@@ -1209,7 +1211,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     # One logging setup for every subcommand; configure_logging exports
     # the resolved level to REPRO_LOG_LEVEL so worker subprocesses
-    # (process pools, `repro worker` spawns) inherit it.
+    # (`repro worker` spawns) inherit it.
     configure_logging(args.log_level)
     handlers = {
         "design": _cmd_design,

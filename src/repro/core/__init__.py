@@ -5,7 +5,7 @@
 * :mod:`repro.core.sampling` — nominal / axial / exhaustive / random /
   axial+worst variation sampling strategies (Sec. III-E, Fig. 6a);
 * :mod:`repro.core.optimizer` — Adam on raw numpy parameters;
-* :mod:`repro.core.executors` — serial/process/remote fan-out backends
+* :mod:`repro.core.executors` — serial/remote fan-out backends
   with a deterministic ordered reduction;
 * :mod:`repro.core.remote` — the frame protocol and the one frame
   server behind ``repro worker`` and ``repro serve``, plus the same
@@ -34,7 +34,6 @@ from repro.core.config import OptimizerConfig
 from repro.core.engine import Boson1Optimizer, OptimizationResult
 from repro.core.executors import (
     CornerExecutor,
-    ProcessExecutor,
     SerialExecutor,
     make_executor,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "resolve_resume",
     "CornerExecutor",
     "SerialExecutor",
-    "ProcessExecutor",
     "make_executor",
     "build_loss",
     "radiation_power",

@@ -91,35 +91,33 @@ class OptimizerConfig:
         :func:`repro.core.objective.aggregate_losses`.
     corner_executor:
         Backend for the per-iteration corner fan-out: ``"serial"``
-        (default), ``"process"`` / ``"process:n"``, or
-        ``"remote:host:port[,host:port...]"`` (worker hosts started with
-        ``repro worker --listen``); ``"process"`` and ``"remote"``
-        auto-tune their worker count, ``"process:n"`` pins it.  Corner
-        losses are independent and reduced in a fixed order by one
-        loop, :meth:`~repro.core.engine.Boson1Optimizer._corner_losses`,
+        (default) or ``"remote:host:port[,host:port...]"`` (worker
+        servers started with ``repro worker --listen``; local ones add
+        processes on one host).  Corner losses are independent and
+        reduced in a fixed order by one loop,
+        :meth:`~repro.core.engine.Boson1Optimizer._corner_losses`,
         which differs per executor only in how an omega group gets its
         powers.  The serial executor computes them in-process through
-        the device's power op.  The process and remote backends
-        dispatch through :func:`~repro.core.executors.fan_out` — workers
-        run only the forward FDFD solves on pickle-clean payloads and
-        the parent assembles the taped VJPs from the returned
-        adjoint-basis columns — so their losses and gradients match the
-        serial path to solver precision (the adjoint is recombined from
-        per-port solves) and they scale with cores / hosts.  The remote
-        backend additionally resubmits a dead worker's items to
-        survivors (see :mod:`repro.core.remote` for the failure
-        semantics).
+        the device's power op, its factorizations overlapping on the
+        factor threads.  The remote backend dispatches through
+        :func:`~repro.core.executors.fan_out` — workers run only the
+        forward FDFD solves on pickle-clean payloads and the parent
+        assembles the taped VJPs from the returned adjoint-basis
+        columns — so its losses and gradients match the serial path to
+        solver precision (the adjoint is recombined from per-port
+        solves), and it resubmits a dead worker's items to survivors
+        (see :mod:`repro.core.remote` for the failure semantics).
     remote_timeout:
         Dead-worker detection bound (seconds) for the ``remote``
         executor: the longest a worker may stay silent — no result, no
         heartbeat — before its work is resubmitted to survivors.
-        Ignored by in-process executors.
+        Ignored by the serial executor.
     remote_connect_retries:
         Connection attempts per worker address when the ``remote``
         executor first dials the fleet.  Failed attempts back off
         exponentially with jitter, so a worker still binding its
-        listen socket does not fail the whole run.  Ignored by
-        in-process executors.
+        listen socket does not fail the whole run.  Ignored by the
+        serial executor.
     checkpoint_dir:
         Directory for crash-safe :class:`~repro.core.checkpoint.
         DesignCheckpoint` files; ``None`` (the default) disables

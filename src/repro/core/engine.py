@@ -81,11 +81,11 @@ log = logging.getLogger("repro.engine")
 
 
 class _CornerWorkerState:
-    """Per-worker warm state of one optimizer's process corner fan-out.
+    """Per-worker warm state of one optimizer's remote corner fan-out.
 
     Lives in the worker's :func:`repro.core.executors.worker_warm` pool:
     the device (and its re-warmed simulation workspace) survives across
-    chunks and iterations, and ``epoch`` tracks the parent's solver
+    tasks and iterations, and ``epoch`` tracks the parent's solver
     epoch so preconditioner anchors are dropped exactly once per
     iteration — the worker-side mirror of the parent's
     ``begin_solver_epoch`` call.
@@ -104,7 +104,7 @@ class _CornerWorkerState:
 
 
 def _corner_forward_task(token, device, capture, item):
-    """One forward-replay task (module-level so process pools can pickle).
+    """One forward-replay task (module-level so it pickles by reference).
 
     ``item`` is a pickle-clean ``(solver epoch, alpha_bg, rho_fab
     array)`` triple.  The epoch rides the item, not the task state, so
@@ -247,9 +247,9 @@ class Boson1Optimizer:
         )
         #: Distinct worker identities (``pid.nonce`` strings, distinct
         #: even across hosts with colliding pids) seen by the
-        #: process/remote corner fan-out; empty for in-process
-        #: executors.  Test/benchmark evidence that forked or remote
-        #: workers really carried the solves.
+        #: remote corner fan-out; empty for the serial executor.
+        #: Test/benchmark evidence that remote workers really carried
+        #: the solves.
         self.observed_worker_pids: set[str] = set()
         self._solver_epoch = 0
         if process is None:
@@ -391,7 +391,7 @@ class Boson1Optimizer:
           bit of the ``direct`` backend; the group's factorizations are
           started up front (:meth:`PhotonicDevice.prefactor`), so they
           overlap on the factor threads.
-        * **forward replay** (process or remote executor): the tape
+        * **forward replay** (remote executor): the tape
           cannot cross process boundaries, so
           :func:`~repro.core.executors.fan_out` ships pickle-clean
           ``(alpha_bg, rho_fab array)`` items to workers, which run only

@@ -4,40 +4,33 @@ The variation-aware loop evaluates many *independent* units of work per
 step: one loss per fabrication corner in
 :meth:`repro.core.engine.Boson1Optimizer.loss`, one FoM per sample in
 :func:`repro.eval.montecarlo.evaluate_post_fab`.  This module provides a
-minimal executor abstraction over ``concurrent.futures`` so those sites
-can fan out without committing to a backend:
+minimal executor abstraction so those sites can fan out without
+committing to a backend:
 
 * ``serial``  — in-process loop; zero overhead, always available.  The
   optimizer (:meth:`~repro.core.engine.Boson1Optimizer._corner_losses`)
   and the Monte-Carlo evaluation run it through the device's one
-  in-process power op rather than per-item tasks.
-* ``process`` — ``ProcessPoolExecutor``; for picklable task payloads.
-  Tape-free workloads (Monte-Carlo evaluation) ship whole tasks; taped
-  corner losses go through the *forward-replay* seam — workers run only
-  the forward FDFD solves on pickle-clean ``(alpha, rho_fab)`` payloads
-  and the parent injects the returned solve summaries into the autodiff
-  graph (:meth:`repro.devices.base.PhotonicDevice.port_powers_precomputed`).
-  Workers re-warm their own simulation caches; :func:`worker_warm` keeps
-  the unpickled device (and its warmed workspace) alive across chunks
-  and map calls so only the first task of a fan-out pays the re-warm.
-* ``remote`` — :class:`repro.core.remote.RemoteCornerExecutor`; the
-  same pickle-clean payloads shipped over TCP to worker servers started
-  with ``repro worker --listen host:port`` (spec:
-  ``remote:host:port[,host:port...]``).  Same seams, same warm-pool
-  protocol, plus dead-worker resubmission — see :mod:`repro.core.remote`.
+  in-process power op rather than per-item tasks, and start each
+  batch's factorizations up front so they overlap on the factor threads
+  of :mod:`repro.fdfd.workspace` — the one in-host parallelism.
+* ``remote`` — :class:`repro.core.remote.RemoteCornerExecutor`;
+  pickle-clean payloads shipped over TCP to worker servers started with
+  ``repro worker --listen host:port`` (spec:
+  ``remote:host:port[,host:port...]``), plus dead-worker resubmission —
+  see :mod:`repro.core.remote`.  Extra processes on one host are local
+  workers (``repro worker --listen 127.0.0.1:0``).  Tape-free workloads
+  (Monte-Carlo evaluation) ship whole tasks; taped corner losses go
+  through the *forward-replay* seam — workers run only the forward FDFD
+  solves on ``(alpha, rho_fab)`` payloads and the parent injects the
+  returned solve summaries into the autodiff graph
+  (:meth:`repro.devices.base.PhotonicDevice.port_powers_precomputed`).
+  Workers re-warm their own simulation caches; :func:`worker_warm`
+  keeps the unpickled device (and its warmed workspace) alive across
+  map calls so only the first task of a fan-out pays the re-warm.
 
-Both process and remote fan-outs run through one pair of helpers:
-:func:`run_warm_task` is the worker half, :func:`fan_out` the parent
-half (dispatch span, ordered map, worker span adoption, metric and
-solver-stats merges).
-
-``process`` and ``remote`` specs without an explicit worker count
-auto-tune to ``min(n_items, available workers)``
-(:func:`resolve_worker_count`): corner counts per iteration bound how
-many workers can help, and on a single-core box an auto-tuned process
-spec resolves to one worker and runs inline in the parent — forking
-would be pure overhead — which makes ``--executor process`` a safe
-default everywhere.  ``process:n`` is the one way to pin a count.
+Remote fan-outs run through one pair of helpers: :func:`run_warm_task`
+is the worker half, :func:`fan_out` the parent half (dispatch span,
+ordered map, worker span adoption, metric and solver-stats merges).
 
 Determinism contract
 --------------------
@@ -45,17 +38,17 @@ Determinism contract
 order**, whatever order workers finish in, and callers reduce serially
 over that list — so results are bit-reproducible regardless of backend
 and worker count (asserted by the test suite).  Preconditioned solver
-backends are the one exception: each worker process anchors its own
-chunk, so iterative results agree with serial only to solver tolerance.
+backends are the one exception: each worker anchors its own items, so
+iterative results agree with serial only to solver tolerance.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import threading
 import uuid
 from collections import OrderedDict
-from concurrent.futures import Executor, ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.obs.metrics import get_metrics
@@ -64,11 +57,9 @@ from repro.obs.trace import SpanCapture, get_tracer, span
 __all__ = [
     "CornerExecutor",
     "SerialExecutor",
-    "ProcessExecutor",
     "make_executor",
     "fan_out",
     "executor_backend",
-    "resolve_worker_count",
     "worker_warm",
     "run_warm_task",
     "stable_worker_token",
@@ -83,12 +74,15 @@ R = TypeVar("R")
 # Worker-side warm pool                                                 #
 # --------------------------------------------------------------------- #
 #: Per-process cache of re-warmed task state (devices + their simulation
-#: workspaces), keyed by a parent-issued token.  Process-pool tasks
-#: unpickle their device once per chunk; the *first* unpickled copy per
-#: token is kept here so every later task of the same fan-out — across
-#: chunks and across map calls (optimizer iterations) — reuses the
-#: warmed calibration and factorization caches instead of starting cold.
+#: workspaces), keyed by a parent-issued token.  The *first* unpickled
+#: copy per token is kept here so every later task of the same fan-out —
+#: across map calls (optimizer iterations) — reuses the warmed
+#: calibration and factorization caches instead of starting cold.
 _WORKER_STATE: "OrderedDict[str, object]" = OrderedDict()
+#: Guards :data:`_WORKER_STATE`: a ``repro worker`` runs tasks on
+#: per-connection threads, and an unguarded lookup can touch a token
+#: that another thread just evicted.
+_WORKER_STATE_LOCK = threading.Lock()
 #: Distinct fan-outs a single worker keeps warm at once.  Small on
 #: purpose: each entry can pin full-grid calibration fields.
 _WORKER_STATE_MAX = 4
@@ -99,8 +93,8 @@ _TOKEN_COUNTER = itertools.count()
 #: process identity once payloads cross machines (a remote worker host
 #: can coincidentally run the server under the parent's pid, which would
 #: make :func:`task_in_parent` skip the warm pool and drop stats
-#: deltas); the nonce disambiguates.  Forked pool workers inherit the
-#: nonce but differ in pid; spawned and remote processes differ in both.
+#: deltas); the nonce disambiguates.  Forked workers inherit the nonce
+#: but differ in pid; other processes differ in both.
 _PROCESS_NONCE = uuid.uuid4().hex[:12]
 
 
@@ -130,14 +124,15 @@ def stable_worker_token(obj, suffix: str = "") -> str:
 def task_in_parent(token: str) -> bool:
     """Whether a fan-out task is executing in the process that minted ``token``.
 
-    Pool executors short-circuit single-item maps to an inline call in
-    the calling process.  Worker-side behaviour must then be skipped:
-    the task is already using the parent's live device and workspace, so
-    seeding the warm pool would pin them in the module-global cache and
-    a stats delta would double-count work the parent's own counters
-    already recorded.  Tokens embed the minting process's identity
-    (:func:`stable_worker_token`), which makes the check one comparison
-    — and one that stays correct across hosts, where pids can collide.
+    The remote executor short-circuits single-item maps to an inline
+    call in the calling process.  Worker-side behaviour must then be
+    skipped: the task is already using the parent's live device and
+    workspace, so seeding the warm pool would pin them in the
+    module-global cache and a stats delta would double-count work the
+    parent's own counters already recorded.  Tokens embed the minting
+    process's identity (:func:`stable_worker_token`), which makes the
+    check one comparison — and one that stays correct across hosts,
+    where pids can collide.
     """
     return token.partition(":")[0] == _process_identity()
 
@@ -148,16 +143,18 @@ def worker_warm(token: str, value: T) -> T:
     The first call in a worker process seeds the cache with ``value``
     (typically the task state just unpickled); later calls return the
     cached instance and drop the fresh copy.  Bounded LRU — ancient
-    fan-outs age out rather than pinning workspaces forever.
+    fan-outs age out rather than pinning workspaces forever.  Safe to
+    call from concurrent task threads.
     """
-    cached = _WORKER_STATE.get(token)
-    if cached is not None:
-        _WORKER_STATE.move_to_end(token)
-        return cached
-    _WORKER_STATE[token] = value
-    while len(_WORKER_STATE) > _WORKER_STATE_MAX:
-        _WORKER_STATE.popitem(last=False)
-    return value
+    with _WORKER_STATE_LOCK:
+        cached = _WORKER_STATE.get(token)
+        if cached is not None:
+            _WORKER_STATE.move_to_end(token)
+            return cached
+        _WORKER_STATE[token] = value
+        while len(_WORKER_STATE) > _WORKER_STATE_MAX:
+            _WORKER_STATE.popitem(last=False)
+        return value
 
 
 def run_warm_task(
@@ -173,13 +170,13 @@ def run_warm_task(
     The single home of the invariant both the taped corner fan-out and
     the Monte-Carlo fan-out rely on, so it cannot drift between them:
 
-    * **Inline in the parent** (pools short-circuit single-item maps):
+    * **Inline in the parent** (single-item maps run in the caller):
       run on ``fresh_value`` directly — the parent's live state is
       already doing and counting the work, so no warm-pool seeding and
       an *empty* stats delta (a non-empty one would double-count).
       ``inline_task`` overrides ``task`` for callers whose worker task
       has worker-only side effects (e.g. epoch resets).
-    * **In a forked worker**: park ``fresh_value`` in the warm pool
+    * **In a worker process**: park ``fresh_value`` in the warm pool
       (first task per token wins; later unpickled copies are dropped),
       bracket the warmed value's workspace solver stats around the task,
       and return the delta for the parent to merge.
@@ -303,116 +300,9 @@ class SerialExecutor(CornerExecutor):
         return [fn(item) for item in items]
 
 
-def resolve_worker_count(
-    requested: int | None, n_items: int, available: int
-) -> int:
-    """Workers actually worth using for one fan-out.
-
-    An explicit request always wins.  Otherwise ``min(n_items,
-    available)``, floored at 1: more workers than items can only idle,
-    and more than the machine (or address list) offers can only thrash.
-    On a single-core box this resolves an auto ``process`` spec to one
-    worker — which pool executors then run inline in the parent, since a
-    lone forked worker is pure fork/pickle overhead.
-    """
-    if requested is not None:
-        return int(requested)
-    return max(1, min(int(n_items), int(available)))
-
-
-class _PoolExecutor(CornerExecutor):
-    """Shared machinery for ``concurrent.futures``-backed executors."""
-
-    def __init__(self, max_workers: int | None = None):
-        self.max_workers = max_workers
-        self._pool: Executor | None = None
-        self._pool_workers: int | None = None
-
-    def _make_pool(self, workers: int) -> Executor:
-        raise NotImplementedError
-
-    def _resolve_workers(self, n_items: int) -> int:
-        if self._pool_workers is not None:
-            # A live pool's size sticks until shutdown; resizing per map
-            # call would churn workers and their warm state.
-            return self._pool_workers
-        return resolve_worker_count(
-            self.max_workers, n_items, os.cpu_count() or 1
-        )
-
-    def map_ordered(self, fn, items):
-        items = list(items)
-        if len(items) <= 1:
-            return [fn(item) for item in items]
-        workers = self._resolve_workers(len(items))
-        if workers <= 1 and self._pool is None and self.max_workers is None:
-            # One auto-resolved worker: a lone forked worker is strictly
-            # worse than the parent doing the work.
-            return [fn(item) for item in items]
-        if self._pool is None:
-            self._pool_workers = workers
-            self._pool = self._make_pool(workers)
-        # Executor.map yields results in submission order: the ordered,
-        # deterministic reduction the callers rely on.
-        with span("executor.map", "executor", backend=self.name,
-                  items=len(items), workers=workers):
-            return list(
-                self._pool.map(
-                    fn, items, chunksize=self._chunksize(len(items))
-                )
-            )
-
-    def _chunksize(self, n_items: int) -> int:
-        return 1
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-            self._pool_workers = None
-
-
-def _pool_worker_init() -> None:
-    """Process-pool initializer: inherit the parent's logging config.
-
-    The level travels through ``$REPRO_LOG_LEVEL`` (exported by
-    ``configure_logging``), so spawned workers match the parent without
-    every call site threading a level argument through pickles.
-    """
-    from repro.utils.logsetup import LOG_LEVEL_ENV, configure_logging
-
-    if os.environ.get(LOG_LEVEL_ENV):
-        configure_logging()
-
-
-class ProcessExecutor(_PoolExecutor):
-    """Process-pool fan-out for picklable task payloads.
-
-    Taped corner losses cannot ship whole (tapes and LU objects do not
-    pickle); they cross this executor through the forward-replay seam —
-    see the module docstring and
-    :meth:`repro.core.engine.Boson1Optimizer.loss`.
-
-    Without an explicit worker count the pool auto-tunes to
-    ``min(n_items, cpu count)`` at first use, and a single-core
-    resolution runs inline in the parent instead of forking.
-    """
-
-    name = "process"
-    supports_shared_memory = False
-
-    def _make_pool(self, workers: int) -> Executor:
-        return ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_worker_init
-        )
-
-    def _chunksize(self, n_items: int) -> int:
-        # One chunk per worker: the task payload (device, process,
-        # pattern) is pickled once per chunk, so each worker unpickles a
-        # single simulation workspace and warms it across its chunk
-        # instead of starting cold on every item.
-        workers = self._pool_workers or self.max_workers or (os.cpu_count() or 1)
-        return max(1, -(-n_items // workers))
+#: Former base of the in-host pool executors, kept as a name only:
+#: ``perfbench/layers.py`` wraps ``_PoolExecutor.map_ordered`` by name.
+_PoolExecutor = CornerExecutor
 
 
 def _remote_factory(
@@ -435,13 +325,17 @@ def _remote_factory(
     )
 
 
-#: Registered executor backends.  ``remote`` maps to a *factory* (its
-#: spec remainder is an address list, not a worker count, and the class
-#: lives in :mod:`repro.core.remote` to keep this module socket-free).
-EXECUTOR_BACKENDS: dict[str, "type[CornerExecutor] | Callable"] = {
-    "serial": SerialExecutor,
-    "process": ProcessExecutor,
-    "remote": _remote_factory,
+#: Registered executor backends.
+EXECUTOR_BACKENDS = ("serial", "remote")
+
+#: Removed backends, refused by name; the message then names what
+#: replaces them.
+_REMOVED_BACKENDS = {
+    "thread": "the thread executor was removed",
+    "process": (
+        "the process executor was removed: serial already overlaps "
+        "factorizations on the factor threads"
+    ),
 }
 
 
@@ -450,16 +344,17 @@ def executor_backend(spec: str) -> "tuple[str, str]":
 
     The one spec parser behind ``OptimizerConfig``, the CLI's
     ``--executor`` and :func:`make_executor`.  Refuses unknown backends
-    (the retired ``thread`` backend's message names its replacements),
-    a suffix on ``serial``, and a ``process`` worker count that is not
-    a positive integer.  A ``remote`` remainder is the address list
-    that :func:`repro.core.remote.parse_worker_addresses` checks.
+    (the removed ``thread`` and ``process`` backends with a message
+    naming their replacements) and a suffix on ``serial``.  A
+    ``remote`` remainder is the address list that
+    :func:`repro.core.remote.parse_worker_addresses` checks.
     """
     name, _, rest = str(spec).partition(":")
-    if name == "thread":
+    if name in _REMOVED_BACKENDS:
         raise ValueError(
-            f"executor {spec!r}: the thread executor was removed; use "
-            "'serial' or 'process[:n]' (forked workers)"
+            f"executor {spec!r}: {_REMOVED_BACKENDS[name]}; use 'serial', "
+            "or 'remote:host:port[,...]' with `repro worker` servers "
+            "(on one host: `repro worker --listen 127.0.0.1:0`)"
         )
     if name not in EXECUTOR_BACKENDS:
         raise ValueError(
@@ -468,20 +363,9 @@ def executor_backend(spec: str) -> "tuple[str, str]":
         )
     if name == "serial" and rest:
         raise ValueError(
-            f"executor {spec!r}: serial takes no worker count; use "
-            "'process:n' for a worker pool"
+            f"executor {spec!r}: serial takes no worker count; for more "
+            "processes use 'remote:host:port[,...]'"
         )
-    if name == "process" and rest:
-        try:
-            workers = int(rest)
-        except ValueError:
-            raise ValueError(
-                f"invalid worker count in executor spec {spec!r}"
-            ) from None
-        if workers < 1:
-            raise ValueError(
-                f"executor {spec!r}: workers must be >= 1, got {workers}"
-            )
     return name, rest
 
 
@@ -495,19 +379,16 @@ def make_executor(
     Parameters
     ----------
     spec:
-        ``None`` or ``"serial"``, ``"process"`` — optionally with a
-        worker count suffix (``"process:4"``; without one the pool
-        auto-tunes, see :func:`resolve_worker_count`) — or
+        ``None`` or ``"serial"``, or
         ``"remote:host:port[,host:port...]"``.  An existing
         :class:`CornerExecutor` passes through unchanged.
     remote_timeout:
         Dead-worker detection bound in seconds for the ``remote``
-        backend (CLI ``--remote-timeout``); ignored by the in-process
-        backends.
+        backend (CLI ``--remote-timeout``); ignored by ``serial``.
     remote_connect_retries:
         Connection attempts per worker address for the ``remote``
-        backend (CLI ``--remote-connect-retries``); ignored by the
-        in-process backends.
+        backend (CLI ``--remote-connect-retries``); ignored by
+        ``serial``.
     """
     if spec is None:
         return SerialExecutor()
@@ -520,7 +401,4 @@ def make_executor(
             remote_timeout=remote_timeout,
             remote_connect_retries=remote_connect_retries,
         )
-    cls = EXECUTOR_BACKENDS[name]
-    if cls is SerialExecutor:
-        return cls()
-    return cls(max_workers=int(rest) if rest else None)
+    return SerialExecutor()

@@ -6,9 +6,9 @@ handler sets plug into that skeleton:
 
 * :class:`RemoteWorkerServer` (``seed``/``task``) — run on any host via
   ``repro worker --listen host:port``; unpickles task state, executes
-  items, and keeps the same per-token warm pool
-  (:func:`repro.core.executors.worker_warm`) alive across chunks and
-  optimizer iterations that forked workers enjoy.  Its client half is
+  items, and keeps a per-token warm pool
+  (:func:`repro.core.executors.worker_warm`) alive across tasks and
+  optimizer iterations.  Its client half is
   :class:`RemoteCornerExecutor`, selected with ``--executor
   remote:host:port[,host:port...]``; it registers as an executor
   backend, so the engine's forward-replay seam and the Monte-Carlo
@@ -686,10 +686,11 @@ class RemoteWorkerServer(FrameServer):
     """One worker host's server: the ``seed`` and ``task`` handlers.
 
     All connections share one bounded seed cache, and task closures run
-    with the same worker warm-pool protocol as forked process-pool
-    workers — a device seeded in epoch 1 stays warm for every later
-    epoch's tasks.  A graceful stop waits for in-flight tasks: every
-    started task finishes and its result frame reaches the wire.
+    under the worker warm-pool protocol
+    (:func:`repro.core.executors.run_warm_task`) — a device seeded in
+    epoch 1 stays warm for every later epoch's tasks.  A graceful stop
+    waits for in-flight tasks: every started task finishes and its
+    result frame reaches the wire.
     """
 
     role = "worker"
@@ -1066,8 +1067,8 @@ class RemoteCornerExecutor(CornerExecutor):
     """Ordered fan-out to remote worker servers over TCP.
 
     Registered as the ``remote`` executor backend
-    (``remote:host:port[,host:port...]``).  Like the process executor it
-    advertises ``supports_shared_memory = False``, so the engine routes
+    (``remote:host:port[,host:port...]``).  It advertises
+    ``supports_shared_memory = False``, so the engine routes
     taped corner losses through the forward-replay seam and Monte-Carlo
     evaluation through the warm-pool seam — this class only has to move
     the already pickle-clean payloads and keep the ordered-reduction
@@ -1081,7 +1082,7 @@ class RemoteCornerExecutor(CornerExecutor):
     worker's items are resubmitted to survivors.  Connections persist
     across map calls, so worker-side warm pools survive whole
     optimizations; :meth:`shutdown` closes them and the next map call
-    reconnects lazily (mirroring the pool executors).
+    reconnects lazily.
     """
 
     name = "remote"
@@ -1193,9 +1194,9 @@ class RemoteCornerExecutor(CornerExecutor):
     ) -> list:
         items = list(items)
         if len(items) <= 1:
-            # Match the pool executors: single-item fan-outs run inline
-            # in the parent (run_warm_task detects this and returns an
-            # empty stats delta).
+            # Single-item fan-outs run inline in the parent: a socket
+            # round trip buys no overlap (run_warm_task detects this and
+            # returns an empty stats delta).
             return [fn(item) for item in items]
         try:
             fn_bytes = pickle.dumps(fn, protocol=pickle.HIGHEST_PROTOCOL)

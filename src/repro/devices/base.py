@@ -203,16 +203,15 @@ class PhotonicDevice:
             self._calibration_cache.clear()
         self._wavelength_clones.clear()
         # A reconfigured device is a different worker payload: drop the
-        # warm-pool token (if one was minted) so process-pool workers
+        # warm-pool token (if one was minted) so remote workers
         # re-seed from the fresh pickle instead of serving the cached
         # copy with the old workspace/backend.
         self.__dict__.pop("_worker_token", None)
 
     # Wavelength clones and calibration runs hold full-grid fields and
     # are cheap for workers to re-solve (content-addressed, bit-stable);
-    # dropping them keeps pickled devices (process-pool workers, which
-    # re-pickle the device once per chunk) lean.  The calibration lock
-    # is not picklable and is re-created on unpickle.
+    # dropping them keeps pickled devices (remote task state) lean.  The
+    # calibration lock is not picklable and is re-created on unpickle.
     def __getstate__(self):
         state = dict(self.__dict__)
         state["_wavelength_clones"] = {}
@@ -250,8 +249,8 @@ class PhotonicDevice:
             # The clone is a different worker payload than its base
             # device (different omega): it must mint its own warm-pool
             # token rather than inherit the base's via __dict__.update,
-            # or a reused process pool would serve the base device from
-            # the warm cache for every clone solve.
+            # or a long-lived remote worker would serve the base device
+            # from the warm cache for every clone solve.
             clone.__dict__.pop("_worker_token", None)
             self._wavelength_clones[key] = clone
             # Bounded LRU: each clone pins full-grid calibration fields,
@@ -829,15 +828,15 @@ class PhotonicDevice:
         return self._powers(patterns, alpha_bgs, self.directions, False)
 
     # ------------------------------------------------------------------ #
-    # Forward-replay seam (process-pool corner fan-out)                  #
+    # Forward-replay seam (remote corner fan-out)                        #
     # ------------------------------------------------------------------ #
     def solve_forward_summary(
         self, rho_scaled: np.ndarray, alpha_bg: float = 1.0
     ) -> ForwardSolveSummary:
         """Forward solves only, packaged as a pickle-clean summary.
 
-        The worker half of the process-pool corner fan-out: run in a
-        forked worker on a plain numpy ``rho_scaled`` (the fabrication
+        The worker half of the remote corner fan-out: run in a
+        worker process on a plain numpy ``rho_scaled`` (the fabrication
         chain's output — the chain itself stays taped in the parent),
         it makes one stacked forward solve over every direction's source
         and one stacked transposed solve for the adjoint basis
@@ -918,7 +917,7 @@ class PhotonicDevice:
     ) -> dict[str, dict[str, Tensor]]:
         """Differentiable port powers from precomputed fields (no solve).
 
-        The parent half of the process-pool corner fan-out: the forward
+        The parent half of the remote corner fan-out: the forward
         pass simply returns the worker-computed powers, while the VJP
         assembles the adjoint field from the summary's basis columns —
         ``lam = sum_j g_j coeff_j y_j`` per direction, then the standard

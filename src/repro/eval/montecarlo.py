@@ -147,7 +147,7 @@ def _evaluate_sample(
 ) -> tuple[float, dict[str, dict[str, float]]]:
     """FoM + per-port powers of one fabricated variation draw.
 
-    Module-level (not a closure) so the process backend can pickle it;
+    Module-level (not a closure) so the remote backend can pickle it;
     worker processes re-warm their own simulation caches.
     """
     device = device.for_corner(corner)
@@ -165,13 +165,13 @@ def _evaluate_sample_task(
     capture: bool,
     corner: VariationCorner,
 ):
-    """Process-pool variant of :func:`_evaluate_sample`.
+    """Worker-task variant of :func:`_evaluate_sample`.
 
     The same seam the taped corner fan-out uses
     (:func:`repro.core.executors.run_warm_task` holds the shared
     warm-pool / stats-delta / inline-parent protocol): the device is
     parked in the worker's warm pool so its workspace and calibration
-    caches survive across chunks and repeated evaluations, and the task
+    caches survive across repeated evaluations, and the task
     returns ``((fom, powers), solver-stats delta, worker identity, obs
     payload)`` for :func:`repro.core.executors.fan_out` to merge.
     """
@@ -250,7 +250,7 @@ def evaluate_post_fab(
     seed:
         Evaluation seed, independent of the optimization seed.
     executor:
-        Sample fan-out backend (``None``/``"serial"``, ``"process"``,
+        Sample fan-out backend (``None``/``"serial"``,
         ``"remote:host:port[,...]"``, or a
         :class:`~repro.core.executors.CornerExecutor`).
         All corners are drawn *before* the fan-out and results reduce in
@@ -264,12 +264,11 @@ def evaluate_post_fab(
         (:meth:`PhotonicDevice.port_powers_array_corners`) — the first
         sample anchors the block deterministically, and samples that
         don't converge against it fall back to their own direct
-        factorizations.  Process and remote executors dispatch one task
-        per sample through :func:`repro.core.executors.fan_out`, the
-        seam the design loop's forward replay uses; process workers
-        re-warm their own workspaces and anchor per worker chunk, so
-        preconditioned backends agree with serial to the solver
-        tolerance there.
+        factorizations.  The remote executor dispatches one task per
+        sample through :func:`repro.core.executors.fan_out`, the seam
+        the design loop's forward replay uses; its workers re-warm their
+        own workspaces and anchor per worker, so preconditioned backends
+        agree with serial to the solver tolerance there.
     remote_timeout:
         Dead-worker detection bound (seconds) for ``remote`` executor
         specs; ignored otherwise.  ``None`` keeps the default

@@ -119,7 +119,7 @@ class AbbeLithography:
         self._op = custom_vjp(self._forward, self._vjp, name="abbe_litho")
 
     # The custom-vjp op is a local closure; rebuild it after unpickling
-    # (process-backend evaluation ships the fabrication chain to workers).
+    # (remote evaluation ships the fabrication chain to workers).
     def __getstate__(self):
         state = self.__dict__.copy()
         state.pop("_op", None)

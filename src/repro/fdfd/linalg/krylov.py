@@ -5,7 +5,7 @@ design window (plus a uniform temperature scale), so the nominal
 corner's LU is an excellent preconditioner for every other corner of an
 iteration.  Most corner solves ride one blocked solve per family
 (:class:`~repro.fdfd.linalg.blocked.CornerBlockSolver`, which also
-serves the forward solves of process/remote workers); the rest — the
+serves the forward solves of remote workers); the rest — the
 calibration environments — are solves against one matrix, served here
 by the same kernel with a single system against the float64 LU of the
 nearest anchor.

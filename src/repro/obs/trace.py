@@ -16,7 +16,7 @@ one flat record ``{id, parent, name, cat, ts, dur, pid, tid, args}``:
   span ids — concurrent threads interleave without locks on the hot
   path and still produce correct trees;
 * records are plain dicts of scalars, so they pickle cleanly across
-  the process and remote executor seams;
+  the remote executor seam;
 * work handed to another thread (the factor threads of
   :mod:`repro.fdfd.workspace`) carries :func:`span_context` along and
   records its spans inside :func:`continue_trace`, so they join the

@@ -2,10 +2,10 @@
 
 Every ``repro`` subcommand (and every worker subprocess it spawns) gets
 its log level from one place: the top-level ``--log-level`` flag, which
-lands here and is mirrored into ``REPRO_LOG_LEVEL`` so spawned worker
-processes — ``ProcessPoolExecutor`` initializers and ``repro worker``
-subprocesses alike — inherit the exact same configuration through the
-environment instead of each module configuring logging ad hoc.
+lands here and is mirrored into ``REPRO_LOG_LEVEL`` so spawned
+``repro worker`` subprocesses inherit the exact same configuration
+through the environment instead of each module configuring logging ad
+hoc.
 """
 
 from __future__ import annotations

@@ -137,7 +137,7 @@ class TestConfigDigest:
     def test_runtime_only_fields_do_not_bind(self):
         base = config_digest(OptimizerConfig(), "bending")
         for override in (
-            dict(corner_executor="process:2"),
+            dict(corner_executor="remote:127.0.0.1:7070"),
             dict(remote_timeout=5.0),
             dict(remote_connect_retries=7),
             dict(iterations=7),

@@ -70,10 +70,15 @@ class TestParser:
         ],
         ids=["design", "evaluate", "submit"],
     )
-    # Bad worker counts die in argparse too, not in make_executor (a
-    # traceback) or, for submit, on the daemon.
+    # Removed backends and worker counts die in argparse too, not in
+    # make_executor (a traceback) or, for submit, on the daemon; the
+    # message names serial and remote.
     @pytest.mark.parametrize(
-        "spec", ["thread", "thread:2", "process:0", "process:abc", "serial:7"]
+        "spec",
+        [
+            "thread", "thread:2", "process:0", "process:abc", "serial:7",
+            "process", "process:2",
+        ],
     )
     def test_thread_executor_exits_2_naming_process(self, capsys, argv, spec):
         with pytest.raises(SystemExit) as exc:
@@ -81,7 +86,10 @@ class TestParser:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--executor" in err
-        assert "'process" in err
+        assert "'remote:host:port" in err
+        if spec.startswith("process"):
+            assert "serial already overlaps factorizations" in err
+            assert "repro worker --listen 127.0.0.1:0" in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -3,12 +3,11 @@
 PR 4's determinism suite pinned fixed cases (one device, fixed corner
 counts, two worker counts).  These properties generalize it: for
 *random* item counts, chunkings and worker counts, an ordered map over
-any registered executor — serial, process, and remote loopback
-workers — must reproduce the serial result list exactly.  The work
-items here are cheap pure arithmetic, so the properties isolate the
-*scheduling* contract (pre-assignment, work stealing, chunked pool
-dispatch, socket framing) from solver numerics, which the integration
-suites cover.
+any registered executor — serial, and remote loopback workers — must
+reproduce the serial result list exactly.  The work items here are
+cheap pure arithmetic, so the properties isolate the *scheduling*
+contract (pre-assignment, work stealing, socket framing) from solver
+numerics, which the integration suites cover.
 
 Executors and loopback worker servers are built once per module and
 reused across hypothesis examples; ``derandomize=True`` keeps CI runs
@@ -20,11 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.autodiff import Tensor
-from repro.core.executors import (
-    SerialExecutor,
-    make_executor,
-    resolve_worker_count,
-)
+from repro.core.executors import SerialExecutor, make_executor
 from repro.core.objective import aggregate_losses
 from repro.core.remote import start_worker_subprocess
 from repro.core.sampling import scenario_family
@@ -55,23 +50,19 @@ _WORKERS: list = []
 
 @pytest.fixture(scope="module")
 def fleet():
-    """One shared fleet for every example: pools fork once, remote
-    workers serve the whole module.  Explicitly requested (not autouse)
-    so a `-m "not remote"` selection — which still runs the pure-logic
-    properties below — never forks servers or pools."""
-    for _ in range(2):
+    """One shared fleet for every example: remote workers fork once and
+    serve the whole module.  Explicitly requested (not autouse) so a
+    `-m "not remote"` selection — which still runs the pure-logic
+    properties below — never forks servers."""
+    for _ in range(3):
         _WORKERS.append(start_worker_subprocess())
     addresses = [address for _proc, address in _WORKERS]
     _EXECUTORS["serial"] = SerialExecutor()
-    for spec in ("process:2", "process:3"):
-        _EXECUTORS[spec] = make_executor(spec)
-    _EXECUTORS["remote:1worker"] = make_executor(
-        f"remote:{addresses[0][0]}:{addresses[0][1]}", remote_timeout=15.0
-    )
-    _EXECUTORS["remote:2workers"] = make_executor(
-        "remote:" + ",".join(f"{h}:{p}" for h, p in addresses),
-        remote_timeout=15.0,
-    )
+    for n in (1, 2, 3):
+        _EXECUTORS[f"remote:{n}workers"] = make_executor(
+            "remote:" + ",".join(f"{h}:{p}" for h, p in addresses[:n]),
+            remote_timeout=15.0,
+        )
     yield
     for ex in _EXECUTORS.values():
         ex.shutdown()
@@ -105,21 +96,6 @@ def test_chunked_maps_concatenate_to_serial(fleet, items, chunk):
                 executor.map_ordered(_affine, items[start : start + chunk])
             )
         assert out == expected, name
-
-
-@settings(**SETTINGS)
-@given(
-    requested=st.one_of(st.none(), st.integers(min_value=1, max_value=64)),
-    n_items=st.integers(min_value=0, max_value=64),
-    available=st.integers(min_value=1, max_value=64),
-)
-def test_resolve_worker_count_properties(requested, n_items, available):
-    resolved = resolve_worker_count(requested, n_items, available)
-    if requested is not None:
-        assert resolved == requested
-    else:
-        assert resolved == max(1, min(n_items, available))
-        assert 1 <= resolved <= max(1, available)
 
 
 # --------------------------------------------------------------------- #

@@ -9,12 +9,12 @@ Contracts under test:
 2. **Metrics** — delta/merge round-trips are exact (counters add,
    histograms fold, gauges last-write-wins); :meth:`snapshot` folds the
    workspace's ``SolveStats`` and cache hit rates without storing them.
-3. **Cross-process propagation** — a design run over ``process:2`` and
-   ``remote:2`` yields *one connected trace*: worker spans are grafted
-   under the parent's dispatch span, worker pids survive into the
-   Chrome export (>= 2 distinct worker pids), and a Monte-Carlo
-   evaluation's merged metric totals exactly reproduce the serial run's
-   solver counters.
+3. **Cross-process propagation** — a design run over two loopback
+   ``remote`` worker processes yields *one connected trace*: worker
+   spans are grafted under the parent's dispatch span, worker pids
+   survive into the Chrome export (>= 2 distinct worker pids), and a
+   Monte-Carlo evaluation's merged metric totals exactly reproduce the
+   serial run's solver counters.
 4. **Exporters** — ``repro trace summarize`` reproduces per-phase
    totals from the JSONL records; the Chrome file is valid trace-event
    JSON; ``TraceSession`` leaves the advertised artifacts behind.
@@ -522,11 +522,27 @@ def _traced_design(tmp_path, executor, **config_kwargs):
     return result, tmp_path / "tr"
 
 
+@pytest.fixture(scope="module")
+def worker_pair():
+    """Two forked loopback worker servers, as a ``remote:`` spec."""
+    from repro.core.remote import start_worker_subprocess
+
+    workers = [start_worker_subprocess() for _ in range(2)]
+    yield "remote:" + ",".join(
+        f"{host}:{port}" for _proc, (host, port) in workers
+    )
+    for proc, _address in workers:
+        proc.terminate()
+
+
+@pytest.mark.remote
 class TestProcessPropagation:
-    def test_design_trace_is_one_connected_tree(self, tmp_path):
+    def test_design_trace_is_one_connected_tree(self, tmp_path, worker_pair):
         import os
 
-        _result, trace_dir = _traced_design(tmp_path, "process:2")
+        _result, trace_dir = _traced_design(
+            tmp_path, worker_pair, remote_timeout=60.0
+        )
         records = load_trace_records(trace_dir / "trace.jsonl")
         by_id = {rec["id"]: rec for rec in records}
 
@@ -573,7 +589,9 @@ class TestProcessPropagation:
         )
         assert len({e["pid"] for e in events} - {os.getpid()}) >= 2
 
-    def test_mc_eval_metric_totals_match_serial_exactly(self, tmp_path):
+    def test_mc_eval_metric_totals_match_serial_exactly(
+        self, tmp_path, worker_pair
+    ):
         """Worker metric deltas + workspace folding reproduce serial.
 
         Each Monte-Carlo sample draws its own temperature, so every
@@ -583,20 +601,20 @@ class TestProcessPropagation:
         """
         pattern = None
         snapshots = {}
-        for executor in ("serial", "process:2"):
+        for name, executor in (("serial", "serial"), ("remote", worker_pair)):
             reset_metrics()
             device = make_device("bending")
             device.configure_simulation_cache(True, SimulationWorkspace())
             if pattern is None:
                 pattern = _init_pattern(device)
-            with TraceSession(tmp_path / executor.replace(":", "_")):
+            with TraceSession(tmp_path / name):
                 evaluate_post_fab(
                     device, _fab_process(device), pattern, 4, seed=2,
-                    executor=executor,
+                    executor=executor, remote_timeout=60.0,
                 )
-            snapshots[executor] = get_metrics().snapshot(device.workspace)
+            snapshots[name] = get_metrics().snapshot(device.workspace)
         serial = snapshots["serial"]["counters"]
-        fanned = snapshots["process:2"]["counters"]
+        fanned = snapshots["remote"]["counters"]
         solver_keys = {k for k in serial if k.startswith("solver.")}
         assert solver_keys
         assert {k: fanned.get(k) for k in solver_keys} == {
@@ -606,17 +624,6 @@ class TestProcessPropagation:
 
 @pytest.mark.remote
 class TestRemotePropagation:
-    @pytest.fixture(scope="class")
-    def worker_pair(self):
-        from repro.core.remote import start_worker_subprocess
-
-        workers = [start_worker_subprocess() for _ in range(2)]
-        yield "remote:" + ",".join(
-            f"{host}:{port}" for _proc, (host, port) in workers
-        )
-        for proc, _address in workers:
-            proc.terminate()
-
     def test_design_trace_spans_remote_fleet(self, tmp_path, worker_pair):
         import os
 

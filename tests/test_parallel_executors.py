@@ -2,43 +2,48 @@
 
 Three contracts under test:
 
-1. **Backend independence** — the process executor (which replays only
-   forward solves in workers and reassembles the taped VJPs in the
-   parent) matches the serial executor to solver precision for the
-   engine loss, full optimization trajectories and Monte-Carlo
-   evaluation, for every registered solver backend and any worker
-   count; the retired thread backend is refused.
+1. **Backend independence** — the remote executor over loopback worker
+   processes (which replay only forward solves and leave the parent to
+   reassemble the taped VJPs) matches the serial executor to solver
+   precision for the engine loss, full optimization trajectories and
+   Monte-Carlo evaluation, for every registered solver backend and any
+   worker count; the removed thread and process backends are refused
+   by name.
 2. **Cache independence** — a full ``Boson1Optimizer`` run with the
    simulation cache on matches the cold rebuild-everything path
    bit-for-bit (same seed => identical ``fom_trace``), for both
    parameterizations and across temperature (``alpha_bg``) corners.
 3. **Stats exactness** — ``SolveStats`` counters stay exact under
    simultaneous solves from a thread pool, and worker-side deltas merge
-   exactly across a process fan-out.
+   exactly across a fan-out to worker processes.
+
+Worker processes are :func:`repro.core.remote.start_worker_subprocess`
+servers on loopback, so those tests carry the ``remote`` marker.
 """
 
 import functools
 import os
 import pickle
+import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.autodiff import Tensor
-from repro.core import Boson1Optimizer, OptimizerConfig
+from repro.core import Boson1Optimizer, OptimizerConfig, executors
 from repro.core.engine import _corner_forward_task
 from repro.core.executors import (
     EXECUTOR_BACKENDS,
-    ProcessExecutor,
     SerialExecutor,
     make_executor,
-    resolve_worker_count,
     stable_worker_token,
     task_in_parent,
     worker_warm,
 )
+from repro.core.remote import RemoteCornerExecutor, start_worker_subprocess
 from repro.devices import make_device
 from repro.eval import evaluate_post_fab
 from repro.fab.process import FabricationProcess
@@ -57,29 +62,48 @@ def _jittery(i):
     return i * 10
 
 
+@pytest.fixture(scope="module")
+def worker_pair():
+    """Two forked loopback worker servers shared by the module."""
+    workers = [start_worker_subprocess() for _ in range(2)]
+    yield [address for _proc, address in workers]
+    for proc, _address in workers:
+        proc.terminate()
+
+
+def _remote(*addresses) -> str:
+    return "remote:" + ",".join(f"{host}:{port}" for host, port in addresses)
+
+
 class TestMakeExecutor:
     def test_default_is_serial(self):
         assert isinstance(make_executor(None), SerialExecutor)
         assert isinstance(make_executor("serial"), SerialExecutor)
 
     def test_backend_selection(self):
-        assert isinstance(make_executor("process"), ProcessExecutor)
+        ex = make_executor("remote:127.0.0.1:7070")
+        assert isinstance(ex, RemoteCornerExecutor)
 
-    @pytest.mark.parametrize("spec", ["thread", "thread:2"])
+    @pytest.mark.parametrize(
+        "spec", ["thread", "thread:2", "process", "process:2"]
+    )
     def test_thread_backend_refused(self, spec):
-        with pytest.raises(ValueError, match="'serial' or 'process"):
+        with pytest.raises(ValueError) as exc:
             make_executor(spec)
+        message = str(exc.value)
+        backend = spec.partition(":")[0]
+        assert f"the {backend} executor was removed" in message
+        assert "use 'serial', or 'remote:host:port" in message
+        assert "repro worker --listen 127.0.0.1:0" in message
+        if backend == "process":
+            assert "serial already overlaps factorizations" in message
 
     def test_worker_count_suffix(self):
-        ex = make_executor("process:3")
-        assert isinstance(ex, ProcessExecutor)
-        assert ex.max_workers == 3
-
-    def test_explicit_worker_count(self):
-        # The `process:n` spec is the one way to pin a worker count,
-        # from the config as from the CLI.
-        spec = OptimizerConfig(corner_executor="process:2").corner_executor
-        assert make_executor(spec)._resolve_workers(9) == 2
+        # No backend takes a worker count: serial is one process, and
+        # remote fan-out width is its address list.
+        for spec in ("serial:3", "process:3"):
+            with pytest.raises(ValueError, match="'remote:"):
+                make_executor(spec)
 
     def test_passthrough_instance(self):
         ex = SerialExecutor()
@@ -96,106 +120,43 @@ class TestMakeExecutor:
             make_executor("serial:7")
 
     def test_registry_names(self):
-        assert set(EXECUTOR_BACKENDS) == {"serial", "process", "remote"}
+        assert set(EXECUTOR_BACKENDS) == {"serial", "remote"}
 
 
 class TestMapOrdered:
-    @pytest.mark.parametrize("spec", ["serial", "process:2"])
-    def test_order_preserved(self, spec):
+    @pytest.mark.parametrize(
+        "backend", ["serial", pytest.param("remote", marks=pytest.mark.remote)]
+    )
+    def test_order_preserved(self, backend, request):
+        spec = backend
+        if backend == "remote":
+            spec = _remote(*request.getfixturevalue("worker_pair"))
         items = list(range(20))
         with make_executor(spec) as ex:
             assert ex.map_ordered(_square, items) == [i * i for i in items]
 
-    def test_process_results_match_serial_under_jitter(self):
+    @pytest.mark.remote
+    def test_process_results_match_serial_under_jitter(self, worker_pair):
         items = list(range(10))
         serial = SerialExecutor().map_ordered(_jittery, items)
-        with make_executor("process:4") as ex:
+        with make_executor(_remote(*worker_pair)) as ex:
             assert ex.map_ordered(_jittery, items) == serial
 
-    def test_process_backend(self):
-        with make_executor("process:2") as ex:
+    @pytest.mark.remote
+    def test_process_backend(self, worker_pair):
+        with make_executor(_remote(*worker_pair)) as ex:
             assert ex.map_ordered(_square, [1, 2, 3]) == [1, 4, 9]
 
-    def test_pool_reusable_after_shutdown(self):
-        ex = make_executor("process:2")
+    @pytest.mark.remote
+    def test_pool_reusable_after_shutdown(self, worker_pair):
+        # Shutdown closes the connection pool; the next map reconnects.
+        ex = make_executor(_remote(*worker_pair))
         assert ex.map_ordered(_square, [2, 3]) == [4, 9]
         ex.shutdown()
-        assert ex.map_ordered(_square, [4]) == [16]
+        assert ex._connections == {}
+        assert ex.map_ordered(_square, [4, 5]) == [16, 25]
+        assert ex._connections
         ex.shutdown()
-
-
-def _pid_of(_item):
-    return os.getpid()
-
-
-class TestWorkerAutoTuning:
-    """`process`/`remote` specs without a count pick min(n_items, available)."""
-
-    def test_resolution_rules(self):
-        assert resolve_worker_count(None, 8, 4) == 4
-        assert resolve_worker_count(None, 3, 16) == 3
-        assert resolve_worker_count(None, 0, 4) == 1  # floor at one
-        assert resolve_worker_count(5, 2, 1) == 5  # explicit always wins
-
-    def test_process_auto_resolves_to_item_count(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        ex = make_executor("process")
-        assert ex.max_workers is None
-        assert ex._resolve_workers(2) == 2
-        assert ex._resolve_workers(9) == 4
-
-    def test_explicit_count_not_auto_tuned(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        ex = make_executor("process:2")
-        assert ex._resolve_workers(9) == 2
-
-    def test_process_auto_runs_inline_on_one_core(self, monkeypatch):
-        """The 1-core inline-parent path: a lone forked worker would be
-        pure fork/pickle overhead, so the auto-tuned pool degenerates to
-        the parent loop — every result carries the parent's pid and no
-        pool is ever created."""
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        ex = make_executor("process")
-        assert ex.map_ordered(_pid_of, range(4)) == [os.getpid()] * 4
-        assert ex._pool is None
-        ex.shutdown()
-
-    def test_explicit_process_count_still_forks_on_one_core(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        with make_executor("process:2") as ex:
-            pids = set(ex.map_ordered(_pid_of, range(4)))
-        assert os.getpid() not in pids
-
-    def test_live_pool_size_sticks_until_shutdown(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        ex = make_executor("process")
-        ex.map_ordered(_square, range(6))
-        first = ex._pool_workers
-        ex.map_ordered(_square, range(2))
-        assert ex._pool_workers == first
-        ex.shutdown()
-        assert ex._pool_workers is None
-
-    def test_engine_auto_process_inline_matches_serial(self, monkeypatch, bend):
-        """On a single-core box `--executor process` (no count) is a
-        safe default: it degrades to the serial path bit for bit, with
-        no forked workers to pay for."""
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        serial = _run(bend, corner_executor="serial")
-        auto = _run(bend, corner_executor="process")
-        assert np.array_equal(serial.fom_trace(), auto.fom_trace())
-        assert np.array_equal(serial.pattern, auto.pattern)
-
-    def test_inline_auto_process_reports_no_worker_pids(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        device = make_device("bending")
-        opt = Boson1Optimizer(
-            device,
-            OptimizerConfig(iterations=1, seed=1, corner_executor="process"),
-        )
-        opt.run()
-        opt.close()
-        assert opt.observed_worker_pids == set()
 
 
 class TestWorkerTokenIdentity:
@@ -218,14 +179,15 @@ class TestConfigValidation:
     def test_engine_accepts_serial_refuses_thread(self):
         OptimizerConfig(corner_executor="serial")
         for spec in ("thread", "thread:2"):
-            with pytest.raises(ValueError, match="'serial' or 'process"):
+            with pytest.raises(ValueError, match="'serial', or 'remote:"):
                 OptimizerConfig(corner_executor=spec)
 
-    def test_engine_accepts_process(self):
-        # The forward-replay fan-out made the process backend legal for
-        # taped corner losses.
-        OptimizerConfig(corner_executor="process")
-        OptimizerConfig(corner_executor="process:2")
+    def test_engine_refuses_process(self):
+        # Serial overlaps factorizations on the factor threads; extra
+        # processes are local `repro worker` servers behind `remote:`.
+        for spec in ("process", "process:2"):
+            with pytest.raises(ValueError, match="factor threads"):
+                OptimizerConfig(corner_executor=spec)
 
     def test_engine_rejects_unknown_backend(self):
         with pytest.raises(ValueError):
@@ -233,7 +195,7 @@ class TestConfigValidation:
 
     def test_rejects_bad_workers(self):
         for spec in ("process:0", "process:abc", "serial:7"):
-            with pytest.raises(ValueError, match="'process"):
+            with pytest.raises(ValueError, match="'remote:"):
                 OptimizerConfig(corner_executor=spec)
 
 
@@ -252,9 +214,10 @@ def _run(device, **overrides):
 
 
 class TestEngineDeterminism:
-    def test_worker_count_irrelevant(self, bend):
-        one = _run(bend, corner_executor="process:1")
-        two = _run(bend, corner_executor="process:2")
+    @pytest.mark.remote
+    def test_worker_count_irrelevant(self, bend, worker_pair):
+        one = _run(bend, corner_executor=_remote(worker_pair[0]))
+        two = _run(bend, corner_executor=_remote(*worker_pair))
         assert np.array_equal(one.loss_trace(), two.loss_trace())
 
     def test_n_corners_reports_actual_count(self, bend):
@@ -319,18 +282,25 @@ class TestMonteCarloExecutors:
         )
         return device, process, pattern
 
-    def test_process_matches_serial(self, mc_setup):
+    @pytest.mark.remote
+    def test_process_matches_serial(self, mc_setup, worker_pair):
         device, process, pattern = mc_setup
         serial = evaluate_post_fab(device, process, pattern, 3, seed=2)
         multiproc = evaluate_post_fab(
-            device, process, pattern, 3, seed=2, executor="process:2"
+            device, process, pattern, 3, seed=2,
+            executor=_remote(*worker_pair),
         )
         assert np.array_equal(serial.foms, multiproc.foms)
 
-    def test_executor_instance_reused_not_shut_down(self, mc_setup):
+    @pytest.mark.remote
+    def test_executor_instance_reused_not_shut_down(
+        self, mc_setup, worker_pair
+    ):
         device, process, pattern = mc_setup
-        ex = make_executor("process:2")
+        ex = make_executor(_remote(*worker_pair))
         a = evaluate_post_fab(device, process, pattern, 3, seed=2, executor=ex)
+        # A caller-owned executor keeps its worker connections open.
+        assert ex._connections
         b = evaluate_post_fab(device, process, pattern, 3, seed=2, executor=ex)
         assert np.array_equal(a.foms, b.foms)
         ex.shutdown()
@@ -355,13 +325,13 @@ class TestMonteCarloExecutors:
 
 
 # --------------------------------------------------------------------- #
-# Process-pool taped corner fan-out (forward replay + VJP assembly)     #
+# Out-of-process taped corner fan-out (forward replay + VJP assembly)   #
 # --------------------------------------------------------------------- #
 ALL_BACKENDS = ("direct", "krylov-block")
-#: Tolerance of process-vs-serial comparisons per backend: LU-backed
+#: Tolerance of worker-vs-serial comparisons per backend: LU-backed
 #: backends differ only in adjoint recombination (per-port basis solves
 #: instead of one aggregated solve — machine-epsilon territory);
-#: preconditioned backends additionally anchor per worker chunk.
+#: preconditioned backends additionally anchor per worker.
 PROCESS_TOL = {
     "direct": dict(rtol=1e-9, atol=1e-12),
     "krylov-block": dict(rtol=1e-5, atol=1e-7),
@@ -374,7 +344,8 @@ def _loss_and_grad(device_name, executor, backend="direct"):
     opt = Boson1Optimizer(
         device,
         OptimizerConfig(
-            iterations=1, seed=11, corner_executor=executor, solver=backend
+            iterations=1, seed=11, corner_executor=executor, solver=backend,
+            remote_timeout=15.0,
         ),
     )
     theta = Tensor(np.array(opt.theta, dtype=np.float64), requires_grad=True)
@@ -394,6 +365,7 @@ def _trace(device_name, executor, backend, iterations=2):
             seed=11,
             corner_executor=executor,
             solver=backend,
+            remote_timeout=15.0,
         ),
     )
     result = opt.run()
@@ -402,25 +374,27 @@ def _trace(device_name, executor, backend, iterations=2):
 
 
 class TestProcessTapedFanout:
+    """Taped corner losses fanned out to worker processes."""
+
+    @pytest.mark.remote
     @pytest.mark.parametrize("device_name", ["bending", "crossing", "isolator"])
-    def test_loss_and_grad_match_serial(self, device_name):
+    def test_loss_and_grad_match_serial(self, device_name, worker_pair):
         l_serial, g_serial, no_pids = _loss_and_grad(device_name, "serial")
-        assert not no_pids  # in-process executors report no worker pids
-        l_proc, g_proc, pids = _loss_and_grad(device_name, "process:2")
+        assert not no_pids  # the serial executor reports no worker pids
+        l_proc, g_proc, pids = _loss_and_grad(
+            device_name, _remote(*worker_pair)
+        )
         assert l_proc == pytest.approx(l_serial, rel=1e-10, abs=1e-12)
         scale = max(float(np.linalg.norm(g_serial)), 1e-30)
         assert float(np.linalg.norm(g_proc - g_serial)) <= 1e-9 * scale
-        # Forked workers actually carried the solves.
+        # Worker processes actually carried the solves.
         assert len(pids) >= 2
         assert os.getpid() not in pids
 
     def test_task_payloads_pickle_clean(self):
         """The exact objects the engine ships must survive pickling."""
         device = make_device("bending")
-        opt = Boson1Optimizer(
-            device,
-            OptimizerConfig(iterations=1, seed=3, corner_executor="process:2"),
-        )
+        opt = Boson1Optimizer(device, OptimizerConfig(iterations=1, seed=3))
         rho = opt.decode(Tensor(np.array(opt.theta), requires_grad=True))
         corners = opt.sampler.corners(0, opt.rng, None)
         from repro.fab.temperature import alpha_of_temperature
@@ -534,10 +508,58 @@ class TestProcessTapedFanout:
             worker_warm(f"{token}:flood-{i}", object())
         assert worker_warm(token + ":x", sentinel_b) is sentinel_b
 
+    def test_worker_warm_pool_survives_concurrent_eviction(self, monkeypatch):
+        """A `repro worker` runs tasks on per-connection threads.
+
+        One thread finds its token and pauses just before refreshing
+        its recency while a second thread floods the pool past its
+        bound.  Unguarded, the flood evicts the token and the refresh
+        raises ``KeyError``; with the pool lock the flood waits for the
+        lookup to finish.
+        """
+        from repro.core.executors import _WORKER_STATE_MAX
+
+        found, evicted = threading.Event(), threading.Event()
+        target = "race:target"
+
+        class PausingState(OrderedDict):
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                if key == target and value is not None and not found.is_set():
+                    found.set()
+                    evicted.wait(timeout=0.5)
+                return value
+
+        state = PausingState()
+        state[target] = cached = object()
+        monkeypatch.setattr(executors, "_WORKER_STATE", state)
+        outcome = {}
+
+        def lookup():
+            try:
+                outcome["value"] = worker_warm(target, object())
+            except Exception as exc:  # pragma: no cover - failure path
+                outcome["error"] = exc
+
+        def flood():
+            found.wait(timeout=5.0)
+            for i in range(_WORKER_STATE_MAX):
+                worker_warm(f"race:flood-{i}", object())
+            evicted.set()
+
+        threads = [threading.Thread(target=t) for t in (lookup, flood)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+        assert found.is_set()
+        assert outcome == {"value": cached}
+        assert len(state) <= _WORKER_STATE_MAX
+
     def test_reconfigured_device_mints_fresh_worker_token(self):
         """configure_simulation_cache invalidates the warm-pool key.
 
-        A reused process pool would otherwise keep serving the cached
+        A long-lived worker would otherwise keep serving the cached
         worker copy with the old workspace/backend after the caller
         reconfigured the device.
         """
@@ -550,7 +572,7 @@ class TestProcessTapedFanout:
     def test_wavelength_clone_mints_fresh_worker_token(self):
         """at_wavelength clones must not inherit the base's token.
 
-        A reused process pool would otherwise serve the warm-cached base
+        A long-lived worker would otherwise serve the warm-cached base
         device (wrong omega) for every clone solve.
         """
         device = make_device("bending")
@@ -620,13 +642,14 @@ class TestProcessTapedFanout:
         assert stable_worker_token(a, ":eval") != stable_worker_token(a)
 
 
+@pytest.mark.remote
 class TestCrossExecutorDeterminism:
     """fom_trace agreement across executors x workers x solver backends."""
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_process_matches_serial(self, backend):
+    def test_process_matches_serial(self, backend, worker_pair):
         serial = _trace("bending", "serial", backend)
-        proc = _trace("bending", "process:2", backend)
+        proc = _trace("bending", _remote(*worker_pair), backend)
         np.testing.assert_allclose(
             proc.fom_trace(), serial.fom_trace(), **PROCESS_TOL[backend]
         )
@@ -635,21 +658,23 @@ class TestCrossExecutorDeterminism:
         )
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_process_worker_count_consistent(self, backend):
-        two = _trace("bending", "process:2", backend)
-        three = _trace("bending", "process:3", backend)
+    def test_process_worker_count_consistent(self, backend, worker_pair):
+        one = _trace("bending", _remote(worker_pair[0]), backend)
+        two = _trace("bending", _remote(*worker_pair), backend)
         if backend == "direct":
-            # Per-corner work is chunk-independent and deterministic.
-            assert np.array_equal(two.fom_trace(), three.fom_trace())
+            # Per-corner work is schedule-independent and deterministic.
+            assert np.array_equal(one.fom_trace(), two.fom_trace())
         else:
             np.testing.assert_allclose(
-                three.fom_trace(), two.fom_trace(), **PROCESS_TOL[backend]
+                two.fom_trace(), one.fom_trace(), **PROCESS_TOL[backend]
             )
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_process_gradients_match_serial(self, backend):
+    def test_process_gradients_match_serial(self, backend, worker_pair):
         _, g_serial, _ = _loss_and_grad("bending", "serial", backend)
-        _, g_proc, pids = _loss_and_grad("bending", "process:2", backend)
+        _, g_proc, pids = _loss_and_grad(
+            "bending", _remote(*worker_pair), backend
+        )
         assert len(pids) >= 2
         tol = 1e-9 if backend == "direct" else 1e-4
         scale = max(float(np.linalg.norm(g_serial)), 1e-30)
@@ -710,8 +735,9 @@ class TestSolveStatsConcurrencyAndMerge:
         with pytest.raises(ValueError, match="unknown solve-stat"):
             SolveStats().merge({"gpu_kernels": 1})
 
-    def test_process_eval_merges_worker_stats_exactly(self):
-        """Parent stats after a process fan-out == the serial run's.
+    @pytest.mark.remote
+    def test_process_eval_merges_worker_stats_exactly(self, worker_pair):
+        """Parent stats after a worker fan-out == the serial run's.
 
         Every Monte-Carlo sample draws its own temperature, so each
         (direction, alpha) calibration is solved exactly once whether it
@@ -721,7 +747,7 @@ class TestSolveStatsConcurrencyAndMerge:
         """
         pattern = None
         totals = {}
-        for executor in ("serial", "process:2"):
+        for executor in ("serial", _remote(*worker_pair)):
             device = make_device("bending")
             device.configure_simulation_cache(True, SimulationWorkspace())
             process = FabricationProcess(
@@ -735,12 +761,17 @@ class TestSolveStatsConcurrencyAndMerge:
                     device.design_shape, device.dl, device.init_segments()
                 )
             evaluate_post_fab(
-                device, process, pattern, 4, seed=2, executor=executor
+                device, process, pattern, 4, seed=2, executor=executor,
+                remote_timeout=15.0,
             )
             totals[executor] = device.workspace.stats()["solver"]
-        assert totals["process:2"] == totals["serial"]
+        serial, fanned = totals.values()
+        assert fanned == serial
 
-    def test_single_sample_process_eval_does_not_double_count(self):
+    @pytest.mark.remote
+    def test_single_sample_process_eval_does_not_double_count(
+        self, worker_pair
+    ):
         """n_samples=1 short-circuits to an inline call in the parent.
 
         The task must then return an empty delta (the live parent
@@ -749,7 +780,7 @@ class TestSolveStatsConcurrencyAndMerge:
         """
         pattern = None
         totals = {}
-        for executor in ("serial", "process:2"):
+        for executor in ("serial", _remote(*worker_pair)):
             device = make_device("bending")
             device.configure_simulation_cache(True, SimulationWorkspace())
             process = FabricationProcess(
@@ -763,16 +794,19 @@ class TestSolveStatsConcurrencyAndMerge:
                     device.design_shape, device.dl, device.init_segments()
                 )
             evaluate_post_fab(
-                device, process, pattern, 1, seed=2, executor=executor
+                device, process, pattern, 1, seed=2, executor=executor,
+                remote_timeout=15.0,
             )
             totals[executor] = device.workspace.stats()["solver"]
-        assert totals["process:2"] == totals["serial"]
+        serial, fanned = totals.values()
+        assert fanned == serial
 
-    def test_single_corner_process_run_keeps_stats_exact(self):
+    @pytest.mark.remote
+    def test_single_corner_process_run_keeps_stats_exact(self, worker_pair):
         """A one-corner sampler at p=1 fans out a single inline item."""
         totals = {}
         pids = {}
-        for executor in ("serial", "process:2"):
+        for executor in ("serial", _remote(*worker_pair)):
             device = make_device("bending")
             device.configure_simulation_cache(True, SimulationWorkspace())
             opt = Boson1Optimizer(
@@ -783,30 +817,32 @@ class TestSolveStatsConcurrencyAndMerge:
                     sampling="nominal",
                     relax_epochs=0,
                     corner_executor=executor,
+                    remote_timeout=15.0,
                 ),
             )
             opt.run()
             opt.close()
             totals[executor] = device.workspace.stats()["solver"]
             pids[executor] = opt.observed_worker_pids
+        serial, fanned = totals.values()
         # The forward-replay path legitimately solves a per-port adjoint
         # basis instead of one aggregated adjoint (rhs_columns differ),
         # but factorizations and solve counts must not double-count.
-        assert (
-            totals["process:2"]["factorizations"]
-            == totals["serial"]["factorizations"]
-        )
-        assert totals["process:2"]["solves"] == totals["serial"]["solves"]
+        assert fanned["factorizations"] == serial["factorizations"]
+        assert fanned["solves"] == serial["solves"]
         # The inline run is not fan-out evidence: no pids recorded.
-        assert pids["process:2"] == set()
+        _serial_pids, fanned_pids = pids.values()
+        assert fanned_pids == set()
 
-    def test_engine_process_fanout_merges_worker_stats(self):
+    @pytest.mark.remote
+    def test_engine_process_fanout_merges_worker_stats(self, worker_pair):
         device = make_device("bending")
         device.configure_simulation_cache(True, SimulationWorkspace())
         opt = Boson1Optimizer(
             device,
             OptimizerConfig(
-                iterations=1, seed=1, corner_executor="process:2"
+                iterations=1, seed=1, corner_executor=_remote(*worker_pair),
+                remote_timeout=15.0,
             ),
         )
         opt.run()

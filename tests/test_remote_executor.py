@@ -1,6 +1,6 @@
 """Multi-node corner fan-out over loopback sockets.
 
-Five contracts under test, all against real worker *processes* (forked
+Four contracts under test, all against real worker *processes* (forked
 servers — warm pools, pids and stats deltas behave exactly as they
 would on a remote host):
 
@@ -18,9 +18,6 @@ would on a remote host):
 4. **Spec plumbing** — ``remote:host:port[,...]`` parsing, config
    validation, and the ``repro worker`` / ``repro design --executor
    remote:...`` CLI round trip.
-5. **Worker auto-tuning** — ``process``/``remote`` specs without an
-   explicit count resolve to ``min(n_items, available)``; see also
-   ``tests/test_parallel_executors.py``.
 """
 
 import os
@@ -62,9 +59,9 @@ from repro.params import rasterize_segments
 pytestmark = pytest.mark.remote
 
 ALL_BACKENDS = ("direct", "krylov-block")
-#: Remote workers run the same forward-replay arithmetic as forked
-#: process workers; preconditioned backends anchor per worker, so they
-#: agree with serial to solver precision only.
+#: Remote workers run the forward-replay arithmetic; preconditioned
+#: backends anchor per worker, so they agree with serial to solver
+#: precision only.
 KRYLOV_TOL = dict(rtol=1e-5, atol=1e-7)
 #: Monte-Carlo krylov-block yardstick (matches the benchmark's): the serial
 #: reference takes the *blocked* path while workers anchor per worker,

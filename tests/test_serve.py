@@ -336,6 +336,13 @@ class TestProtocolHygiene:
             assert client.list_jobs()["jobs"] == []
 
 
+    def test_removed_executor_refused_before_queueing(self, daemon):
+        with _client(daemon, timeout=5.0) as client:
+            with pytest.raises(ServeError, match="factor threads"):
+                client.submit("bending", {"corner_executor": "process:2"})
+        with _client(daemon, timeout=5.0) as client:
+            assert client.list_jobs()["jobs"] == []
+
     def test_non_json_config_refused_without_phantom_job(self, daemon):
         from repro.fdfd.linalg import SolverConfig
 
