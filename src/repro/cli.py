@@ -164,7 +164,7 @@ degradation: if *every* remote worker dies mid-run, the driver writes a
 checkpoint (when enabled), logs each worker's failure, and finishes the
 run on the in-process serial executor instead of aborting; connect-time
 races (a worker still binding its socket) are retried with exponential
-backoff (--remote-connect-retries).
+backoff, three attempts per worker.
 
 observing a run
 ---------------
@@ -346,7 +346,7 @@ def _add_job_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_remote_args(p: argparse.ArgumentParser) -> None:
-    """Remote-executor knobs shared by ``design`` and ``evaluate``."""
+    """The remote-executor knob shared by ``design`` and ``evaluate``."""
     p.add_argument(
         "--remote-timeout",
         type=float,
@@ -357,18 +357,6 @@ def _add_remote_args(p: argparse.ArgumentParser) -> None:
             "seconds of silence (busy workers heartbeat, so long solves "
             "survive short timeouts) and resubmit its work to survivors "
             "(default %(default)s)"
-        ),
-    )
-    p.add_argument(
-        "--remote-connect-retries",
-        type=int,
-        default=_DEFAULTS.remote_connect_retries,
-        metavar="N",
-        help=(
-            "remote executor only: connection attempts per worker "
-            "address, with exponential backoff + jitter between tries — "
-            "a worker still binding its socket becomes a short wait, not "
-            "a lost worker (default %(default)s)"
         ),
     )
 
@@ -766,7 +754,6 @@ def _cmd_design(args) -> int:
         config = OptimizerConfig(
             **_job_config(args),
             remote_timeout=args.remote_timeout,
-            remote_connect_retries=args.remote_connect_retries,
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=args.checkpoint_every,
             checkpoint_keep=args.checkpoint_keep,
@@ -850,7 +837,6 @@ def _cmd_evaluate(args) -> int:
             device, process, pattern, n_samples=args.samples, seed=args.seed,
             executor=args.executor,
             remote_timeout=args.remote_timeout,
-            remote_connect_retries=args.remote_connect_retries,
             wavelengths_um=args.wavelengths,
         )
         if session is not None:

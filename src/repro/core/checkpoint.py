@@ -105,7 +105,6 @@ RUNTIME_ONLY_FIELDS = frozenset(
     {
         "corner_executor",
         "remote_timeout",
-        "remote_connect_retries",
         "iterations",
         "checkpoint_dir",
         "checkpoint_every",

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 
 from repro.core.executors import executor_backend
 from repro.core.remote import (
-    DEFAULT_CONNECT_RETRIES,
     DEFAULT_REMOTE_TIMEOUT,
     MIN_REMOTE_TIMEOUT,
     parse_worker_addresses,
@@ -112,12 +111,6 @@ class OptimizerConfig:
         executor: the longest a worker may stay silent — no result, no
         heartbeat — before its work is resubmitted to survivors.
         Ignored by the serial executor.
-    remote_connect_retries:
-        Connection attempts per worker address when the ``remote``
-        executor first dials the fleet.  Failed attempts back off
-        exponentially with jitter, so a worker still binding its
-        listen socket does not fail the whole run.  Ignored by the
-        serial executor.
     checkpoint_dir:
         Directory for crash-safe :class:`~repro.core.checkpoint.
         DesignCheckpoint` files; ``None`` (the default) disables
@@ -195,7 +188,6 @@ class OptimizerConfig:
     aggregate: str = "mean"
     corner_executor: str = "serial"
     remote_timeout: float = DEFAULT_REMOTE_TIMEOUT
-    remote_connect_retries: int = DEFAULT_CONNECT_RETRIES
     checkpoint_dir: str | None = None
     checkpoint_every: int = 1
     checkpoint_keep: int = 3
@@ -261,11 +253,6 @@ class OptimizerConfig:
                     "so a busy worker's liveness heartbeat fits inside "
                     f"it, got {self.remote_timeout}"
                 )
-        if self.remote_connect_retries < 1:
-            raise ValueError(
-                "remote_connect_retries must be >= 1, got "
-                f"{self.remote_connect_retries}"
-            )
         if self.checkpoint_every < 1:
             raise ValueError(
                 f"checkpoint_every must be >= 1, got {self.checkpoint_every}"

@@ -14,7 +14,7 @@ Corner losses come from one loop,
 iteration's scenario family.  Executors differ only in how a group gets
 its powers: in-process through the device's power op (serial), or
 through :func:`repro.core.executors.fan_out`, whose workers replay the
-forward solves while the parent keeps the tape (process, remote).
+forward solves while the parent keeps the tape (remote).
 """
 
 from __future__ import annotations
@@ -116,9 +116,8 @@ def _corner_forward_task(token, device, capture, item):
     benchmark); the obs payload (span tree + metric deltas, only when
     the parent's tracing was active at dispatch — ``capture`` is baked
     into the pickled partial) rides the same seam home.  The warm-pool /
-    stats-delta / inline-parent protocol lives in
-    :func:`repro.core.executors.run_warm_task`; the inline variant
-    skips the epoch reset (the parent manages its own epochs).
+    stats-delta protocol lives in
+    :func:`repro.core.executors.run_warm_task`.
     """
     epoch, alpha_bg, rho_fab = item
     return run_warm_task(
@@ -126,9 +125,6 @@ def _corner_forward_task(token, device, capture, item):
         _CornerWorkerState(device),
         lambda state: state.summarize(epoch, alpha_bg, rho_fab),
         lambda state: state.device.workspace,
-        inline_task=lambda state: state.device.solve_forward_summary(
-            rho_fab, alpha_bg
-        ),
         capture_obs=capture,
     )
 
@@ -243,7 +239,6 @@ class Boson1Optimizer:
         self.executor = make_executor(
             self.config.corner_executor,
             remote_timeout=self.config.remote_timeout,
-            remote_connect_retries=self.config.remote_connect_retries,
         )
         #: Distinct worker identities (``pid.nonce`` strings, distinct
         #: even across hosts with colliding pids) seen by the
@@ -499,7 +494,7 @@ class Boson1Optimizer:
 
         Corner losses come from one loop, :meth:`_corner_losses`: the
         serial executor computes each omega group's powers through the
-        device's power op, a process or remote executor hands the
+        device's power op, the remote executor hands the
         group's forward solves to workers through
         :func:`~repro.core.executors.fan_out`.  Either way losses are
         reduced serially in the sampler's corner order, so the result

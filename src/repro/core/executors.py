@@ -31,6 +31,7 @@ committing to a backend:
 Remote fan-outs run through one pair of helpers: :func:`run_warm_task`
 is the worker half, :func:`fan_out` the parent half (dispatch span,
 ordered map, worker span adoption, metric and solver-stats merges).
+Every item of a remote map runs on a worker, even in a one-item map.
 
 Determinism contract
 --------------------
@@ -63,7 +64,6 @@ __all__ = [
     "worker_warm",
     "run_warm_task",
     "stable_worker_token",
-    "task_in_parent",
     "EXECUTOR_BACKENDS",
 ]
 
@@ -90,11 +90,11 @@ _WORKER_STATE_MAX = 4
 _TOKEN_COUNTER = itertools.count()
 
 #: Random per-process component of worker tokens.  A bare pid is not a
-#: process identity once payloads cross machines (a remote worker host
-#: can coincidentally run the server under the parent's pid, which would
-#: make :func:`task_in_parent` skip the warm pool and drop stats
-#: deltas); the nonce disambiguates.  Forked workers inherit the nonce
-#: but differ in pid; other processes differ in both.
+#: process identity once payloads cross machines: two parents on
+#: different hosts can run under one pid, and a worker serving both
+#: would then hand one parent's warm state to the other's tasks.  The
+#: nonce keeps warm-pool keys unique across parents.  Forked workers
+#: inherit the nonce but differ in pid; other processes differ in both.
 _PROCESS_NONCE = uuid.uuid4().hex[:12]
 
 
@@ -108,8 +108,8 @@ def stable_worker_token(obj, suffix: str = "") -> str:
     Tokens embed the parent's process identity (pid + per-process
     nonce) and a process-wide counter, so two objects can never share
     one within a parent's lifetime (``id()`` reuse after garbage
-    collection would), and no worker — forked or on another host — can
-    mistake a parent token for its own.  The token is stored on the
+    collection would), and no two parents sharing a worker can collide
+    in its warm pool.  The token is stored on the
     object and ships with its pickle, which is what lets every worker of
     a fan-out agree on the cache key.  ``suffix`` namespaces different
     task kinds warming the same object (e.g. design vs. evaluation).
@@ -119,22 +119,6 @@ def stable_worker_token(obj, suffix: str = "") -> str:
         token = f"{_process_identity()}:{next(_TOKEN_COUNTER)}"
         object.__setattr__(obj, "_worker_token", token)
     return token + suffix
-
-
-def task_in_parent(token: str) -> bool:
-    """Whether a fan-out task is executing in the process that minted ``token``.
-
-    The remote executor short-circuits single-item maps to an inline
-    call in the calling process.  Worker-side behaviour must then be
-    skipped: the task is already using the parent's live device and
-    workspace, so seeding the warm pool would pin them in the
-    module-global cache and a stats delta would double-count work the
-    parent's own counters already recorded.  Tokens embed the minting
-    process's identity (:func:`stable_worker_token`), which makes the
-    check one comparison — and one that stays correct across hosts,
-    where pids can collide.
-    """
-    return token.partition(":")[0] == _process_identity()
 
 
 def worker_warm(token: str, value: T) -> T:
@@ -162,39 +146,28 @@ def run_warm_task(
     fresh_value: T,
     task: Callable[[T], R],
     workspace_of: Callable[[T], "object | None"],
-    inline_task: Callable[[T], R] | None = None,
     capture_obs: bool = False,
-) -> "tuple[R, dict, str | None, dict | None]":
-    """Execute one fan-out task under the worker warm-pool protocol.
+) -> "tuple[R, dict, str, dict | None]":
+    """Execute one fan-out task in a worker under the warm-pool protocol.
 
     The single home of the invariant both the taped corner fan-out and
     the Monte-Carlo fan-out rely on, so it cannot drift between them:
-
-    * **Inline in the parent** (single-item maps run in the caller):
-      run on ``fresh_value`` directly — the parent's live state is
-      already doing and counting the work, so no warm-pool seeding and
-      an *empty* stats delta (a non-empty one would double-count).
-      ``inline_task`` overrides ``task`` for callers whose worker task
-      has worker-only side effects (e.g. epoch resets).
-    * **In a worker process**: park ``fresh_value`` in the warm pool
-      (first task per token wins; later unpickled copies are dropped),
-      bracket the warmed value's workspace solver stats around the task,
-      and return the delta for the parent to merge.
+    park ``fresh_value`` (the task state just unpickled) in the warm
+    pool (first task per token wins; later unpickled copies are
+    dropped), bracket the warmed value's workspace solver stats around
+    the task, and return the delta for the parent to merge.  Every item
+    of a remote map runs here, even in a one-item map, so a task never
+    runs on the parent's live state.
 
     Returns ``(result, stats delta, worker identity, obs payload)`` —
     the identity (``pid.nonce``, see :func:`stable_worker_token`) is
     fan-out evidence that stays distinct across hosts where bare pids
-    can collide; an inline run reports ``None`` instead, so parents
-    never count their own work as a worker's.  When the parent asked
-    for observability capture (``capture_obs=True`` baked into the
-    pickled task), a worker brackets the task in a
-    :class:`repro.obs.trace.SpanCapture` plus a metrics baseline and
-    ships ``{"spans": [...], "metrics": {...}}`` home; inline runs ship
-    ``None`` — the parent's own tracer and registry already saw the
-    work.
+    can collide.  When the parent asked for observability capture
+    (``capture_obs=True`` baked into the pickled task), the worker
+    brackets the task in a :class:`repro.obs.trace.SpanCapture` plus a
+    metrics baseline and ships ``{"spans": [...], "metrics": {...}}``
+    home; otherwise the payload is ``None``.
     """
-    if task_in_parent(token):
-        return (inline_task or task)(fresh_value), {}, None, None
     value = worker_warm(token, fresh_value)
     workspace = workspace_of(value)
     before = (
@@ -241,9 +214,7 @@ def fan_out(
     is ``None``).
 
     Returns ``(results, workers)``: the task results in input order and
-    the distinct worker identities that reported — inline-in-parent
-    runs report none, so the parent never counts its own work as a
-    worker's.
+    the distinct worker identities that reported.
     """
     items = list(items)
     with span(
@@ -256,8 +227,7 @@ def fan_out(
     results = []
     workers: set[str] = set()
     for result, stats_delta, worker, obs in outcomes:
-        if worker is not None:
-            workers.add(worker)
+        workers.add(worker)
         if obs is not None:
             if tracer is not None:
                 tracer.adopt(obs.get("spans", []), dispatch.span_id)
@@ -303,26 +273,6 @@ class SerialExecutor(CornerExecutor):
 #: Former base of the in-host pool executors, kept as a name only:
 #: ``perfbench/layers.py`` wraps ``_PoolExecutor.map_ordered`` by name.
 _PoolExecutor = CornerExecutor
-
-
-def _remote_factory(
-    address_spec: str,
-    remote_timeout: float | None = None,
-    remote_connect_retries: int | None = None,
-) -> CornerExecutor:
-    """Build a :class:`repro.core.remote.RemoteCornerExecutor`.
-
-    Imported lazily: :mod:`repro.core.remote` subclasses
-    :class:`CornerExecutor` from this module, so a top-level import here
-    would be a cycle.
-    """
-    from repro.core.remote import RemoteCornerExecutor
-
-    return RemoteCornerExecutor(
-        address_spec,
-        timeout=remote_timeout,
-        connect_retries=remote_connect_retries,
-    )
 
 
 #: Registered executor backends.
@@ -372,7 +322,6 @@ def executor_backend(spec: str) -> "tuple[str, str]":
 def make_executor(
     spec: "str | CornerExecutor | None",
     remote_timeout: float | None = None,
-    remote_connect_retries: int | None = None,
 ) -> CornerExecutor:
     """Build an executor from a backend spec.
 
@@ -385,10 +334,6 @@ def make_executor(
     remote_timeout:
         Dead-worker detection bound in seconds for the ``remote``
         backend (CLI ``--remote-timeout``); ignored by ``serial``.
-    remote_connect_retries:
-        Connection attempts per worker address for the ``remote``
-        backend (CLI ``--remote-connect-retries``); ignored by
-        ``serial``.
     """
     if spec is None:
         return SerialExecutor()
@@ -396,9 +341,9 @@ def make_executor(
         return spec
     name, rest = executor_backend(spec)
     if name == "remote":
-        return _remote_factory(
-            rest,
-            remote_timeout=remote_timeout,
-            remote_connect_retries=remote_connect_retries,
-        )
+        # Imported lazily: repro.core.remote subclasses CornerExecutor
+        # from this module, so a top-level import would be a cycle.
+        from repro.core.remote import RemoteCornerExecutor
+
+        return RemoteCornerExecutor(rest, timeout=remote_timeout)
     return SerialExecutor()

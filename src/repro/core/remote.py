@@ -60,7 +60,7 @@ Failure semantics
 -----------------
 First contact retries: dialing a worker that refuses or resets the
 connection (typically one still binding its listen socket) is retried
-with exponential backoff and jitter (``--remote-connect-retries``)
+with exponential backoff and jitter (:data:`_CONNECT_ATTEMPTS` tries)
 before the worker is written off.  Worker death after that (socket EOF,
 refused reconnect, heartbeat silence) is survivable: the dying worker's
 queued and in-flight items are resubmitted to surviving workers, and
@@ -104,7 +104,6 @@ from repro.obs.trace import span
 __all__ = [
     "PROTOCOL_VERSION",
     "DEFAULT_REMOTE_TIMEOUT",
-    "DEFAULT_CONNECT_RETRIES",
     "MIN_REMOTE_TIMEOUT",
     "client_heartbeat_interval",
     "negotiate_heartbeat",
@@ -145,8 +144,8 @@ MIN_REMOTE_TIMEOUT = 2 * _MIN_HEARTBEAT
 #: Connection attempts per worker address at checkout time.  A worker
 #: still binding its listen socket (fleet and driver launched together)
 #: refuses the first dial; retrying with backoff turns that race into a
-#: short wait instead of a lost worker.  CLI ``--remote-connect-retries``.
-DEFAULT_CONNECT_RETRIES = 3
+#: short wait instead of a lost worker.
+_CONNECT_ATTEMPTS = 3
 
 #: Exponential-backoff schedule between connect attempts: base doubles
 #: per retry, capped, with multiplicative jitter in [0.5, 1.5) so a
@@ -1092,7 +1091,6 @@ class RemoteCornerExecutor(CornerExecutor):
         self,
         addresses: "Sequence[tuple[str, int]] | str",
         timeout: float | None = None,
-        connect_retries: int | None = None,
     ):
         if isinstance(addresses, str):
             addresses = parse_worker_addresses(addresses)
@@ -1118,15 +1116,6 @@ class RemoteCornerExecutor(CornerExecutor):
                 f"remote timeout must exceed {MIN_REMOTE_TIMEOUT:g}s so a "
                 f"busy worker's heartbeat can land inside it, got "
                 f"{self.timeout}"
-            )
-        self.connect_retries = (
-            DEFAULT_CONNECT_RETRIES
-            if connect_retries is None
-            else int(connect_retries)
-        )
-        if self.connect_retries < 1:
-            raise ValueError(
-                f"connect_retries must be >= 1, got {self.connect_retries}"
             )
         #: Remote worker pids observed answering handshakes (fan-out
         #: evidence for tests and the benchmark).
@@ -1164,7 +1153,7 @@ class RemoteCornerExecutor(CornerExecutor):
         """
         host, port = address
         last_exc: RemoteWorkerDied | None = None
-        for attempt in range(self.connect_retries):
+        for attempt in range(_CONNECT_ATTEMPTS):
             if attempt:
                 delay = min(
                     _CONNECT_BACKOFF_CAP,
@@ -1179,7 +1168,7 @@ class RemoteCornerExecutor(CornerExecutor):
                 last_exc = exc
         raise RemoteWorkerDied(
             f"worker {host}:{port} unreachable after "
-            f"{self.connect_retries} connection attempts "
+            f"{_CONNECT_ATTEMPTS} connection attempts "
             f"(exponential backoff exhausted): {last_exc}"
         ) from last_exc
 
@@ -1193,11 +1182,8 @@ class RemoteCornerExecutor(CornerExecutor):
         self, fn: Callable, items: "Sequence | Iterable"
     ) -> list:
         items = list(items)
-        if len(items) <= 1:
-            # Single-item fan-outs run inline in the parent: a socket
-            # round trip buys no overlap (run_warm_task detects this and
-            # returns an empty stats delta).
-            return [fn(item) for item in items]
+        if not items:
+            return []
         try:
             fn_bytes = pickle.dumps(fn, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:

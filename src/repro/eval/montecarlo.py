@@ -169,7 +169,7 @@ def _evaluate_sample_task(
 
     The same seam the taped corner fan-out uses
     (:func:`repro.core.executors.run_warm_task` holds the shared
-    warm-pool / stats-delta / inline-parent protocol): the device is
+    warm-pool / stats-delta protocol): the device is
     parked in the worker's warm pool so its workspace and calibration
     caches survive across repeated evaluations, and the task
     returns ``((fom, powers), solver-stats delta, worker identity, obs
@@ -233,7 +233,6 @@ def evaluate_post_fab(
     t_delta: float = 30.0,
     executor: CornerExecutor | str | None = None,
     remote_timeout: float | None = None,
-    remote_connect_retries: int | None = None,
     wavelengths_um=None,
 ) -> RobustnessReport:
     """Expected post-fabrication performance of a design pattern.
@@ -273,11 +272,6 @@ def evaluate_post_fab(
         Dead-worker detection bound (seconds) for ``remote`` executor
         specs; ignored otherwise.  ``None`` keeps the default
         (:data:`repro.core.remote.DEFAULT_REMOTE_TIMEOUT`).
-    remote_connect_retries:
-        Connection attempts per worker address for ``remote`` executor
-        specs (exponential backoff between tries); ignored otherwise.
-        ``None`` keeps the default
-        (:data:`repro.core.remote.DEFAULT_CONNECT_RETRIES`).
     wavelengths_um:
         Optional wavelength axis for scenario-stratified evaluation:
         every Monte-Carlo fabrication draw is re-evaluated at each
@@ -302,11 +296,7 @@ def evaluate_post_fab(
     corners = scenario_family(corners, wavelengths_um)
     n_scenarios = len(corners)
 
-    pool = make_executor(
-        executor,
-        remote_timeout=remote_timeout,
-        remote_connect_retries=remote_connect_retries,
-    )
+    pool = make_executor(executor, remote_timeout=remote_timeout)
     try:
         if pool.supports_shared_memory:
             results = _evaluate_local(device, process, pattern, corners)

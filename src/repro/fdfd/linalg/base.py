@@ -218,7 +218,7 @@ class SolveStats:
     def merge(self, counts: "dict[str, int]") -> None:
         """Fold a worker's counter delta into these stats.
 
-        The process fan-out's reduction step: each worker snapshots its
+        The remote fan-out's reduction step: each worker snapshots its
         own workspace stats around a task (:meth:`delta_since`) and the
         parent merges the deltas here, so ``stats()`` reports the whole
         fleet's factorizations / sweeps / fallbacks.  Unknown counter

@@ -1002,9 +1002,9 @@ class SimulationWorkspace:
         )
 
     def merge_solver_stats(self, counts: dict) -> None:
-        """Fold a worker process's solver-stats delta into this workspace.
+        """Fold a remote worker's solver-stats delta into this workspace.
 
-        The parent half of the process fan-out's stats contract: workers
+        The parent half of the remote fan-out's stats contract: workers
         snapshot their own (re-warmed, per-worker) workspace around each
         task and ship ``SolveStats.delta_since`` dicts home with the
         results; merging them here makes :meth:`stats` report the whole

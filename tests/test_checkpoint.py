@@ -57,7 +57,7 @@ from repro.core.checkpoint import (
     resolve_resume,
     sidecar_path,
 )
-from repro.core.executors import SerialExecutor, make_executor
+from repro.core.executors import SerialExecutor
 from repro.core.remote import (
     PROTOCOL_VERSION,
     FaultInjection,
@@ -139,7 +139,6 @@ class TestConfigDigest:
         for override in (
             dict(corner_executor="remote:127.0.0.1:7070"),
             dict(remote_timeout=5.0),
-            dict(remote_connect_retries=7),
             dict(iterations=7),
             dict(checkpoint_dir="somewhere"),
             dict(checkpoint_every=2),
@@ -172,8 +171,6 @@ class TestConfigDigest:
             OptimizerConfig(checkpoint_every=0)
         with pytest.raises(ValueError):
             OptimizerConfig(checkpoint_keep=0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(remote_connect_retries=0)
 
 
 # --------------------------------------------------------------------- #
@@ -877,14 +874,11 @@ class TestWorkerGracefulDrain:
 
 
 # --------------------------------------------------------------------- #
-# Connect-time retries (satellite 1)                                    #
+# Connect-time retries                                                  #
 # --------------------------------------------------------------------- #
 class TestConnectRetries:
-    def _executor(self, retries):
-        return RemoteCornerExecutor(
-            [("127.0.0.1", 47)], timeout=1.0, connect_retries=retries
-        )
-
+    def _executor(self):
+        return RemoteCornerExecutor([("127.0.0.1", 47)], timeout=1.0)
     def test_transient_refusals_retried_with_backoff(self, monkeypatch):
         delays = []
         monkeypatch.setattr(time, "sleep", delays.append)
@@ -899,7 +893,7 @@ class TestConnectRetries:
                 self.pid = "fake.1"
 
         monkeypatch.setattr(remote_mod, "_WorkerConnection", Flaky)
-        ex = self._executor(4)
+        ex = self._executor()
         conn = ex._connect_with_retry(("127.0.0.1", 47))
         assert conn.pid == "fake.1"
         assert Flaky.calls == 3
@@ -909,18 +903,23 @@ class TestConnectRetries:
         assert 0.10 <= delays[1] <= 0.30
 
     def test_exhausted_retries_are_descriptive(self, monkeypatch):
-        monkeypatch.setattr(time, "sleep", lambda _s: None)
+        delays = []
+        monkeypatch.setattr(time, "sleep", delays.append)
+        calls = []
 
         class Dead:
             def __init__(self, address, timeout, heartbeat):
+                calls.append(1)
                 raise RemoteWorkerDied("connection refused")
 
         monkeypatch.setattr(remote_mod, "_WorkerConnection", Dead)
-        ex = self._executor(2)
+        ex = self._executor()
         with pytest.raises(
-            RemoteWorkerDied, match="after 2 connection attempts"
+            RemoteWorkerDied, match="after 3 connection attempts"
         ):
             ex._connect_with_retry(("127.0.0.1", 47))
+        assert len(calls) == remote_mod._CONNECT_ATTEMPTS
+        assert len(delays) == remote_mod._CONNECT_ATTEMPTS - 1
 
     def test_protocol_errors_are_not_retried(self, monkeypatch):
         calls = []
@@ -934,19 +933,7 @@ class TestConnectRetries:
         monkeypatch.setattr(
             time, "sleep", lambda _s: pytest.fail("slept on a systemic error")
         )
-        ex = self._executor(5)
+        ex = self._executor()
         with pytest.raises(RemoteProtocolError):
             ex._connect_with_retry(("127.0.0.1", 47))
         assert len(calls) == 1
-
-    def test_make_executor_threads_retries_through(self):
-        ex = make_executor(
-            "remote:127.0.0.1:9",
-            remote_timeout=5.0,
-            remote_connect_retries=7,
-        )
-        assert ex.connect_retries == 7
-
-    def test_retry_count_validated(self):
-        with pytest.raises(ValueError, match="connect_retries"):
-            RemoteCornerExecutor([("127.0.0.1", 9)], connect_retries=0)

@@ -110,6 +110,18 @@ class TestParser:
         assert "drop the flag" in err
         assert "float32" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["design", "bending"], ["evaluate", "result.json"]],
+        ids=["design", "evaluate"],
+    )
+    def test_removed_connect_retries_flag_exits_2(self, capsys, argv):
+        """Connect attempts are a fixed count now; the flag is gone."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--remote-connect-retries", "2"])
+        assert exc.value.code == 2
+        assert "--remote-connect-retries" in capsys.readouterr().err
+
     def test_axis_flags_parse_to_floats(self):
         args = build_parser().parse_args(
             ["design", "bending", "--wavelengths", "1.53,1.57"]

@@ -40,7 +40,6 @@ from repro.core.executors import (
     SerialExecutor,
     make_executor,
     stable_worker_token,
-    task_in_parent,
     worker_warm,
 )
 from repro.core.remote import RemoteCornerExecutor, start_worker_subprocess
@@ -160,19 +159,21 @@ class TestMapOrdered:
 
 
 class TestWorkerTokenIdentity:
-    def test_token_identifies_minting_process(self):
+    def test_tokens_unique_per_object_and_prefixed_by_process(self):
+        """Warm-pool keys stay unique across parents sharing a worker:
+        each token is this process's ``pid.nonce`` (pids alone collide
+        across hosts) plus a per-object counter, and it is stable for
+        the object's lifetime."""
         import types
 
-        token = stable_worker_token(types.SimpleNamespace())
-        assert task_in_parent(token)
-
-    def test_bare_pid_prefix_is_not_mistaken_for_parent(self):
-        """Remote hosts can collide on pid; the per-process nonce in the
-        token prefix keeps task_in_parent from treating a foreign token
-        as local (which would silently skip warm-pooling and drop stats
-        deltas)."""
-        assert not task_in_parent(f"{os.getpid()}:0")
-        assert not task_in_parent(f"{os.getpid()}.deadbeef:0")
+        a, b = types.SimpleNamespace(), types.SimpleNamespace()
+        token_a, token_b = stable_worker_token(a), stable_worker_token(b)
+        assert token_a != token_b
+        assert stable_worker_token(a) == token_a
+        assert stable_worker_token(a, ":eval") == token_a + ":eval"
+        identity = f"{os.getpid()}.{executors._PROCESS_NONCE}"
+        for token in (token_a, token_b):
+            assert token.partition(":")[0] == identity
 
 
 class TestConfigValidation:
@@ -389,7 +390,7 @@ class TestProcessTapedFanout:
         assert float(np.linalg.norm(g_proc - g_serial)) <= 1e-9 * scale
         # Worker processes actually carried the solves.
         assert len(pids) >= 2
-        assert os.getpid() not in pids
+        assert str(os.getpid()) not in {p.partition(".")[0] for p in pids}
 
     def test_task_payloads_pickle_clean(self):
         """The exact objects the engine ships must survive pickling."""
@@ -407,18 +408,23 @@ class TestProcessTapedFanout:
             )
             for c in corners[:2]
         ]
+        token = stable_worker_token(device, ":design")
         task = functools.partial(
             _corner_forward_task,
-            stable_worker_token(device, ":design"),
+            token,
             device,
             False,
         )
         task2, items2 = pickle.loads(pickle.dumps((task, items)))
         # The round-tripped task runs and its result pickles too.  Run
-        # here in the minting parent it takes the inline path, which
-        # reports no worker pid (and an empty stats delta).
-        summary, delta, pid, obs = task2(items2[0])
-        assert pid is None
+        # here it behaves as on any worker: it seeds this process's warm
+        # pool and reports this process's identity.
+        try:
+            summary, delta, pid, obs = task2(items2[0])
+        finally:
+            with executors._WORKER_STATE_LOCK:
+                executors._WORKER_STATE.pop(token, None)
+        assert pid == f"{os.getpid()}.{executors._PROCESS_NONCE}"
         assert obs is None
         assert isinstance(delta, dict)
         roundtrip = pickle.loads(pickle.dumps(summary))
@@ -772,11 +778,9 @@ class TestSolveStatsConcurrencyAndMerge:
     def test_single_sample_process_eval_does_not_double_count(
         self, worker_pair
     ):
-        """n_samples=1 short-circuits to an inline call in the parent.
-
-        The task must then return an empty delta (the live parent
-        workspace already counted the work), or the merge would report
-        exactly double.
+        """n_samples=1 still goes to a worker, whose stats delta the
+        parent merges exactly once: the parent's own workspace did none
+        of the work, so the totals equal the serial run's.
         """
         pattern = None
         totals = {}
@@ -803,7 +807,8 @@ class TestSolveStatsConcurrencyAndMerge:
 
     @pytest.mark.remote
     def test_single_corner_process_run_keeps_stats_exact(self, worker_pair):
-        """A one-corner sampler at p=1 fans out a single inline item."""
+        """A one-corner sampler at p=1 fans out a single item, which a
+        worker runs like any other."""
         totals = {}
         pids = {}
         for executor in ("serial", _remote(*worker_pair)):
@@ -830,9 +835,12 @@ class TestSolveStatsConcurrencyAndMerge:
         # but factorizations and solve counts must not double-count.
         assert fanned["factorizations"] == serial["factorizations"]
         assert fanned["solves"] == serial["solves"]
-        # The inline run is not fan-out evidence: no pids recorded.
+        # The one item ran on exactly one worker, not in this process.
         _serial_pids, fanned_pids = pids.values()
-        assert fanned_pids == set()
+        assert len(fanned_pids) == 1
+        assert str(os.getpid()) not in {
+            p.partition(".")[0] for p in fanned_pids
+        }
 
     @pytest.mark.remote
     def test_engine_process_fanout_merges_worker_stats(self, worker_pair):

@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 import repro.core.remote as remote_mod
-from repro.core import Boson1Optimizer, OptimizerConfig
+from repro.core import Boson1Optimizer, OptimizerConfig, executors
 from repro.core.executors import make_executor
 from repro.core.remote import (
     DEFAULT_REMOTE_TIMEOUT,
@@ -75,6 +75,15 @@ def _square(x):
 
 def _boom(x):
     raise ValueError(f"deterministic task failure on item {x}")
+
+
+def _pid_of(_x):
+    return os.getpid()
+
+
+def _pid_parts(identities) -> set:
+    """The pid halves of ``pid.nonce`` worker identities."""
+    return {int(identity.partition(".")[0]) for identity in identities}
 
 
 def _spec(*addresses) -> str:
@@ -221,7 +230,7 @@ class TestLoopbackDesign:
             )
         # Remote server processes really carried the solves.
         assert len(pids) == 2
-        assert os.getpid() not in pids
+        assert os.getpid() not in _pid_parts(pids)
 
     def test_single_worker_matches_serial_bitwise(
         self, worker_pair, serial_trace
@@ -230,7 +239,7 @@ class TestLoopbackDesign:
         remote, pids = _trace(_spec(worker_pair[0]), "direct")
         assert np.array_equal(remote.fom_trace(), serial.fom_trace())
         assert np.array_equal(remote.pattern, serial.pattern)
-        assert len(pids) == 1 and os.getpid() not in pids
+        assert len(pids) == 1 and os.getpid() not in _pid_parts(pids)
 
     def test_single_worker_merges_stats_exactly(self, worker_pair):
         """Merged worker deltas == the serial run's counters.
@@ -317,6 +326,27 @@ class TestLoopbackMonteCarlo:
             _spec(*worker_pair[:n_workers]), "direct"
         )
         assert np.array_equal(remote.foms, serial.foms)
+        assert r_stats == s_stats
+
+    def test_in_process_server_merges_stats_like_serial(self):
+        """A worker server in the parent's own process runs its tasks on
+        unpickled copies of the device, so their stats deltas must merge
+        into the parent workspace like any worker's.  One server only:
+        two in one process would share the module-global warm pool."""
+        serial, s_stats = self._evaluate("serial", "direct")
+        server = RemoteWorkerServer()
+        thread = server.serve_in_thread()
+        warm_before = set(executors._WORKER_STATE)
+        try:
+            remote, r_stats = self._evaluate(_spec(server.address), "direct")
+        finally:
+            server.shutdown()
+            thread.join(timeout=10.0)
+            with executors._WORKER_STATE_LOCK:
+                for token in set(executors._WORKER_STATE) - warm_before:
+                    del executors._WORKER_STATE[token]
+        assert np.array_equal(remote.foms, serial.foms)
+        assert s_stats["factorizations"] > 0
         assert r_stats == s_stats
 
 
@@ -466,7 +496,7 @@ class TestFaultInjection:
         assert np.array_equal(remote.loss_trace(), serial.loss_trace())
         assert np.array_equal(remote.pattern, serial.pattern)
         # Both the doomed worker and the survivor were real processes.
-        assert len(pids) == 2 and os.getpid() not in pids
+        assert len(pids) == 2 and os.getpid() not in _pid_parts(pids)
 
     def test_mc_eval_survives_worker_death(self, worker_pair):
         proc, address = start_worker_subprocess(
@@ -829,12 +859,14 @@ class TestProtocolHygiene:
             ex.map_ordered(lambda x: x, [1, 2])
         ex.shutdown()
 
-    def test_single_item_maps_run_inline_in_parent(self, worker_pair):
-        """Mirrors the pool executors: one item never pays a socket
-        round trip, and run_warm_task's inline path keeps stats exact."""
+    def test_single_item_maps_reach_a_worker(self, worker_pair):
+        """A one-item map goes over the socket like any other: the task
+        runs in the worker process, never in the parent."""
         ex = RemoteCornerExecutor(list(worker_pair), timeout=5.0)
-        assert ex.map_ordered(_square, [7]) == [49]
-        assert ex.observed_pids == set()  # no connection was opened
+        [pid] = ex.map_ordered(_pid_of, [7])
+        assert pid != os.getpid()
+        assert ex.observed_pids == {pid}
+        assert ex.map_ordered(_pid_of, []) == []
         ex.shutdown()
 
 

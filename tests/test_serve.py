@@ -336,6 +336,13 @@ class TestProtocolHygiene:
             assert client.list_jobs()["jobs"] == []
 
 
+    def test_removed_connect_retries_refused_before_queueing(self, daemon):
+        with _client(daemon, timeout=5.0) as client:
+            with pytest.raises(ServeError, match="invalid job config"):
+                client.submit("bending", {"remote_connect_retries": 2})
+        with _client(daemon, timeout=5.0) as client:
+            assert client.list_jobs()["jobs"] == []
+
     def test_removed_executor_refused_before_queueing(self, daemon):
         with _client(daemon, timeout=5.0) as client:
             with pytest.raises(ServeError, match="factor threads"):
