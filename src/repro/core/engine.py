@@ -19,9 +19,9 @@ forward solves while the parent keeps the tape (remote).
 
 from __future__ import annotations
 
-import functools
 import logging
 import threading
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -41,7 +41,6 @@ from repro.core.executors import (
     fan_out,
     make_executor,
     run_warm_task,
-    stable_worker_token,
 )
 from repro.core.objective import (
     aggregate_losses,
@@ -80,53 +79,49 @@ __all__ = ["Boson1Optimizer", "OptimizationResult", "IterationRecord"]
 log = logging.getLogger("repro.engine")
 
 
-class _CornerWorkerState:
-    """Per-worker warm state of one optimizer's remote corner fan-out.
+class _CornerForwardTask:
+    """One optimizer's forward-replay task (module-level so it pickles).
 
-    Lives in the worker's :func:`repro.core.executors.worker_warm` pool:
-    the device (and its re-warmed simulation workspace) survives across
-    tasks and iterations, and ``epoch`` tracks the parent's solver
-    epoch so preconditioner anchors are dropped exactly once per
-    iteration — the worker-side mirror of the parent's
-    ``begin_solver_epoch`` call.
+    Called with a pickle-clean ``(solver epoch, alpha_bg, rho_fab
+    array)`` item; returns ``(ForwardSolveSummary, solver-stats delta,
+    worker identity, obs payload)`` through
+    :func:`repro.core.executors.run_warm_task`.  The identity rides
+    along as evidence that workers actually ran (asserted by tests and
+    recorded by the benchmark); the obs payload (span tree + metric
+    deltas) is captured only when the parent's tracing was active at
+    dispatch (``capture``).
+
+    The parent builds the task fresh each iteration with ``epoch``
+    unset and the epoch riding each item, so the pickled task is the
+    same bytes every iteration: a worker is seeded once per omega group
+    and keeps this object — device, warmed workspace and ``epoch`` — in
+    its seed cache across tasks and iterations.  ``epoch`` tracks the
+    parent's solver epoch, so preconditioner anchors are dropped exactly
+    once per iteration — the worker-side mirror of the parent's
+    ``begin_solver_epoch`` call.  ``run_tag`` makes each optimizer run
+    its own seed, so concurrent runs on identical devices neither take
+    turns on one seed nor meet each other's epochs.
     """
 
-    def __init__(self, device: PhotonicDevice):
+    def __init__(self, device: PhotonicDevice, capture: bool, run_tag: str):
         self.device = device
+        self.capture = capture
+        self.run_tag = run_tag
         self.epoch: int | None = None
 
-    def summarize(self, epoch: int, alpha_bg: float, rho_fab: np.ndarray):
+    def __call__(self, item):
+        return run_warm_task(
+            lambda: self._summarize(*item),
+            self.device.workspace,
+            capture_obs=self.capture,
+        )
+
+    def _summarize(self, epoch: int, alpha_bg: float, rho_fab: np.ndarray):
         workspace = self.device.workspace
         if workspace is not None and epoch != self.epoch:
             workspace.begin_solver_epoch()
         self.epoch = epoch
         return self.device.solve_forward_summary(rho_fab, alpha_bg)
-
-
-def _corner_forward_task(token, device, capture, item):
-    """One forward-replay task (module-level so it pickles by reference).
-
-    ``item`` is a pickle-clean ``(solver epoch, alpha_bg, rho_fab
-    array)`` triple.  The epoch rides the item, not the task state, so
-    the pickled task is the same bytes every iteration and a remote
-    worker is seeded with the device once, not once per epoch.  The
-    result is ``(ForwardSolveSummary, solver-stats delta, worker
-    identity, obs payload)``.  The identity rides along as evidence that
-    workers actually ran (asserted by tests and recorded by the
-    benchmark); the obs payload (span tree + metric deltas, only when
-    the parent's tracing was active at dispatch — ``capture`` is baked
-    into the pickled partial) rides the same seam home.  The warm-pool /
-    stats-delta protocol lives in
-    :func:`repro.core.executors.run_warm_task`.
-    """
-    epoch, alpha_bg, rho_fab = item
-    return run_warm_task(
-        token,
-        _CornerWorkerState(device),
-        lambda state: state.summarize(epoch, alpha_bg, rho_fab),
-        lambda state: state.device.workspace,
-        capture_obs=capture,
-    )
 
 
 @dataclass
@@ -247,6 +242,9 @@ class Boson1Optimizer:
         #: the solves.
         self.observed_worker_pids: set[str] = set()
         self._solver_epoch = 0
+        #: Rides this run's design tasks, so each run is its own seed
+        #: (and warm device) on a worker, as workers key seeds by content.
+        self._run_tag = uuid.uuid4().hex
         if process is None:
             process = FabricationProcess(
                 device.design_shape,
@@ -394,8 +392,8 @@ class Boson1Optimizer:
           re-enter the tape through
           :meth:`PhotonicDevice.port_powers_precomputed`, whose VJP
           needs no parent-side solve.  Each group ships its own device
-          clone under its own warm-pool token, so workers keep one warm
-          workspace per omega.  Every item is a pure function of its
+          clone, a distinct task state by content, so workers keep one
+          warm workspace per omega.  Every item is a pure function of its
           payload, so dead-worker resubmission leaves LU-backed results
           bitwise unchanged; gradients match the in-process path to
           solver precision.
@@ -437,11 +435,8 @@ class Boson1Optimizer:
                             for rho_fab, alpha in zip(rho_fabs, alphas)
                         ]
             else:
-                task = functools.partial(
-                    _corner_forward_task,
-                    stable_worker_token(device_g, ":design"),
-                    device_g,
-                    tracing_active(),
+                task = _CornerForwardTask(
+                    device_g, tracing_active(), self._run_tag
                 )
                 summaries, workers = fan_out(
                     self.executor,

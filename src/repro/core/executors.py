@@ -24,9 +24,10 @@ committing to a backend:
   solves on ``(alpha, rho_fab)`` payloads and the parent injects the
   returned solve summaries into the autodiff graph
   (:meth:`repro.devices.base.PhotonicDevice.port_powers_precomputed`).
-  Workers re-warm their own simulation caches; :func:`worker_warm`
-  keeps the unpickled device (and its warmed workspace) alive across
-  map calls so only the first task of a fan-out pays the re-warm.
+  Workers re-warm their own simulation caches; each worker server keeps
+  the unpickled task state (device and warmed workspace) in its seed
+  cache, keyed by the closure's content digest, so only the first task
+  of a fan-out pays the re-warm.
 
 Remote fan-outs run through one pair of helpers: :func:`run_warm_task`
 is the worker half, :func:`fan_out` the parent half (dispatch span,
@@ -45,11 +46,8 @@ iterative results agree with serial only to solver tolerance.
 
 from __future__ import annotations
 
-import itertools
 import os
-import threading
 import uuid
-from collections import OrderedDict
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.obs.metrics import get_metrics
@@ -61,40 +59,17 @@ __all__ = [
     "make_executor",
     "fan_out",
     "executor_backend",
-    "worker_warm",
     "run_warm_task",
-    "stable_worker_token",
     "EXECUTOR_BACKENDS",
 ]
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-# --------------------------------------------------------------------- #
-# Worker-side warm pool                                                 #
-# --------------------------------------------------------------------- #
-#: Per-process cache of re-warmed task state (devices + their simulation
-#: workspaces), keyed by a parent-issued token.  The *first* unpickled
-#: copy per token is kept here so every later task of the same fan-out —
-#: across map calls (optimizer iterations) — reuses the warmed
-#: calibration and factorization caches instead of starting cold.
-_WORKER_STATE: "OrderedDict[str, object]" = OrderedDict()
-#: Guards :data:`_WORKER_STATE`: a ``repro worker`` runs tasks on
-#: per-connection threads, and an unguarded lookup can touch a token
-#: that another thread just evicted.
-_WORKER_STATE_LOCK = threading.Lock()
-#: Distinct fan-outs a single worker keeps warm at once.  Small on
-#: purpose: each entry can pin full-grid calibration fields.
-_WORKER_STATE_MAX = 4
-
-_TOKEN_COUNTER = itertools.count()
-
-#: Random per-process component of worker tokens.  A bare pid is not a
-#: process identity once payloads cross machines: two parents on
-#: different hosts can run under one pid, and a worker serving both
-#: would then hand one parent's warm state to the other's tasks.  The
-#: nonce keeps warm-pool keys unique across parents.  Forked workers
-#: inherit the nonce but differ in pid; other processes differ in both.
+#: Random per-process component of worker identities.  A bare pid is
+#: not a process identity once payloads cross machines: two worker
+#: hosts can run under one pid.  Forked workers inherit the nonce but
+#: differ in pid; other processes differ in both.
 _PROCESS_NONCE = uuid.uuid4().hex[:12]
 
 
@@ -102,74 +77,32 @@ def _process_identity() -> str:
     return f"{os.getpid()}.{_PROCESS_NONCE}"
 
 
-def stable_worker_token(obj, suffix: str = "") -> str:
-    """A stable warm-pool token for ``obj``, minted on first use.
-
-    Tokens embed the parent's process identity (pid + per-process
-    nonce) and a process-wide counter, so two objects can never share
-    one within a parent's lifetime (``id()`` reuse after garbage
-    collection would), and no two parents sharing a worker can collide
-    in its warm pool.  The token is stored on the
-    object and ships with its pickle, which is what lets every worker of
-    a fan-out agree on the cache key.  ``suffix`` namespaces different
-    task kinds warming the same object (e.g. design vs. evaluation).
-    """
-    token = getattr(obj, "_worker_token", None)
-    if token is None:
-        token = f"{_process_identity()}:{next(_TOKEN_COUNTER)}"
-        object.__setattr__(obj, "_worker_token", token)
-    return token + suffix
-
-
-def worker_warm(token: str, value: T) -> T:
-    """Return the per-process warm instance for ``token``.
-
-    The first call in a worker process seeds the cache with ``value``
-    (typically the task state just unpickled); later calls return the
-    cached instance and drop the fresh copy.  Bounded LRU — ancient
-    fan-outs age out rather than pinning workspaces forever.  Safe to
-    call from concurrent task threads.
-    """
-    with _WORKER_STATE_LOCK:
-        cached = _WORKER_STATE.get(token)
-        if cached is not None:
-            _WORKER_STATE.move_to_end(token)
-            return cached
-        _WORKER_STATE[token] = value
-        while len(_WORKER_STATE) > _WORKER_STATE_MAX:
-            _WORKER_STATE.popitem(last=False)
-        return value
-
-
 def run_warm_task(
-    token: str,
-    fresh_value: T,
-    task: Callable[[T], R],
-    workspace_of: Callable[[T], "object | None"],
+    task: Callable[[], R],
+    workspace,
     capture_obs: bool = False,
 ) -> "tuple[R, dict, str, dict | None]":
-    """Execute one fan-out task in a worker under the warm-pool protocol.
+    """Execute one fan-out task in a worker and report what it cost.
 
-    The single home of the invariant both the taped corner fan-out and
-    the Monte-Carlo fan-out rely on, so it cannot drift between them:
-    park ``fresh_value`` (the task state just unpickled) in the warm
-    pool (first task per token wins; later unpickled copies are
-    dropped), bracket the warmed value's workspace solver stats around
-    the task, and return the delta for the parent to merge.  Every item
-    of a remote map runs here, even in a one-item map, so a task never
-    runs on the parent's live state.
+    The worker half of :func:`fan_out`, shared by the taped corner
+    fan-out and the Monte-Carlo fan-out.  The warm state is the seeded
+    task object itself: a worker server keeps each unpickled closure in
+    its content-addressed seed cache
+    (:class:`repro.core.remote.RemoteWorkerServer`), so the device and
+    its ``workspace`` stay warm across tasks, map calls and
+    connections.  This helper brackets the workspace's solver stats
+    (skipped when it is ``None``) around ``task()`` and returns the
+    delta for the parent to merge.
 
     Returns ``(result, stats delta, worker identity, obs payload)`` —
-    the identity (``pid.nonce``, see :func:`stable_worker_token`) is
-    fan-out evidence that stays distinct across hosts where bare pids
-    can collide.  When the parent asked for observability capture
-    (``capture_obs=True`` baked into the pickled task), the worker
-    brackets the task in a :class:`repro.obs.trace.SpanCapture` plus a
-    metrics baseline and ships ``{"spans": [...], "metrics": {...}}``
-    home; otherwise the payload is ``None``.
+    the identity (``pid.nonce``) is fan-out evidence that stays
+    distinct across hosts where bare pids can collide.  When the parent
+    asked for observability capture (``capture_obs=True`` baked into
+    the pickled task), the worker brackets the task in a
+    :class:`repro.obs.trace.SpanCapture` plus a metrics baseline and
+    ships ``{"spans": [...], "metrics": {...}}`` home; otherwise the
+    payload is ``None``.
     """
-    value = worker_warm(token, fresh_value)
-    workspace = workspace_of(value)
     before = (
         workspace.solver_stats.as_dict() if workspace is not None else None
     )
@@ -177,14 +110,14 @@ def run_warm_task(
     if capture_obs:
         metrics = get_metrics()
         metrics_before = metrics.as_dict()
-        with SpanCapture("worker.task", "worker", token=token) as cap:
-            result = task(value)
+        with SpanCapture("worker.task", "worker") as cap:
+            result = task()
         obs = {
             "spans": cap.records,
             "metrics": metrics.delta_since(metrics_before),
         }
     else:
-        result = task(value)
+        result = task()
     delta = (
         workspace.solver_stats.delta_since(before)
         if workspace is not None
@@ -204,7 +137,7 @@ def fan_out(
     """Map a :func:`run_warm_task` task over ``items`` and merge what
     the workers send home.
 
-    The parent half of the warm-pool protocol, shared by the taped
+    The parent half of the fan-out protocol, shared by the taped
     corner fan-out and the Monte-Carlo fan-out.  The ordered map runs
     under a ``span_name`` span (category: the name's dotted prefix;
     attributes: the executor backend plus ``attrs``); each worker span

@@ -5,14 +5,13 @@ Every socket in this package speaks one protocol, served by one
 handler sets plug into that skeleton:
 
 * :class:`RemoteWorkerServer` (``seed``/``task``) — run on any host via
-  ``repro worker --listen host:port``; unpickles task state, executes
-  items, and keeps a per-token warm pool
-  (:func:`repro.core.executors.worker_warm`) alive across tasks and
-  optimizer iterations.  Its client half is
-  :class:`RemoteCornerExecutor`, selected with ``--executor
-  remote:host:port[,host:port...]``; it registers as an executor
-  backend, so the engine's forward-replay seam and the Monte-Carlo
-  warm-pool seam route through it unchanged.
+  ``repro worker --listen host:port``; unpickles task state into its
+  content-addressed seed cache, the worker's one store of warm state,
+  and executes items on it across tasks, connections and optimizer
+  iterations.  Its client half is :class:`RemoteCornerExecutor`,
+  selected with ``--executor remote:host:port[,host:port...]``; it
+  registers as an executor backend, so the engine's forward-replay
+  seam and the Monte-Carlo seam route through it unchanged.
 * :class:`repro.core.serve.ServeDaemon` (``submit``/``status``/``list``/
   ``cancel``/``watch``) — the ``repro serve`` design-job daemon.
 
@@ -45,15 +44,24 @@ The worker's handler set:
   client then sends a ``seed`` frame carrying the pickled closure, and
   the server verifies the digest before unpickling (a mismatch is a
   descriptive error) and caches the closure in a bounded LRU shared by
-  all its connections.  The engine's closures carry no per-iteration
-  state (the solver epoch rides each item), so a device ships once per
-  worker for a whole optimization, and a fresh connection — every
-  remote Monte-Carlo call opens one — reuses what the worker holds.
+  all its connections.  The cached closure *is* the warm state: its
+  device keeps the re-warmed workspace and calibration caches for every
+  later task with the same key.  The engine's closures carry no
+  per-iteration state (the solver epoch and the Monte-Carlo pattern
+  ride each item), so a device ships once per worker for a whole
+  optimization, and a fresh connection — every remote Monte-Carlo call
+  opens one — reuses what the worker holds.  Content addressing is
+  also the isolation: a reconfigured device or a wavelength clone
+  pickles to another key and so gets its own entry, and each optimizer
+  run tags its design closures so runs never share one.
 * **Tasks** — ``task`` frames carry only the key and the item (a few
   design-shaped arrays); the server executes the seeded closure on it
-  and replies ``result``.  While a task runs the server emits ``busy``
-  heartbeats at the client's requested interval, so the client's socket
-  timeout (``--remote-timeout``) bounds *dead-worker detection* without
+  and replies ``result``.  Two clients can send byte-identical
+  closures, so each seed carries a lock and its tasks run one at a time
+  (tasks of different seeds still overlap).  While a task runs or waits
+  for that lock the server emits ``busy`` heartbeats at the client's
+  requested interval, so the client's socket timeout
+  (``--remote-timeout``) bounds *dead-worker detection* without
   bounding task duration.
 
 Failure semantics
@@ -158,9 +166,10 @@ _FRAME_HEADER = struct.Struct(">Q16s")
 #: Refuse absurd frames before allocating (a corrupted length field
 #: would otherwise ask for petabytes).
 _MAX_FRAME_BYTES = 1 << 31
-#: Seeded task closures kept per worker process.  Each entry can pin a
-#: device plus its (re-warmed) workspace, so the bound is small — old
-#: epochs age out naturally.
+#: Seeded task closures kept per worker server: the one bound on the
+#: warm task states it holds.  Each entry can pin a device plus its
+#: (re-warmed) workspace, so the bound is small — stale task states age
+#: out naturally.
 _MAX_SEEDS = 8
 
 
@@ -684,12 +693,13 @@ class FaultInjection:
 class RemoteWorkerServer(FrameServer):
     """One worker host's server: the ``seed`` and ``task`` handlers.
 
-    All connections share one bounded seed cache, and task closures run
-    under the worker warm-pool protocol
-    (:func:`repro.core.executors.run_warm_task`) — a device seeded in
-    epoch 1 stays warm for every later epoch's tasks.  A graceful stop
-    waits for in-flight tasks: every started task finishes and its
-    result frame reaches the wire.
+    All connections share one bounded seed cache keyed by content
+    digest, and it is the worker's warm state: a device seeded in epoch
+    1 stays warm for every later epoch's tasks, whichever connection
+    sends them.  Tasks of one seed run one at a time under its lock;
+    tasks of different seeds overlap.  A graceful stop waits for
+    in-flight tasks: every started task finishes and its result frame
+    reaches the wire.
     """
 
     role = "worker"
@@ -705,7 +715,12 @@ class RemoteWorkerServer(FrameServer):
         super().__init__(host, port, protocol_version)
         self.fault = fault
         self.handlers.update(seed=self._handle_seed, task=self._handle_task)
-        self._seeds: "OrderedDict[str, Callable]" = OrderedDict()
+        #: ``key -> (closure, lock)``.  The closure holds warm state
+        #: (device, workspace, solver epoch) that concurrent tasks must
+        #: not share, so its tasks run under the lock.
+        self._seeds: "OrderedDict[str, tuple[Callable, threading.Lock]]" = (
+            OrderedDict()
+        )
         self._tasks_seen = 0
         self._tasks_done = 0
         self._in_flight = 0
@@ -768,7 +783,7 @@ class RemoteWorkerServer(FrameServer):
                 "than the client intended",
             )
         try:
-            fn = pickle.loads(payload)
+            seed = (pickle.loads(payload), threading.Lock())
         except Exception as exc:
             return self.refuse(
                 conn,
@@ -776,7 +791,9 @@ class RemoteWorkerServer(FrameServer):
                 "client must run compatible repro versions)",
             )
         with self._lock:
-            self._seeds[key] = fn
+            # Two connections can race to seed one key; the first copy
+            # stays, so the warm state its tasks run on is kept.
+            self._seeds.setdefault(key, seed)
             self._seeds.move_to_end(key)
             while len(self._seeds) > _MAX_SEEDS:
                 self._seeds.popitem(last=False)
@@ -788,10 +805,10 @@ class RemoteWorkerServer(FrameServer):
     ) -> bool:
         key = message.get("key")
         with self._lock:
-            fn = self._seeds.get(key)
-            if fn is not None:
+            seed = self._seeds.get(key)
+            if seed is not None:
                 self._seeds.move_to_end(key)
-        if fn is None:
+        if seed is None:
             # First contact with this task state, a restart, or an LRU
             # eviction: ask the client to ship it.
             send_frame(conn, {"kind": "need-seed", "key": key})
@@ -802,9 +819,14 @@ class RemoteWorkerServer(FrameServer):
         item = message.get("item")
         box: dict = {}
 
+        fn, lock = seed
+
         def run() -> None:
+            # The lock is taken here, not on the connection thread, so
+            # busy heartbeats keep flowing while the task waits for it.
             try:
-                box["value"] = fn(item)
+                with lock:
+                    box["value"] = fn(item)
             except BaseException:
                 box["error"] = traceback.format_exc()
 
@@ -821,11 +843,12 @@ class RemoteWorkerServer(FrameServer):
                 worker.join(heartbeat)
                 if not worker.is_alive():
                     break
-                # Liveness while the solve runs: the client resets its
-                # death timer on any frame, so long tasks survive short
-                # timeouts.  Heartbeats double as health telemetry: each
-                # carries the worker's gauge snapshot (additive key —
-                # old clients simply ignore it, no version bump needed).
+                # Liveness while the task waits or runs: the client
+                # resets its death timer on any frame, so long tasks
+                # survive short timeouts.  Heartbeats double as health
+                # telemetry: each carries the worker's gauge snapshot
+                # (additive key — old clients simply ignore it, no
+                # version bump needed).
                 send_frame(
                     conn, {"kind": "busy", "gauges": self._gauge_snapshot()}
                 )
@@ -878,8 +901,8 @@ def start_worker_subprocess(
     Binds in the parent first — so the chosen port is known without a
     race — then forks; the child inherits the listening socket and runs
     the accept loop.  Returns ``(process, (host, port))``.  Tests use
-    this for true process isolation (worker warm pools, pids, stats
-    deltas all behave exactly as they would on a remote host), and
+    this for true process isolation (seed caches, pids, stats deltas
+    all behave exactly as they would on a remote host), and
     ``process.terminate()`` is the blunt-instrument counterpart of the
     deterministic :class:`FaultInjection` knob.
     """
@@ -1069,7 +1092,7 @@ class RemoteCornerExecutor(CornerExecutor):
     (``remote:host:port[,host:port...]``).  It advertises
     ``supports_shared_memory = False``, so the engine routes
     taped corner losses through the forward-replay seam and Monte-Carlo
-    evaluation through the warm-pool seam — this class only has to move
+    evaluation through per-sample tasks — this class only has to move
     the already pickle-clean payloads and keep the ordered-reduction
     contract.
 
@@ -1078,10 +1101,11 @@ class RemoteCornerExecutor(CornerExecutor):
     task with ``need-seed``, so unchanged task state crosses the wire
     once per worker, across map calls and connections; items are
     round-robined across workers with work stealing on idle, and a dead
-    worker's items are resubmitted to survivors.  Connections persist
-    across map calls, so worker-side warm pools survive whole
-    optimizations; :meth:`shutdown` closes them and the next map call
-    reconnects lazily.
+    worker's items are resubmitted to survivors.  Worker-side warm state
+    lives in each server's seed cache, not in the connection, so it
+    survives whole optimizations and reconnects; connections persist
+    across map calls, :meth:`shutdown` closes them and the next map
+    call reconnects lazily.
     """
 
     name = "remote"
@@ -1189,7 +1213,7 @@ class RemoteCornerExecutor(CornerExecutor):
         except Exception as exc:
             raise ValueError(
                 f"remote executor task state is not picklable: {exc!r} — "
-                "only the forward-replay / warm-pool seams' pickle-clean "
+                "only the forward-replay / Monte-Carlo seams' pickle-clean "
                 "closures can cross a socket"
             ) from exc
         key = seed_key(fn_bytes)

@@ -135,8 +135,8 @@ class PhotonicDevice:
     #: Calibration runs kept per device (LRU).  Each entry pins a
     #: full-grid incident field, and evaluation workloads mint one
     #: (direction, alpha) key per Monte-Carlo temperature draw — without
-    #: a bound a long-lived device (e.g. one parked in a worker's warm
-    #: pool) would accumulate them without limit.
+    #: a bound a long-lived device (e.g. one held in a worker's seed
+    #: cache) would accumulate them without limit.
     _MAX_CALIBRATIONS: int = 32
 
     def __init__(
@@ -160,12 +160,13 @@ class PhotonicDevice:
         )
         self._background = None
         self._calibration_cache: dict[tuple[str, float], tuple] = {}
-        #: Guards the calibration cache's LRU bookkeeping only — a
-        #: ``repro worker`` runs tasks on per-connection threads that
-        #: can share one warm device and hit the same (direction,
-        #: alpha) key concurrently, and the recency touch / eviction
-        #: are mutations.  Solves happen outside the lock (a cold race
-        #: duplicates work benignly; entries are content-addressed).
+        #: Guards the calibration cache's LRU bookkeeping only — any
+        #: caller may share one device across threads and hit the same
+        #: (direction, alpha) key concurrently, and the recency touch /
+        #: eviction are mutations.  (A ``repro worker`` runs the tasks
+        #: of one seeded device one at a time.)  Solves happen outside
+        #: the lock (a cold race duplicates work benignly; entries are
+        #: content-addressed).
         self._calibration_lock = threading.Lock()
         self._wavelength_clones: dict[float, "PhotonicDevice"] = {}
         self.configure_simulation_cache(simulation_cache, workspace)
@@ -203,11 +204,6 @@ class PhotonicDevice:
         with self._calibration_lock:
             self._calibration_cache.clear()
         self._wavelength_clones.clear()
-        # A reconfigured device is a different worker payload: drop the
-        # warm-pool token (if one was minted) so remote workers
-        # re-seed from the fresh pickle instead of serving the cached
-        # copy with the old workspace/backend.
-        self.__dict__.pop("_worker_token", None)
 
     # Wavelength clones and calibration runs hold full-grid fields and
     # are cheap for workers to re-solve (content-addressed, bit-stable);
@@ -247,12 +243,6 @@ class PhotonicDevice:
             clone._calibration_cache = {}
             clone._calibration_lock = threading.Lock()
             clone._wavelength_clones = {}
-            # The clone is a different worker payload than its base
-            # device (different omega): it must mint its own warm-pool
-            # token rather than inherit the base's via __dict__.update,
-            # or a long-lived remote worker would serve the base device
-            # from the warm cache for every clone solve.
-            clone.__dict__.pop("_worker_token", None)
             self._wavelength_clones[key] = clone
             # Bounded LRU: each clone pins full-grid calibration fields,
             # so a long-lived device sweeping many wavelengths must not

@@ -12,7 +12,6 @@ from repro.core.executors import (
     fan_out,
     make_executor,
     run_warm_task,
-    stable_worker_token,
 )
 from repro.core.sampling import omega_groups, scenario_family
 from repro.devices.base import PhotonicDevice
@@ -158,28 +157,27 @@ def _evaluate_sample(
 
 
 def _evaluate_sample_task(
-    token: str,
     device: PhotonicDevice,
     process: FabricationProcess,
-    pattern: np.ndarray,
     capture: bool,
-    corner: VariationCorner,
+    item: "tuple[np.ndarray, VariationCorner]",
 ):
-    """Worker-task variant of :func:`_evaluate_sample`.
+    """Worker-task variant of :func:`_evaluate_sample` on a ``(pattern,
+    corner)`` item.
 
     The same seam the taped corner fan-out uses
-    (:func:`repro.core.executors.run_warm_task` holds the shared
-    warm-pool / stats-delta protocol): the device is
-    parked in the worker's warm pool so its workspace and calibration
-    caches survive across repeated evaluations, and the task
-    returns ``((fom, powers), solver-stats delta, worker identity, obs
+    (:func:`repro.core.executors.run_warm_task` brackets the
+    stats delta): a worker keeps the seeded partial, and with it
+    ``device``, in its seed cache.  The pattern rides the item, so the
+    workspace and calibration caches stay warm across repeated
+    evaluations of any pattern on the device.  The task returns
+    ``((fom, powers), solver-stats delta, worker identity, obs
     payload)`` for :func:`repro.core.executors.fan_out` to merge.
     """
+    pattern, corner = item
     return run_warm_task(
-        token,
-        device,
-        lambda dev: _evaluate_sample(dev, process, pattern, corner),
-        lambda dev: dev.workspace,
+        lambda: _evaluate_sample(device, process, pattern, corner),
+        device.workspace,
         capture_obs=capture,
     )
 
@@ -302,15 +300,14 @@ def evaluate_post_fab(
             results = _evaluate_local(device, process, pattern, corners)
         else:
             task = functools.partial(
-                _evaluate_sample_task,
-                stable_worker_token(device, ":eval"),
-                device,
-                process,
-                pattern,
-                tracing_active(),
+                _evaluate_sample_task, device, process, tracing_active()
             )
             results, _workers = fan_out(
-                pool, task, corners, device.workspace, "eval.dispatch",
+                pool,
+                task,
+                [(pattern, corner) for corner in corners],
+                device.workspace,
+                "eval.dispatch",
                 samples=len(corners),
             )
     finally:

@@ -21,12 +21,9 @@ Worker processes are :func:`repro.core.remote.start_worker_subprocess`
 servers on loopback, so those tests carry the ``remote`` marker.
 """
 
-import functools
 import os
 import pickle
-import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -34,15 +31,17 @@ import pytest
 
 from repro.autodiff import Tensor
 from repro.core import Boson1Optimizer, OptimizerConfig, executors
-from repro.core.engine import _corner_forward_task
+from repro.core.engine import _CornerForwardTask
 from repro.core.executors import (
     EXECUTOR_BACKENDS,
     SerialExecutor,
     make_executor,
-    stable_worker_token,
-    worker_warm,
 )
-from repro.core.remote import RemoteCornerExecutor, start_worker_subprocess
+from repro.core.remote import (
+    RemoteCornerExecutor,
+    seed_key,
+    start_worker_subprocess,
+)
 from repro.devices import make_device
 from repro.eval import evaluate_post_fab
 from repro.fab.process import FabricationProcess
@@ -54,6 +53,11 @@ from repro.utils.constants import omega_from_wavelength
 
 def _square(x):
     return x * x
+
+
+def _seed_key_of(task) -> str:
+    """The seed key a remote map names ``task``'s pickled closure by."""
+    return seed_key(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 def _jittery(i):
@@ -156,24 +160,6 @@ class TestMapOrdered:
         assert ex.map_ordered(_square, [4, 5]) == [16, 25]
         assert ex._connections
         ex.shutdown()
-
-
-class TestWorkerTokenIdentity:
-    def test_tokens_unique_per_object_and_prefixed_by_process(self):
-        """Warm-pool keys stay unique across parents sharing a worker:
-        each token is this process's ``pid.nonce`` (pids alone collide
-        across hosts) plus a per-object counter, and it is stable for
-        the object's lifetime."""
-        import types
-
-        a, b = types.SimpleNamespace(), types.SimpleNamespace()
-        token_a, token_b = stable_worker_token(a), stable_worker_token(b)
-        assert token_a != token_b
-        assert stable_worker_token(a) == token_a
-        assert stable_worker_token(a, ":eval") == token_a + ":eval"
-        identity = f"{os.getpid()}.{executors._PROCESS_NONCE}"
-        for token in (token_a, token_b):
-            assert token.partition(":")[0] == identity
 
 
 class TestConfigValidation:
@@ -408,28 +394,43 @@ class TestProcessTapedFanout:
             )
             for c in corners[:2]
         ]
-        token = stable_worker_token(device, ":design")
-        task = functools.partial(
-            _corner_forward_task,
-            token,
-            device,
-            False,
-        )
+        task = _CornerForwardTask(device, False, "run")
         task2, items2 = pickle.loads(pickle.dumps((task, items)))
         # The round-tripped task runs and its result pickles too.  Run
-        # here it behaves as on any worker: it seeds this process's warm
-        # pool and reports this process's identity.
-        try:
-            summary, delta, pid, obs = task2(items2[0])
-        finally:
-            with executors._WORKER_STATE_LOCK:
-                executors._WORKER_STATE.pop(token, None)
+        # here it behaves as on any worker and reports this process's
+        # identity.
+        summary, delta, pid, obs = task2(items2[0])
         assert pid == f"{os.getpid()}.{executors._PROCESS_NONCE}"
         assert obs is None
         assert isinstance(delta, dict)
         roundtrip = pickle.loads(pickle.dumps(summary))
         assert [s.direction for s in roundtrip.directions] == ["fwd"]
         opt.close()
+
+    def test_each_run_is_its_own_seed(self):
+        """Workers key seeds by content, so two runs on identical
+        devices must still ship distinct design tasks: one shared seed
+        would make their tasks take turns on its lock and mix their
+        solver epochs."""
+        keys = []
+
+        class Recording(SerialExecutor):
+            supports_shared_memory = False
+
+            def map_ordered(self, fn, items):
+                keys.append(_seed_key_of(fn))
+                return [fn(item) for item in items]
+
+        for _run in range(2):
+            opt = Boson1Optimizer(
+                make_device("bending"),
+                OptimizerConfig(iterations=1, seed=3, sampling="nominal"),
+            )
+            opt.executor = Recording()
+            opt.run()
+            opt.close()
+        assert len(keys) == 2
+        assert keys[0] != keys[1]
 
     def test_precomputed_summary_rejects_wrong_pattern(self):
         device = make_device("bending")
@@ -498,93 +499,23 @@ class TestProcessTapedFanout:
             rho_b.grad, rho_a.grad, rtol=1e-9, atol=1e-14
         )
 
-    def test_worker_warm_pool_caches_and_bounds(self):
-        import types
-
-        from repro.core.executors import _WORKER_STATE_MAX
-
-        sentinel_a, sentinel_b = object(), object()
-        token = stable_worker_token(types.SimpleNamespace())
-        assert worker_warm(token + ":x", sentinel_a) is sentinel_a
-        # Second call returns the cached instance, not the fresh value.
-        assert worker_warm(token + ":x", sentinel_b) is sentinel_a
-        # LRU bound: flooding the pool with fresh tokens evicts the
-        # oldest entry, so a later call re-seeds with the new value.
-        for i in range(_WORKER_STATE_MAX):
-            worker_warm(f"{token}:flood-{i}", object())
-        assert worker_warm(token + ":x", sentinel_b) is sentinel_b
-
-    def test_worker_warm_pool_survives_concurrent_eviction(self, monkeypatch):
-        """A `repro worker` runs tasks on per-connection threads.
-
-        One thread finds its token and pauses just before refreshing
-        its recency while a second thread floods the pool past its
-        bound.  Unguarded, the flood evicts the token and the refresh
-        raises ``KeyError``; with the pool lock the flood waits for the
-        lookup to finish.
-        """
-        from repro.core.executors import _WORKER_STATE_MAX
-
-        found, evicted = threading.Event(), threading.Event()
-        target = "race:target"
-
-        class PausingState(OrderedDict):
-            def get(self, key, default=None):
-                value = super().get(key, default)
-                if key == target and value is not None and not found.is_set():
-                    found.set()
-                    evicted.wait(timeout=0.5)
-                return value
-
-        state = PausingState()
-        state[target] = cached = object()
-        monkeypatch.setattr(executors, "_WORKER_STATE", state)
-        outcome = {}
-
-        def lookup():
-            try:
-                outcome["value"] = worker_warm(target, object())
-            except Exception as exc:  # pragma: no cover - failure path
-                outcome["error"] = exc
-
-        def flood():
-            found.wait(timeout=5.0)
-            for i in range(_WORKER_STATE_MAX):
-                worker_warm(f"race:flood-{i}", object())
-            evicted.set()
-
-        threads = [threading.Thread(target=t) for t in (lookup, flood)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10.0)
-        assert found.is_set()
-        assert outcome == {"value": cached}
-        assert len(state) <= _WORKER_STATE_MAX
-
-    def test_reconfigured_device_mints_fresh_worker_token(self):
-        """configure_simulation_cache invalidates the warm-pool key.
-
-        A long-lived worker would otherwise keep serving the cached
-        worker copy with the old workspace/backend after the caller
-        reconfigured the device.
-        """
+    def test_reconfigured_device_changes_seed_key(self):
+        """A worker must not serve the warm copy with the old
+        workspace/backend after the caller reconfigured the device."""
         device = make_device("bending")
-        before = stable_worker_token(device)
-        device.configure_simulation_cache(True, SimulationWorkspace())
-        after = stable_worker_token(device)
-        assert after != before
+        before = _seed_key_of(_CornerForwardTask(device, False, "run"))
+        device.configure_simulation_cache(
+            True, SimulationWorkspace(solver_config="krylov-block")
+        )
+        assert _seed_key_of(_CornerForwardTask(device, False, "run")) != before
 
-    def test_wavelength_clone_mints_fresh_worker_token(self):
-        """at_wavelength clones must not inherit the base's token.
-
-        A long-lived worker would otherwise serve the warm-cached base
-        device (wrong omega) for every clone solve.
-        """
+    def test_wavelength_clone_changes_seed_key(self):
+        """A worker must not serve the warm base device (wrong omega)
+        for a clone's solves."""
         device = make_device("bending")
-        base_token = stable_worker_token(device)
+        base = _seed_key_of(_CornerForwardTask(device, False, "run"))
         clone = device.at_wavelength(1.6)
-        assert stable_worker_token(clone) != base_token
+        assert _seed_key_of(_CornerForwardTask(clone, False, "run")) != base
 
     def test_calibration_cache_thread_safe_under_hits_and_eviction(self):
         """The LRU recency touch mutates on cache hits; hammer it.
@@ -621,7 +552,8 @@ class TestProcessTapedFanout:
         assert len(device._calibration_cache) <= 2
 
     def test_calibration_cache_bounded_and_dropped_from_pickle(self):
-        """Warm-pooled devices must not grow without bound.
+        """Devices held warm in a worker's seed cache must not grow
+        without bound.
 
         Monte-Carlo workloads mint one (direction, alpha) calibration
         per temperature draw; the LRU bound caps what a long-lived
@@ -640,13 +572,6 @@ class TestProcessTapedFanout:
         assert survivor in device._calibration_cache
         clone = pickle.loads(pickle.dumps(device))
         assert clone._calibration_cache == {}
-
-    def test_stable_worker_token_is_sticky_and_unique(self):
-        a, b = make_device("bending"), make_device("bending")
-        assert stable_worker_token(a) == stable_worker_token(a)
-        assert stable_worker_token(a) != stable_worker_token(b)
-        assert stable_worker_token(a, ":eval") != stable_worker_token(a)
-
 
 @pytest.mark.remote
 class TestCrossExecutorDeterminism:
@@ -742,7 +667,7 @@ class TestSolveStatsConcurrencyAndMerge:
             SolveStats().merge({"gpu_kernels": 1})
 
     @pytest.mark.remote
-    def test_process_eval_merges_worker_stats_exactly(self, worker_pair):
+    def test_process_eval_merges_worker_stats_exactly(self, fresh_pair):
         """Parent stats after a worker fan-out == the serial run's.
 
         Every Monte-Carlo sample draws its own temperature, so each
@@ -753,7 +678,7 @@ class TestSolveStatsConcurrencyAndMerge:
         """
         pattern = None
         totals = {}
-        for executor in ("serial", _remote(*worker_pair)):
+        for executor in ("serial", _remote(*fresh_pair)):
             device = make_device("bending")
             device.configure_simulation_cache(True, SimulationWorkspace())
             process = FabricationProcess(
@@ -776,7 +701,7 @@ class TestSolveStatsConcurrencyAndMerge:
 
     @pytest.mark.remote
     def test_single_sample_process_eval_does_not_double_count(
-        self, worker_pair
+        self, fresh_pair
     ):
         """n_samples=1 still goes to a worker, whose stats delta the
         parent merges exactly once: the parent's own workspace did none
@@ -784,7 +709,7 @@ class TestSolveStatsConcurrencyAndMerge:
         """
         pattern = None
         totals = {}
-        for executor in ("serial", _remote(*worker_pair)):
+        for executor in ("serial", _remote(*fresh_pair)):
             device = make_device("bending")
             device.configure_simulation_cache(True, SimulationWorkspace())
             process = FabricationProcess(

@@ -1,7 +1,7 @@
 """Multi-node corner fan-out over loopback sockets.
 
 Four contracts under test, all against real worker *processes* (forked
-servers — warm pools, pids and stats deltas behave exactly as they
+servers — seed caches, pids and stats deltas behave exactly as they
 would on a remote host):
 
 1. **Determinism** — design and Monte-Carlo evaluation over
@@ -25,6 +25,7 @@ import pickle
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -32,7 +33,7 @@ import numpy as np
 import pytest
 
 import repro.core.remote as remote_mod
-from repro.core import Boson1Optimizer, OptimizerConfig, executors
+from repro.core import Boson1Optimizer, OptimizerConfig
 from repro.core.executors import make_executor
 from repro.core.remote import (
     DEFAULT_REMOTE_TIMEOUT,
@@ -316,35 +317,36 @@ class TestLoopbackMonteCarlo:
             )
 
     @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_merged_stats_equal_serial(self, worker_pair, n_workers):
+    def test_merged_stats_equal_serial(self, fresh_pair, n_workers):
         """Every MC sample draws its own temperature, so each
         (direction, alpha) calibration is solved exactly once wherever
         it runs — the merged totals reproduce the serial dict exactly,
         for any worker count."""
         serial, s_stats = self._evaluate("serial", "direct")
         remote, r_stats = self._evaluate(
-            _spec(*worker_pair[:n_workers]), "direct"
+            _spec(*fresh_pair[:n_workers]), "direct"
         )
         assert np.array_equal(remote.foms, serial.foms)
         assert r_stats == s_stats
 
-    def test_in_process_server_merges_stats_like_serial(self):
-        """A worker server in the parent's own process runs its tasks on
-        unpickled copies of the device, so their stats deltas must merge
-        into the parent workspace like any worker's.  One server only:
-        two in one process would share the module-global warm pool."""
+    @pytest.mark.parametrize("n_servers", [1, 2])
+    def test_in_process_server_merges_stats_like_serial(self, n_servers):
+        """Worker servers in the parent's own process run their tasks on
+        their own unpickled copies of the device, so their stats deltas
+        must merge into the parent workspace like any worker's — also
+        with two servers in one process, whose warm state is each
+        server's own seed cache."""
         serial, s_stats = self._evaluate("serial", "direct")
-        server = RemoteWorkerServer()
-        thread = server.serve_in_thread()
-        warm_before = set(executors._WORKER_STATE)
+        servers = [RemoteWorkerServer() for _ in range(n_servers)]
+        threads = [server.serve_in_thread() for server in servers]
         try:
-            remote, r_stats = self._evaluate(_spec(server.address), "direct")
+            remote, r_stats = self._evaluate(
+                _spec(*(server.address for server in servers)), "direct"
+            )
         finally:
-            server.shutdown()
-            thread.join(timeout=10.0)
-            with executors._WORKER_STATE_LOCK:
-                for token in set(executors._WORKER_STATE) - warm_before:
-                    del executors._WORKER_STATE[token]
+            for server, thread in zip(servers, threads):
+                server.shutdown()
+                thread.join(timeout=10.0)
         assert np.array_equal(remote.foms, serial.foms)
         assert s_stats["factorizations"] > 0
         assert r_stats == s_stats
@@ -361,14 +363,6 @@ class TestSeedShipping:
     (``need-seed``) only when it does not hold it, so a fresh connection
     — each remote Monte-Carlo call opens one — re-ships nothing.
     """
-
-    @pytest.fixture
-    def fresh_pair(self):
-        workers = [start_worker_subprocess() for _ in range(2)]
-        yield [address for _proc, address in workers]
-        for proc, _address in workers:
-            proc.terminate()
-            proc.join(timeout=10)
 
     @pytest.fixture
     def seed_frames(self, monkeypatch):
@@ -413,6 +407,65 @@ class TestSeedShipping:
             # connections and reuse what the workers already hold.
             assert len(seed_frames) == 2, call
         assert len(set(seed_frames)) == 1
+
+    def test_identical_task_state_of_another_device_is_warm(
+        self, fresh_pair, seed_frames
+    ):
+        """Warm state is keyed by content, not by the parent's object:
+        a separately built device with the same content meets the seed,
+        and the warm workspace, that the first one left on the worker."""
+        factorizations = []
+        for _call in range(2):
+            device = make_device("bending")
+            device.configure_simulation_cache(True, SimulationWorkspace())
+            process = FabricationProcess(
+                device.design_shape, device.dl,
+                context=device.litho_context(12), pad=12,
+            )
+            pattern = rasterize_segments(
+                device.design_shape, device.dl, device.init_segments()
+            )
+            evaluate_post_fab(
+                device, process, pattern, 4, seed=2,
+                executor=_spec(fresh_pair[0]), remote_timeout=15.0,
+            )
+            factorizations.append(
+                device.workspace.stats()["solver"]["factorizations"]
+            )
+        assert len(seed_frames) == 1
+        assert factorizations[0] > 0
+        assert factorizations[1] == 0, factorizations
+
+    def test_new_patterns_on_one_device_stay_warm(
+        self, fresh_pair, seed_frames
+    ):
+        """The pattern rides each Monte-Carlo item, not the seed, so
+        evaluating new patterns on one device reuses the worker's warm
+        calibrations (keyed by direction and alpha) and its one seed."""
+        device = make_device("bending")
+        device.configure_simulation_cache(True, SimulationWorkspace())
+        process = FabricationProcess(
+            device.design_shape, device.dl,
+            context=device.litho_context(12), pad=12,
+        )
+        pattern = rasterize_segments(
+            device.design_shape, device.dl, device.init_segments()
+        )
+        factorizations = []
+        for k in range(3):
+            variant = pattern.copy()
+            variant[0, k] = 1.0 - variant[0, k]
+            before = device.workspace.stats()["solver"]["factorizations"]
+            evaluate_post_fab(
+                device, process, variant, 4, seed=2,
+                executor=_spec(fresh_pair[0]), remote_timeout=15.0,
+            )
+            factorizations.append(
+                device.workspace.stats()["solver"]["factorizations"] - before
+            )
+        assert len(seed_frames) == 1
+        assert factorizations[0] > 0
+        assert factorizations[1:] == [0, 0], factorizations
 
 
 def _vm_rss_mb(pid: int) -> float:
@@ -590,6 +643,43 @@ class TestFaultInjection:
         finally:
             server.shutdown()
 
+    def test_tasks_of_one_seed_run_one_at_a_time(self):
+        """Two parents can send byte-identical closures, which a worker
+        holds as one seed: its tasks must not share the seeded object
+        at once.  The waiting task sits on the seed lock longer than
+        the timeout and still is not declared dead — busy heartbeats
+        flow while it waits."""
+        server = RemoteWorkerServer()
+        server.serve_in_thread()
+        probe = _ConcurrencyProbe(0.4)
+        pool = [
+            RemoteCornerExecutor([server.address], timeout=0.25)
+            for _ in range(2)
+        ]
+        outcomes: "list[object]" = [None, None]
+
+        def run(i):
+            try:
+                outcomes[i] = pool[i].map_ordered(probe, [0, 1])
+            except Exception as exc:  # pragma: no cover - failure path
+                outcomes[i] = exc
+
+        try:
+            # Seed once up front so both maps meet the same seed.
+            assert pool[0].map_ordered(probe, [0]) == [1]
+            threads = [
+                threading.Thread(target=run, args=(i,)) for i in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert outcomes == [[1, 1], [1, 1]]
+            for ex in pool:
+                ex.shutdown()
+        finally:
+            server.shutdown()
+
     def test_worker_reseeds_after_losing_task_state(self):
         """need-seed recovery: a worker that dropped its seed (restart
         or LRU eviction) asks for it again instead of failing."""
@@ -608,6 +698,22 @@ class TestFaultInjection:
 def _sleepy(seconds):
     time.sleep(seconds)
     return seconds
+
+
+class _ConcurrencyProbe:
+    """Plain picklable task: returns how many calls were inside its
+    (seeded) instance when this one entered, itself included."""
+
+    def __init__(self, seconds: float):
+        self.seconds = seconds
+        self.inside: list = []
+
+    def __call__(self, _item):
+        self.inside.append(None)
+        peak = len(self.inside)
+        time.sleep(self.seconds)
+        self.inside.pop()
+        return peak
 
 
 def _returns_unpicklable(x):
