@@ -66,7 +66,11 @@ class OptimizerConfig:
     worst_xi_step:
         Step size of the worst-corner ascent in EOLE-coefficient space.
     seed:
-        Root seed for every stochastic component.
+        Seed of the optimizer's generator, which drives only
+        ``init="random"`` and the corner draws of the ``random`` and
+        ``axial+random`` strategies.  Every other run (the default
+        ``axial+worst`` with path init included) is the same for every
+        seed.  Monte-Carlo evaluation takes its own seed.
     wavelengths_um:
         Operating-wavelength axis of the scenario family, in um.
         ``None`` (the default) keeps objectives single-wavelength at

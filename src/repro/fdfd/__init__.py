@@ -24,12 +24,11 @@ from repro.fdfd.sources import ModeLineSource
 from repro.fdfd.monitors import ModeOverlapMonitor, poynting_flux_x, poynting_flux_y
 from repro.fdfd.adjoint import PortInfrastructure, PortPowerProblem, PortSpec
 from repro.fdfd.linalg import (
+    SOLVER_BACKENDS,
     DirectSolver,
     LinearSolver,
     PreconditionedKrylovSolver,
     SolverConfig,
-    available_backends,
-    register_solver,
 )
 from repro.fdfd.workspace import (
     FactorOptions,
@@ -65,6 +64,5 @@ __all__ = [
     "SolverConfig",
     "DirectSolver",
     "PreconditionedKrylovSolver",
-    "available_backends",
-    "register_solver",
+    "SOLVER_BACKENDS",
 ]

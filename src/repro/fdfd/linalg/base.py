@@ -1,4 +1,4 @@
-"""Linear-solver protocol, configuration and backend registry.
+"""Linear-solver protocol, configuration and the backend names.
 
 The FDFD stack reduces every physics question to solves of one sparse
 system ``A x = b`` (and its transpose, for adjoints).  This package
@@ -17,32 +17,29 @@ directly:
     :class:`repro.core.config.OptimizerConfig` and the CLI ``--solver``
     flag down to the workspace.
 
-``SOLVER_REGISTRY``
-    String-keyed backend registry (``direct`` / ``krylov-block``);
-    :func:`register_solver` adds new backends.
+``SOLVER_BACKENDS``
+    The two backend names, ``direct`` and ``krylov-block``.
+    :class:`~repro.fdfd.workspace.SimulationWorkspace` picks the solver
+    classes by name.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.fdfd.workspace import FactorOptions
 
 __all__ = [
     "LinearSolver",
     "SolverConfig",
     "SolveStats",
-    "SOLVER_REGISTRY",
-    "register_solver",
-    "available_backends",
-    "make_linear_solver",
+    "SOLVER_BACKENDS",
 ]
+
+#: Every backend :class:`SolverConfig` accepts.
+SOLVER_BACKENDS = ("direct", "krylov-block")
 
 #: Retired solver spellings and what replaced them, for descriptive
 #: refusals (a silent mapping would hide that the spelling is gone).
@@ -73,12 +70,12 @@ class SolverConfig:
     Parameters
     ----------
     backend:
-        Registry key: ``"direct"`` (one SuperLU per permittivity, every
-        multi-column block in one matrix-RHS call) or ``"krylov-block"``
-        (BiCGStab preconditioned by a recycled nominal-corner LU, with
-        automatic fallback to direct; an iteration's corner family
-        rides one blocked solve, and every other solve is a one-system
-        block).
+        One of :data:`SOLVER_BACKENDS`: ``"direct"`` (one SuperLU per
+        permittivity, every multi-column block in one matrix-RHS call)
+        or ``"krylov-block"`` (BiCGStab preconditioned by a recycled
+        nominal-corner LU, with automatic fallback to direct; an
+        iteration's corner family rides one blocked solve, and every
+        other solve is a one-system block).
     tol:
         Relative residual target of the iterative solve.  The ``1e-5``
         default converges in ~3 BiCGStab sweeps when the preconditioner
@@ -112,10 +109,10 @@ class SolverConfig:
                 f"solver backend {self.backend!r} was removed: "
                 f"{_RETIRED_BACKENDS[self.backend]}"
             )
-        if self.backend not in SOLVER_REGISTRY:
+        if self.backend not in SOLVER_BACKENDS:
             raise ValueError(
                 f"unknown solver backend {self.backend!r}; "
-                f"available: {available_backends()}"
+                f"available: {list(SOLVER_BACKENDS)}"
             )
         if self.tol <= 0:
             raise ValueError("tol must be positive")
@@ -147,13 +144,10 @@ class SolverConfig:
                 raise ValueError(
                     f"unknown solver modifier {modifier!r} in {spec!r}; "
                     "a solver spec is a bare backend name "
-                    f"({available_backends()})"
+                    f"({list(SOLVER_BACKENDS)})"
                 )
             return cls(backend=backend)
         raise TypeError(f"cannot coerce {type(spec).__name__} to SolverConfig")
-
-    def with_overrides(self, **kwargs) -> "SolverConfig":
-        return replace(self, **kwargs)
 
 
 class SolveStats:
@@ -270,55 +264,3 @@ class LinearSolver:
     def _check_trans(trans: str) -> None:
         if trans not in ("N", "T"):
             raise ValueError(f"trans must be 'N' or 'T', got {trans!r}")
-
-
-SOLVER_REGISTRY: dict[str, type] = {}
-
-
-def register_solver(name: str):
-    """Class decorator adding a backend to :data:`SOLVER_REGISTRY`."""
-
-    def decorate(cls):
-        if name in SOLVER_REGISTRY and SOLVER_REGISTRY[name] is not cls:
-            raise ValueError(f"solver backend {name!r} already registered")
-        SOLVER_REGISTRY[name] = cls
-        cls.backend_name = name
-        return cls
-
-    return decorate
-
-
-def available_backends() -> list[str]:
-    return sorted(SOLVER_REGISTRY)
-
-
-def make_linear_solver(
-    backend: str,
-    matrix: sp.csc_matrix,
-    factor_options: "FactorOptions",
-    *,
-    config: SolverConfig | None = None,
-    stats: SolveStats | None = None,
-    **kwargs,
-) -> LinearSolver:
-    """Instantiate a registered backend for one system matrix.
-
-    Direct backends factorize immediately; the Krylov backend expects
-    the ``assembly``, the system's ``eps``, a ``preconditioner`` LU and
-    its ``anchor_eps`` in ``kwargs`` (the workspace supplies its nearest
-    anchor) and factorizes nothing up front.
-    """
-    try:
-        cls = SOLVER_REGISTRY[backend]
-    except KeyError:
-        raise ValueError(
-            f"unknown solver backend {backend!r}; "
-            f"available: {available_backends()}"
-        ) from None
-    return cls.build(
-        matrix,
-        factor_options,
-        config=config or SolverConfig(backend=backend),
-        stats=stats,
-        **kwargs,
-    )

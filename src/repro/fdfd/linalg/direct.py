@@ -15,12 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.fdfd.linalg.base import (
-    LinearSolver,
-    SolveStats,
-    SolverConfig,
-    register_solver,
-)
+from repro.fdfd.linalg.base import LinearSolver, SolveStats
 from repro.obs.trace import span
 
 __all__ = ["DirectSolver", "SinglePrecisionLU"]
@@ -52,7 +47,6 @@ class SinglePrecisionLU:
         return np.asarray(out, dtype=np.complex128)
 
 
-@register_solver("direct")
 class DirectSolver(LinearSolver):
     """SuperLU-factorized operator; one matrix-RHS call per block."""
 
@@ -70,10 +64,9 @@ class DirectSolver(LinearSolver):
         cls,
         matrix: sp.csc_matrix,
         factor_options,
-        config: SolverConfig | None = None,
         stats: SolveStats | None = None,
-        **_ignored,
     ) -> "DirectSolver":
+        """Factorize ``matrix`` now and count the factorization."""
         stats = stats or SolveStats()
         lu = factor_options.factorize(matrix)
         stats.add(factorizations=1)

@@ -11,17 +11,18 @@ device calibration runs are solved exactly by fast diagonalization
 is left here is the backend's answer to a direct
 :meth:`~repro.fdfd.workspace.SimulationWorkspace.linear_solver` call (a
 :class:`~repro.fdfd.solver.HelmholtzSolver` on a ``krylov-block``
-workspace): the same kernel with a single system against the float64
-LU of the nearest anchor.
+workspace).  The workspace opens a one-system corner block for it,
+under the same anchor policy as a corner family.  A system with an
+exact LU gets a :class:`~repro.fdfd.linalg.direct.DirectSolver`, and
+any other gets this adapter over the block.
 
-Robustness comes from the kernel: each solve starts from ``M^{-1} b``
-(exact when the matrix *is* the anchor), every converged column is
-certified against the true operator, and a column that misses the
-(deliberately small) iteration budget falls back to a direct
-factorization — which the workspace then recycles as a new
-preconditioner anchor, so an off-manifold permittivity pays the
-factorization once and seeds its own anchor family.  Later solves on
-this matrix then reuse that factorization.
+Robustness comes from the kernel: each solve starts from ``M^{-1} b``,
+every converged column is certified against the true operator, and a
+column that misses the (deliberately small) iteration budget falls
+back to a direct factorization.  The workspace then recycles that
+factorization as a new preconditioner anchor, so an off-manifold
+permittivity pays the factorization once and seeds its own anchor
+family.  Later solves on this matrix reuse that factorization.
 """
 
 from __future__ import annotations
@@ -29,18 +30,12 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.fdfd.linalg.base import (
-    LinearSolver,
-    SolveStats,
-    SolverConfig,
-    register_solver,
-)
+from repro.fdfd.linalg.base import LinearSolver
 from repro.fdfd.linalg.blocked import CornerBlockSolver
 
 __all__ = ["PreconditionedKrylovSolver"]
 
 
-@register_solver("krylov-block")
 class PreconditionedKrylovSolver(LinearSolver):
     """BiCGStab on one matrix, preconditioned by a recycled nearby LU.
 
@@ -59,49 +54,10 @@ class PreconditionedKrylovSolver(LinearSolver):
         The one-system block solver that does the work.
     """
 
-    #: The workspace hands this backend whole corner families as well
-    #: (:meth:`SimulationWorkspace.begin_corner_block`).
-    supports_corner_block = True
-
     def __init__(self, matrix: sp.csc_matrix, kernel: CornerBlockSolver):
         super().__init__(matrix, kernel.stats)
         self._kernel = kernel
         self.diagnostics = kernel.diagnostics
-
-    @classmethod
-    def build(
-        cls,
-        matrix: sp.csc_matrix,
-        factor_options,
-        config: SolverConfig | None = None,
-        stats: SolveStats | None = None,
-        *,
-        assembly,
-        eps: np.ndarray,
-        preconditioner,
-        anchor_eps: np.ndarray,
-        on_fallback=None,
-        **_ignored,
-    ) -> "PreconditionedKrylovSolver":
-        """Wrap a one-system kernel for ``eps`` on ``assembly``.
-
-        ``preconditioner`` is the float64 LU of ``anchor_eps``.
-        ``on_fallback(0, direct)`` is called with the fallback
-        :class:`DirectSolver` so the owner can recycle its LU as a new
-        preconditioner anchor.
-        """
-        kernel = CornerBlockSolver(
-            assembly,
-            [eps],
-            preconditioner,
-            None,
-            factor_options,
-            config or SolverConfig(backend="krylov-block"),
-            stats,
-            on_fallback,
-            anchor_eps=anchor_eps,
-        )
-        return cls(matrix, kernel)
 
     # ------------------------------------------------------------------ #
     # Both entry points live on this class, not only on LinearSolver:

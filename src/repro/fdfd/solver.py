@@ -197,7 +197,10 @@ class HelmholtzSolver:
         """Solve for an ``(n, k)`` block of right-hand sides at once.
 
         The ``direct`` backend hands the block to SuperLU in a single
-        matrix-RHS call; the Krylov backends solve columns individually.
+        matrix-RHS call; ``krylov-block`` runs every column through one
+        blocked BiCGStab solve of its one-system corner block
+        (:meth:`~repro.fdfd.linalg.CornerBlockSolver.solve_columns`), or
+        through one matrix-RHS call when the system has an exact LU.
         """
         return self.linsolver.solve_many(
             np.asarray(rhs_block, dtype=np.complex128), trans=trans
@@ -206,10 +209,12 @@ class HelmholtzSolver:
     def solve_transposed(self, rhs_flat: np.ndarray) -> np.ndarray:
         """Solve ``A^T x = rhs`` — the adjoint system.
 
-        LU-backed backends reuse the forward factors (``L U = P A Q``
-        implies ``A^T = Q U^T L^T P``); the Krylov backend iterates on
-        ``A^T`` preconditioned by the transposed anchor LU.  Either way,
-        no second factorization is needed.
+        LU-backed solvers reuse the forward factors (``L U = P A Q``
+        implies ``A^T = Q U^T L^T P``).  The Krylov solver uses the
+        diagonal symmetrizer ``S`` of the SC-PML operator
+        (``A^T = S A S^-1``) and solves ``S A^-1 S^-1 b`` with
+        ``trans="N"`` sweeps of the anchor LU.  Either way, no second
+        factorization is needed.
         """
         return self.linsolver.solve(
             np.asarray(rhs_flat, dtype=np.complex128), trans="T"

@@ -49,12 +49,14 @@ Factor threads
     freed.  That also keeps ``repro worker`` (one fresh thread per task)
     from leaking every LU it evicts.
 
-Solves themselves go through the pluggable backends of
+Solves themselves go through the two backends of
 :mod:`repro.fdfd.linalg` (:meth:`SimulationWorkspace.linear_solver`):
 ``direct`` caches one SuperLU per permittivity, while ``krylov-block``
 keeps a small pool of *preconditioner anchors* per operator set — LUs of
 recently factorized permittivities, nearest of which preconditions a
-BiCGStab solve for every other corner.
+BiCGStab solve for every other corner.  One method,
+:meth:`SimulationWorkspace._begin_corner_block`, holds that anchor
+policy for corner families and single systems alike.
 :meth:`SimulationWorkspace.begin_solver_epoch` (called by the optimizer
 once per iteration) drops the anchors so the first permittivity of each
 iteration — the nominal corner — becomes the anchor its siblings recycle.
@@ -82,13 +84,12 @@ import scipy.sparse.linalg as spla
 
 from repro.fdfd.grid import SimGrid
 from repro.fdfd.linalg import (
-    SOLVER_REGISTRY,
     CornerBlockSolver,
     DirectSolver,
     LinearSolver,
+    PreconditionedKrylovSolver,
     SolveStats,
     SolverConfig,
-    make_linear_solver,
 )
 from repro.fdfd.modes import SlabModeSolver, WaveguideMode
 from repro.fdfd.operators import (
@@ -648,9 +649,9 @@ class SimulationWorkspace:
         self._assemblies = _LRUCache(max_assemblies)
         self._factorizations = _LRUCache(max_factorizations)
         self._modes = _LRUCache(max_modes)
-        # Preconditioner anchors for iterative backends: per operator
-        # set, a small ordered pool of (eps, LU) pairs; see
-        # linear_solver() for the recycling policy.  The operator-set
+        # Preconditioner anchors for krylov-block: per operator set, a
+        # small ordered pool of (eps, LU) pairs; see
+        # _begin_corner_block() for the recycling policy.  The operator-set
         # keys themselves are LRU-bounded (by max_assemblies, like the
         # operator cache) so evaluation-only usage — e.g. a wavelength
         # sweep, one omega per point — cannot pin factorizations without
@@ -682,62 +683,48 @@ class SimulationWorkspace:
     ) -> LinearSolver:
         """The configured backend's solver for one permittivity.
 
-        Solvers are cached by permittivity content, so corners sharing a
-        permittivity (the worst-corner probe and the nominal corner, the
-        two directions of a reciprocal device) share one factorization —
-        or, for the Krylov backend, one preconditioned operator.
+        ``direct``: solvers are cached by permittivity content, so
+        corners sharing a permittivity (the worst-corner probe and the
+        nominal corner, the two directions of a reciprocal device) share
+        one factorization.
 
-        Krylov anchor policy: the first permittivity factorized for an
-        operator set after :meth:`begin_solver_epoch` becomes the
-        *anchor* (in the optimizer loop, the nominal corner); every
-        subsequent permittivity is solved iteratively, preconditioned by
-        its nearest anchor in Euclidean permittivity distance.  A solve
-        that falls back to direct factorization contributes its LU as an
+        ``krylov-block``: a one-system corner block under the anchor
+        policy of :meth:`_begin_corner_block`.  A permittivity with an
+        exact LU gets a :class:`DirectSolver` on it: the first one of
+        the epoch (the nominal corner in the optimizer loop), which is
+        factorized and becomes the anchor, an existing anchor, or an
+        entry of the factorization LRU.  Any other is solved by BiCGStab
+        preconditioned by its nearest anchor in Euclidean permittivity
+        distance (:class:`PreconditionedKrylovSolver`).  A solve that
+        falls back to direct factorization contributes its LU as an
         additional anchor, so an off-manifold permittivity pays the
         factorization once and then preconditions its own neighbourhood.
         Device calibration runs never come here: they are solved by
         :meth:`FdfdAssembly.solve_x_invariant`.
         """
         eps = np.asarray(eps_r, dtype=np.float64)
+        if self.supports_corner_block:
+            matrix = assembly.system_matrix(eps)
+            block = self._begin_corner_block(assembly, [eps], matrix)
+            lu = block.system_lu(0)
+            if lu is None:
+                return PreconditionedKrylovSolver(matrix, block)
+            return DirectSolver(matrix, lu, self.solver_stats)
         eps_hash = _hash_array(eps)
         key = (assembly.grid, round(assembly.omega, 12), assembly.pml, eps_hash)
-        cached = self._factorizations.get(key)
-        if cached is not None:
-            if cached.lu is not None and self.supports_corner_block:
-                # A cached LU that survived an epoch reset is still a
-                # perfectly good anchor: re-register it so the epoch's
-                # sibling corners precondition against it instead of
-                # paying a fresh factorization (re-evaluating the same
-                # design — FD probing, repeated losses — hits this).
-                # Skip when already anchored: repeat hits must not copy
-                # the full grid or churn the anchor LRU order.
-                akey = (assembly.grid, round(assembly.omega, 12), assembly.pml)
-                with self._anchor_lock:
-                    registered = eps_hash in self._anchors.get(akey, ())
-                if not registered:
-                    self._add_anchor(
-                        akey, eps_hash, eps.ravel().copy(), cached.lu
-                    )
-            return cached
-
-        if not self.supports_corner_block:
+        solver = self._factorizations.get(key)
+        if solver is None:
             solver = self._direct_solver(key, assembly, eps)
-        else:
-            solver = self._preconditioned_solver(
-                assembly, assembly.system_matrix(eps), eps, eps_hash
-            )
-        self._factorizations.put(key, solver)
+            self._factorizations.put(key, solver)
         return solver
 
     def _direct_solver(self, key, assembly, eps) -> LinearSolver:
         """A factorized solver, from :meth:`prefactor` when it started one."""
         pending = self._take_prefactored(key)
         if pending is None:
-            return make_linear_solver(
-                self.solver_config.backend,
+            return DirectSolver.build(
                 assembly.system_matrix(eps),
                 self.factor_options,
-                config=self.solver_config,
                 stats=self.solver_stats,
             )
         solver = DirectSolver(
@@ -805,45 +792,6 @@ class SimulationWorkspace:
             self._anchors.popitem(last=False)
         return anchors
 
-    def _preconditioned_solver(
-        self, assembly, matrix, eps, eps_hash
-    ) -> LinearSolver:
-        akey = (assembly.grid, round(assembly.omega, 12), assembly.pml)
-        eps_flat = eps.ravel().copy()
-        with self._anchor_lock:
-            anchors = self._anchor_pool(akey)
-            if eps_hash in anchors:
-                # The solver cache evicted this permittivity but its LU
-                # survives as an anchor: exact solves, no iteration.
-                return DirectSolver(
-                    matrix, anchors[eps_hash].lu, self.solver_stats
-                )
-            if not anchors:
-                # First permittivity of the epoch — the nominal corner in
-                # the optimizer loop.  Factorize it; siblings recycle it.
-                lu = self.factor_options.factorize(matrix)
-                self.solver_stats.add(factorizations=1)
-                anchors[eps_hash] = _PrecondAnchor(eps_flat, lu)
-                return DirectSolver(matrix, lu, self.solver_stats)
-            nearest = min(
-                anchors.values(),
-                key=lambda a: float(np.linalg.norm(a.eps - eps_flat)),
-            )
-        return make_linear_solver(
-            self.solver_config.backend,
-            matrix,
-            self.factor_options,
-            config=self.solver_config,
-            stats=self.solver_stats,
-            assembly=assembly,
-            eps=eps,
-            preconditioner=nearest.lu,
-            anchor_eps=nearest.eps,
-            on_fallback=lambda _system, direct: self._add_anchor(
-                akey, eps_hash, eps_flat, direct.lu
-            ),
-        )
-
     def _add_anchor(self, akey, eps_hash, eps_flat, lu) -> None:
         with self._anchor_lock:
             anchors = self._anchor_pool(akey)
@@ -853,37 +801,31 @@ class SimulationWorkspace:
 
     @property
     def supports_corner_block(self) -> bool:
-        """Whether the configured backend can solve corner *blocks*.
+        """Whether the configured backend is ``krylov-block``.
 
-        True for ``krylov-block``: :meth:`begin_corner_block` then
-        returns a block operator that solves every corner of an
-        iteration through shared matrix-RHS sweeps.  Devices and the
-        optimizer use this to route the corner fan-out through the
-        blocked path instead of per-corner solves.  The same backend
-        is the one whose per-matrix solves recycle anchor
-        factorizations as preconditioners (:meth:`linear_solver`).
+        :meth:`begin_corner_block` then returns a block operator that
+        solves every corner of an iteration through shared matrix-RHS
+        sweeps.  Devices and the optimizer use this to route the corner
+        fan-out through the blocked path instead of per-corner solves.
         """
-        backend = SOLVER_REGISTRY[self.solver_config.backend]
-        return bool(getattr(backend, "supports_corner_block", False))
+        return self.solver_config.backend == "krylov-block"
 
     def begin_corner_block(self, assembly: FdfdAssembly, eps_list):
         """Open a corner block: one block operator for a corner family.
 
-        The block analogue of the per-corner :meth:`linear_solver` path,
-        sharing its anchor policy: the first design system of the epoch
-        (``eps_list[0]`` — the worst-corner probe or the nominal corner
-        in the optimizer loop, if no block anchored earlier) is
-        factorized and becomes the anchor; the whole block is
-        preconditioned by the anchor nearest to the nominal corner, or
-        by a fresh nominal factorization when that anchor is off-family
-        (see :meth:`_begin_corner_block`).  Systems whose
-        permittivity *is* an existing anchor are solved exactly with
-        that LU (like the per-matrix path's ``DirectSolver`` for the anchor
-        corner), and per-column direct fallbacks re-anchor through
-        :meth:`_add_anchor` exactly like the per-matrix fallback.
+        The anchor policy (:meth:`_begin_corner_block`, which
+        :meth:`linear_solver` runs as a one-system block): the first
+        design system of the epoch (``eps_list[0]`` — the worst-corner
+        probe or the nominal corner in the optimizer loop, if no block
+        anchored earlier) is factorized and becomes the anchor; the
+        whole block is preconditioned by the anchor nearest to the
+        nominal corner, or by a fresh nominal factorization when that
+        anchor is off-family.  Systems whose permittivity *is* an
+        existing anchor, or has an LU in the factorization LRU, are
+        solved exactly with that LU, and per-column direct fallbacks
+        re-anchor through :meth:`_add_anchor`.
 
-        Returns ``None`` when the configured backend is not
-        block-capable.
+        Returns ``None`` under the ``direct`` backend.
         """
         if not self.supports_corner_block:
             return None
@@ -891,7 +833,12 @@ class SimulationWorkspace:
                   corners=len(eps_list)):
             return self._begin_corner_block(assembly, eps_list)
 
-    def _begin_corner_block(self, assembly, eps_list):
+    def _begin_corner_block(self, assembly, eps_list, nominal_matrix=None):
+        """The anchor policy behind :meth:`begin_corner_block`.
+
+        ``nominal_matrix`` is the system matrix of ``eps_list[0]`` when
+        the caller already assembled it.
+        """
         eps_arrs = [np.asarray(e, dtype=np.float64) for e in eps_list]
         if not eps_arrs:
             raise ValueError("begin_corner_block needs at least one corner")
@@ -901,9 +848,9 @@ class SimulationWorkspace:
         with self._anchor_lock:
             anchors = self._anchor_pool(akey)
             # One preconditioner serves the whole block, so an
-            # off-family anchor would sink every column at once — the
-            # per-matrix path self-heals via its first fallback, the block
-            # must decide up front.
+            # off-family anchor would sink every column at once: a
+            # family decides up front, while a single system self-heals
+            # via its first fallback.
             seed_nominal = not anchors
             nearest = None
             if anchors:
@@ -933,13 +880,14 @@ class SimulationWorkspace:
                 # Seed from the factorization LRU when it already holds
                 # an LU for the nominal permittivity (repeated-theta
                 # workloads: FD probing, line searches), and register a
-                # fresh factorization back into it — the same recycling
-                # contract the per-matrix path gets from linear_solver().
+                # fresh factorization back into it.
                 fkey = (*akey, hashes[0])
                 cached = self._factorizations.get(fkey)
                 lu = None if cached is None else cached.lu
                 if lu is None:
-                    matrix = assembly.system_matrix(eps_arrs[0])
+                    matrix = nominal_matrix
+                    if matrix is None:
+                        matrix = assembly.system_matrix(eps_arrs[0])
                     lu = self.factor_options.factorize(matrix)
                     self.solver_stats.add(factorizations=1)
                     self._factorizations.put(
@@ -955,8 +903,7 @@ class SimulationWorkspace:
         for i, h in enumerate(hashes):
             # Corners whose LU survives in the factorization LRU (e.g.
             # fallbacks of a previous block over the same theta) are
-            # solved exactly instead of re-iterated or re-factorized —
-            # the block analogue of the per-matrix path's cache hit.
+            # solved exactly instead of re-iterated or re-factorized.
             if i in exact:
                 continue
             cached = self._factorizations.get((*akey, h))
@@ -968,9 +915,9 @@ class SimulationWorkspace:
                 akey, hashes[system], eps_arrs[system].ravel().copy(),
                 direct.lu,
             )
-            # Mirror the per-matrix path: the fallback solver joins the
-            # factorization LRU so re-solving this permittivity (same
-            # theta, next epoch) is a cache hit, not a refactorization.
+            # The fallback solver joins the factorization LRU so
+            # re-solving this permittivity (same theta, next epoch) is a
+            # cache hit, not a refactorization.
             self._factorizations.put((*akey, hashes[system]), direct)
 
         return CornerBlockSolver(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 from pathlib import Path
 from typing import Any
 
@@ -66,12 +66,21 @@ def atomic_write_bytes(
     rename is still atomic against crashes of the writing *process*,
     which is the right default for advisory artifacts like benchmark
     reports.
+
+    The file gets the mode :func:`open` gives a new file (``0o666``
+    less the process umask), not :func:`tempfile.mkstemp`'s owner-only
+    ``0o600``.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    while True:
+        tmp_name = str(path.parent / f".{path.name}.{secrets.token_hex(8)}.tmp")
+        try:
+            fd = os.open(tmp_name, flags, 0o666)  # the OS applies the umask
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)

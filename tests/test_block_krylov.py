@@ -30,7 +30,6 @@ from repro.fdfd import (
     SimulationWorkspace,
 )
 from repro.fdfd.linalg import (
-    SOLVER_REGISTRY,
     CornerBlockSolver,
     PreconditionedKrylovSolver,
     SolverConfig,
@@ -121,12 +120,11 @@ class TestSolveManyPostFallback:
         cfg = SolverConfig(
             **{"backend": "krylov-block", "fallback": False, **overrides}
         )
-        return PreconditionedKrylovSolver.build(
-            assembly.system_matrix(eps), options, cfg,
-            assembly=assembly, eps=eps,
-            preconditioner=options.splu(assembly.system_matrix(vacuum)),
-            anchor_eps=vacuum,
+        kernel = CornerBlockSolver(
+            assembly, [eps], options.splu(assembly.system_matrix(vacuum)),
+            None, options, cfg, anchor_eps=vacuum,
         )
+        return PreconditionedKrylovSolver(assembly.system_matrix(eps), kernel)
 
     def test_solve_many_batches_after_midblock_fallback(self, grid, eps):
         rng = np.random.default_rng(0)
@@ -176,9 +174,7 @@ class TestCornerBlockSolver:
         assembly = ws.assembly(grid, OMEGA)
         return ws, ws.begin_corner_block(assembly, eps_list)
 
-    def test_registered_and_block_capable(self):
-        assert SOLVER_REGISTRY["krylov-block"] is PreconditionedKrylovSolver
-        assert PreconditionedKrylovSolver.supports_corner_block
+    def test_only_krylov_block_is_block_capable(self):
         assert not SimulationWorkspace(
             solver_config="direct"
         ).supports_corner_block

@@ -72,7 +72,13 @@ from repro.core.remote import (
     start_worker_subprocess,
 )
 from repro.devices import make_device
-from repro.utils.io import atomic_write_bytes, atomic_write_json, load_result
+from repro.utils.io import (
+    atomic_write_bytes,
+    atomic_write_json,
+    atomic_write_text,
+    load_result,
+    save_result,
+)
 
 pytestmark = pytest.mark.checkpoint
 
@@ -408,6 +414,26 @@ class TestRotationAndDiscovery:
         atomic_write_bytes(target, b"one", fsync=False)
         atomic_write_bytes(target, b"two", fsync=True)
         assert target.read_bytes() == b"two"
+        assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    def test_atomic_writes_get_open_mode_not_owner_only(self, tmp_path):
+        """Written files take ``0o666 & ~umask``, as :func:`open` gives."""
+        old_umask = os.umask(0o022)
+        try:
+            fresh = tmp_path / "fresh.txt"
+            with open(fresh, "w"):
+                pass
+            assert fresh.stat().st_mode & 0o777 == 0o644
+            atomic_write_text(fresh, "rewritten")
+            assert fresh.stat().st_mode & 0o777 == 0o644
+            result = save_result({"x": np.arange(3)}, tmp_path / "result.json")
+            assert result.stat().st_mode & 0o777 == 0o644
+            os.umask(0o077)
+            private = atomic_write_bytes(tmp_path / "private.bin", b"x")
+            assert private.stat().st_mode & 0o777 == 0o600
+        finally:
+            os.umask(old_umask)
         assert not list(tmp_path.glob("*.tmp"))
 
 

@@ -74,7 +74,7 @@ class TestFullChainGradient:
             minus = theta0.copy()
             minus[ij] -= d
             fd = (loss_value(plus) - loss_value(minus)) / (2 * d)
-            assert grad[ij] == pytest.approx(fd, rel=5e-2, abs=1e-8)
+            assert grad[ij] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
     def test_gradient_nonzero_through_ste_chain(self, bend):
         """The production (STE) chain still backpropagates signal."""
@@ -87,6 +87,71 @@ class TestFullChainGradient:
         loss.backward()
         assert theta_t.grad is not None
         assert np.abs(theta_t.grad).max() > 0
+
+
+class TestVariationGradients:
+    """d loss / dT and d loss / dxi through FDFD vs central FD.
+
+    The worst-corner finder (``Boson1Optimizer._make_worst_finder``)
+    steps on the signs of exactly these gradients: the loss of the
+    fabricated pattern at background alpha 1.0, as a function of the
+    temperature and the EOLE coefficients.
+    """
+
+    @pytest.fixture(scope="class")
+    def variation_loss(self, bend):
+        process = FabricationProcess(
+            bend.design_shape,
+            bend.dl,
+            context=bend.litho_context(12),
+            pad=12,
+            use_ste=False,
+            etch_beta=6.0,
+        )
+        config = OptimizerConfig(
+            iterations=1,
+            sampling="nominal",
+            relax_epochs=0,
+            seed=0,
+            levelset_beta=1.0,
+        )
+        opt = Boson1Optimizer(bend, config, process=process)
+        opt.param.hard = False
+        rho = opt.decode(Tensor(opt.theta)).detach()
+        probe = VariationCorner("worst-probe")
+
+        def loss(temperature, xi):
+            rho_fab = process.apply(rho, probe, temperature=temperature, xi=xi)
+            powers = bend.port_powers_all(rho_fab, 1.0)
+            return build_loss(opt.terms, powers, config.dense_objectives)
+
+        t0 = 310.0
+        xi0 = 0.5 * np.random.default_rng(0).standard_normal(
+            process.eole.n_terms
+        )
+        t = Tensor(np.array(t0), requires_grad=True)
+        xi = Tensor(xi0.copy(), requires_grad=True)
+        loss(t, xi).backward()
+
+        def value(temperature, xi_np):
+            return loss(Tensor(np.array(temperature)), Tensor(xi_np)).item()
+
+        return value, t0, xi0, float(t.grad), xi.grad.copy()
+
+    def test_temperature_gradient_matches_fd(self, variation_loss):
+        value, t0, xi0, t_grad, _ = variation_loss
+        d = 1e-3
+        fd = (value(t0 + d, xi0) - value(t0 - d, xi0)) / (2 * d)
+        assert abs(t_grad - fd) <= 1e-5 * abs(fd)
+
+    def test_eole_gradient_matches_fd(self, variation_loss):
+        value, t0, xi0, _, xi_grad = variation_loss
+        d = 1e-4
+        for k in np.argsort(np.abs(xi_grad))[-2:]:
+            step = np.zeros_like(xi0)
+            step[k] = d
+            fd = (value(t0, xi0 + step) - value(t0, xi0 - step)) / (2 * d)
+            assert abs(xi_grad[k] - fd) <= 1e-5 * abs(fd)
 
 
 class TestCornerConsistency:

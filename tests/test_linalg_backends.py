@@ -1,4 +1,4 @@
-"""Linear-solver subsystem: registry, backends, and cross-backend physics.
+"""Linear-solver subsystem: config, backends, and cross-backend physics.
 
 The contract, per backend:
 
@@ -27,14 +27,11 @@ from repro.fdfd import (
     SimulationWorkspace,
 )
 from repro.fdfd.linalg import (
-    SOLVER_REGISTRY,
+    SOLVER_BACKENDS,
     DirectSolver,
     PreconditionedKrylovSolver,
     SinglePrecisionLU,
     SolverConfig,
-    available_backends,
-    make_linear_solver,
-    register_solver,
 )
 from repro.fdfd.linalg import direct as direct_module
 from repro.params import rasterize_segments
@@ -70,21 +67,20 @@ def rhs_block(grid, k=3, seed=0):
     )
 
 
-class TestRegistryAndConfig:
-    def test_builtin_backends_registered(self):
-        assert available_backends() == ["direct", "krylov-block"]
+class TestBackendsAndConfig:
+    def test_builtin_backends(self):
+        for backend in SOLVER_BACKENDS:
+            assert SolverConfig(backend=backend).backend == backend
         # The retired backend's class name survives only as an alias.
         assert direct_module.BatchedDirectSolver is DirectSolver
 
-    def test_unknown_backend_raises(self, grid, eps):
-        matrix = HelmholtzSolver(grid, eps, OMEGA, workspace=None).system_matrix
-        with pytest.raises(ValueError, match="unknown solver backend"):
-            make_linear_solver("cusolver", matrix, FactorOptions())
-
-    def test_duplicate_registration_raises(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_solver("direct")(PreconditionedKrylovSolver)
-        assert SOLVER_REGISTRY["direct"] is DirectSolver
+    def test_unknown_backend_raises(self):
+        with pytest.raises(
+            ValueError,
+            match=r"unknown solver backend 'cusolver'; "
+            r"available: \['direct', 'krylov-block'\]",
+        ):
+            SolverConfig(backend="cusolver")
 
     def test_coerce(self):
         assert SolverConfig.coerce(None) == SolverConfig()
@@ -170,9 +166,7 @@ class TestDirectAndBatched:
                 device.grid, device.eps_from_occupancy(occ), device.omega,
                 workspace=None,
             ).system_matrix
-            solver = make_linear_solver(
-                "direct", matrix, FactorOptions()
-            )
+            solver = DirectSolver.build(matrix, FactorOptions())
             block = rhs_block(device.grid, k=4, seed=3)
             for trans in ("N", "T"):
                 columns = np.stack(
@@ -186,7 +180,7 @@ class TestDirectAndBatched:
 
     def test_solve_many_matches_column_solves(self, grid, eps):
         matrix = HelmholtzSolver(grid, eps, OMEGA, workspace=None).system_matrix
-        solver = make_linear_solver("direct", matrix, FactorOptions())
+        solver = DirectSolver.build(matrix, FactorOptions())
         block = rhs_block(grid, k=4)
         stacked = np.stack([solver.solve(block[:, j]) for j in range(4)], axis=1)
         assert np.array_equal(solver.solve_many(block), stacked)
@@ -201,7 +195,7 @@ class TestDirectAndBatched:
 
     def test_bad_trans_and_shape_raise(self, grid, eps):
         matrix = HelmholtzSolver(grid, eps, OMEGA, workspace=None).system_matrix
-        solver = make_linear_solver("direct", matrix, FactorOptions())
+        solver = DirectSolver.build(matrix, FactorOptions())
         with pytest.raises(ValueError):
             solver.solve(rhs_block(grid)[:, 0], trans="H")
         with pytest.raises(ValueError):
